@@ -15,15 +15,11 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import optimize as _opt
-from scipy import signal as _sig
 
 from .folib import (
     ControllerKind,
     ControllerTemplate,
-    FopidParams,
     OustaloupConfig,
-    _fopid_branches,
     realize,
 )
 from .l1_idfrit import (
@@ -33,15 +29,11 @@ from .l1_idfrit import (
     StabilityBoundReport,
 )
 from .lti_core import (
-    AlgebraicLoopError,
     ContinuousTf,
     DiscreteTf,
-    DiscreteZpk,
     Signal,
     co_simulate,
-    feedback_unity,
-    is_bibo_stable,
-    poles,
+    loop_poles,
     simulate,
     tustin,
 )
@@ -71,6 +63,11 @@ __all__ = [
 CASE_NAMES = ("example1", "example2", "example3_io", "example3_fo")
 
 PlantLike = Union[ContinuousTf, DiscreteTf]
+
+#: a closed loop is graded stable iff every pole magnitude is below this;
+#: the margin keeps a mode on the unit circle that the eigensolver puts a
+#: few ulp inside it (a cancelled z = -1 mode, say) from counting as stable
+STABLE_RADIUS = 1.0 - 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +141,11 @@ class StepTraces:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Grading of a candidate against the true plant."""
+    """Grading of a candidate against the true plant.
+
+    ``closed_loop_poles`` are the eigenvalues of the loop's state matrix
+    as computed; ``stable`` holds iff every one lies inside STABLE_RADIUS.
+    """
 
     closed_loop_poles: Tuple[complex, ...]
     stable: bool
@@ -154,7 +155,7 @@ class ValidationReport:
 
     def __post_init__(self):
         mags = [abs(p) for p in self.closed_loop_poles]
-        if self.stable != all(m < 1.0 for m in mags):
+        if self.stable != all(m < STABLE_RADIUS for m in mags):
             raise ValueError("stable flag must mirror the pole magnitudes")
 
     @property
@@ -358,252 +359,6 @@ def make_evaluator(
     )
 
 
-def _loop_state_matrix(pd: DiscreteTf, c: DiscreteZpk) -> np.ndarray:
-    """State matrix of the unity-feedback loop with a factored controller.
-
-    The plant contributes its canonical states plus one state per sample
-    of input delay; the controller contributes its section-cascade states.
-    Working on the assembled matrix keeps every closed-loop mode at the
-    accuracy of the root data, where composing expanded polynomials would
-    bury the slow modes in coefficient noise.
-    """
-    den = pd.den.as_array()
-    num = pd.num.as_array()
-    if den.size > 1:
-        Ap, Bp, Cp, Dp = _sig.tf2ss(num, den)
-        Bp = Bp[:, 0].astype(float)
-        Cp = Cp[0].astype(float)
-        Dp = float(np.atleast_2d(Dp)[0, 0])
-    else:
-        Ap = np.zeros((0, 0))
-        Bp = np.zeros(0)
-        Cp = np.zeros(0)
-        Dp = float(num[0] / den[0])
-    Ac, Bc, Cc, Dc = c.state_space()
-    n_p, d, n_c = Ap.shape[0], pd.delay_samples, Ac.shape[0]
-    n = n_p + d + n_c
-    A = np.zeros((n, n))
-    ip, iq, ic = 0, n_p, n_p + d
-    A[ip:iq, ip:iq] = Ap
-    A[ic:, ic:] = Ac
-    if d > 0:
-        # y depends on states only; the newest delay slot stores u
-        A[ip:iq, iq + d - 1] += Bp
-        A[iq, ip:iq] = -Dc * Cp
-        A[iq, iq + d - 1] += -Dc * Dp
-        A[iq, ic:] += Cc
-        for k in range(1, d):
-            A[iq + k, iq + k - 1] = 1.0
-        A[ic:, ip:iq] += -np.outer(Bc, Cp)
-        A[ic:, iq + d - 1] += -Bc * Dp
-    else:
-        well_posed = 1.0 + Dc * Dp
-        if abs(well_posed) < 1e-12:
-            raise AlgebraicLoopError("feedback loop is not well posed")
-        u_xp = -Dc * Cp / well_posed
-        u_xc = Cc / well_posed
-        A[ip:iq, ip:iq] += np.outer(Bp, u_xp)
-        A[ip:iq, ic:] += np.outer(Bp, u_xc)
-        e_xp = -(Cp + Dp * u_xp)
-        e_xc = -Dp * u_xc
-        A[ic:, ip:iq] += np.outer(Bc, e_xp)
-        A[ic:, ic:] += np.outer(Bc, e_xc)
-    return A
-
-
-# Half-width of the unit-circle neighbourhoods whose eigenvalues get the
-# root-finding polish. Inside this band the realized ladder packs poles
-# and near-cancelling zeros a few ulp apart, and a dense eigensolver can
-# misplace such clustered modes by more than the band of interest itself.
-_CLUSTER_WINDOW = 2.5e-3
-
-
-def _cluster_gap(num, den, delay, kfp, rungs, splits):
-    """Closed-loop gap function regularized through a pole cluster.
-
-    Returns F(z) = prod(z - r) * (1 + C(z) P(z)) over the cluster poles r,
-    with each branch's own cluster factors cancelled analytically, so F is
-    analytic across the whole window and its roots there are exactly the
-    closed-loop poles. Every factor is evaluated from root data; no
-    polynomial for C is ever expanded.
-    """
-
-    def gap(z):
-        pz = np.polyval(num, z) / np.polyval(den, z)
-        if delay:
-            pz *= z ** (-delay)
-        prod_k = np.prod(z - rungs)
-        ck = kfp * prod_k
-        for zb, farb, other, gb in splits:
-            ck += gb * np.prod(z - zb) / np.prod(z - farb) * np.prod(z - other)
-        return prod_k + ck * pz
-
-    return gap
-
-
-def _real_cluster_roots(gap, rungs, lo, hi):
-    """All real roots of the gap function in (lo, hi) on rung-centred meshes.
-
-    The roots of interest hug the ladder rungs at relative distances that
-    can be a handful of ulp, so the mesh doubles geometrically away from
-    every rung instead of sampling uniformly. Sign changes are compared
-    through the sign bit because adjacent values routinely sit far below
-    the underflow threshold of their product.
-    """
-
-    def h(x):
-        return gap(complex(x)).real
-
-    pts = {lo, hi}
-    for i, r in enumerate(rungs):
-        left = lo if i == 0 else 0.5 * (rungs[i - 1] + r)
-        right = hi if i == len(rungs) - 1 else 0.5 * (r + rungs[i + 1])
-        for sign, limit in ((-1.0, r - left), (1.0, right - r)):
-            step = 4e-16 * max(abs(r), 1.0)
-            while step < limit:
-                pts.add(r + sign * step)
-                step *= 2.0
-        pts.add(r)
-    mesh = sorted(pts)
-    vals = [h(x) for x in mesh]
-    roots = []
-    for a, b, fa, fb in zip(mesh[:-1], mesh[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            roots.append(a)
-        elif np.isfinite(fa) and np.isfinite(fb) and (fa < 0.0) != (fb < 0.0):
-            roots.append(
-                _opt.brentq(h, a, b, xtol=1e-16, rtol=4 * np.finfo(float).eps)
-            )
-    if vals[-1] == 0.0:
-        roots.append(mesh[-1])
-    return roots
-
-
-def _polish_suspects(gap, suspects, s, w):
-    """Newton-polish suspect eigenvalues against the analytic gap function.
-
-    Each suspect walks from its eigensolver estimate toward the nearest
-    root of the gap function; runs that stall, leave the window, or fail
-    to collapse the residual are dropped. Several suspects landing on one
-    root is normal (the eigensolver smears tight real pairs into spurious
-    complex ones), so the caller deduplicates.
-    """
-    polished = []
-    for z0 in suspects:
-        z = complex(z0)
-        start = abs(gap(z))
-        converged = False
-        for _ in range(80):
-            f = gap(z)
-            h = 1e-7 * max(abs(z - s), 1e-9)
-            fp = (gap(z + h) - gap(z - h)) / (2.0 * h)
-            if fp == 0.0 or not np.isfinite(fp):
-                break
-            step = f / fp
-            z = z - step
-            if not np.isfinite(z) or abs(z - s) > w:
-                break
-            if abs(step) < 1e-15 * max(1.0, abs(z)):
-                converged = True
-                break
-        if not converged:
-            continue
-        final = abs(gap(z))
-        if final <= 1e-6 * start or final == 0.0:
-            if abs(z.imag) < 1e-12:
-                z = complex(z.real, 0.0)
-            polished.append(z)
-    return polished
-
-
-def _refine_unit_clusters(lam, pd: DiscreteTf, kfp, branches) -> np.ndarray:
-    """Polish eigenvalues trapped in the ladder clusters at z = +/-1.
-
-    The realized controller keeps exact poles at the unit circle images of
-    s = 0 and s = infinity plus a geometric ladder of staircase poles, each
-    shadowed by a transmission zero of the parallel sum. The closed-loop
-    modes in such a cluster stay pinned near their rungs, but a dense
-    eigensolver resolves them no better than about the fourth root of
-    machine precision, which is orders of magnitude coarser than the
-    cluster itself. Root-finding on the regularized gap function recovers
-    them at full precision; eigenvalues are replaced only when the root
-    count matches, with unmatched modes parked on their rungs (a real scan
-    cannot see a complex pair, but the ladder confines it to the same
-    micro neighbourhood). Anything inconsistent keeps the eigensolver
-    values.
-    """
-    if not branches:
-        return lam
-    num = pd.num.as_array()
-    den = pd.den.as_array()
-    delay = int(pd.delay_samples)
-    plant_poles = np.roots(den) if den.size > 1 else np.zeros(0)
-    out = np.array(lam, dtype=complex, copy=True)
-    pool = np.concatenate([np.real(np.asarray(b[1])) for b in branches])
-    for s in (1.0, -1.0):
-        dist = np.sort(np.abs(pool - s))
-        w = _CLUSTER_WINDOW
-        inside = dist[dist < w]
-        if not inside.size:
-            continue
-        beyond = dist[dist >= w]
-        if beyond.size and beyond[0] < 4.0 * w:
-            # park the boundary in the middle of a ladder gap so the rung
-            # set and the eigenvalue suspects cannot disagree about it
-            w = math.sqrt(inside[-1] * beyond[0])
-        if plant_poles.size and np.min(np.abs(plant_poles - s)) < 2.0 * w:
-            continue
-        suspects = np.nonzero(np.abs(out - s) < w)[0]
-        if suspects.size == 0:
-            continue
-        rungs = np.sort(pool[np.abs(pool - s) < w])
-        near_sets = []
-        far_sets = []
-        for zb, pb, gb in branches:
-            pb = np.asarray(pb)
-            near = np.abs(np.real(pb) - s) < w
-            near_sets.append(np.real(pb[near]))
-            far_sets.append(pb[~near])
-        splits = []
-        for idx, (zb, pb, gb) in enumerate(branches):
-            other = [near_sets[j] for j in range(len(branches)) if j != idx]
-            other = np.concatenate(other) if other else np.zeros(0)
-            splits.append((np.asarray(zb, complex), far_sets[idx], other, gb))
-        gap = _cluster_gap(num, den, delay, kfp, rungs, splits)
-        found = [complex(r) for r in _real_cluster_roots(gap, list(rungs), s - w, s + w)]
-        for z in _polish_suspects(gap, out[suspects], s, w):
-            if all(abs(z - q) > 1e-12 for q in found):
-                found.append(z)
-        if len(found) > suspects.size:
-            continue
-        if len(found) < suspects.size:
-            # a real mesh cannot see a complex pair and the polish needs a
-            # seed near it; park leftovers on the most isolated rungs, whose
-            # micro neighbourhood confines the missing modes anyway
-            missing = suspects.size - len(found)
-            if missing > rungs.size:
-                continue
-            iso = sorted(
-                rungs,
-                key=lambda r: min((abs(r - q) for q in found), default=math.inf),
-                reverse=True,
-            )
-            found = found + [complex(r) for r in iso[:missing]]
-        order = np.lexsort((np.angle(found), np.real(found)))
-        out[suspects] = np.asarray(found, dtype=complex)[order]
-    return out
-
-
-def _closed_loop_poles(pd: DiscreteTf, c, fopid=None) -> np.ndarray:
-    if isinstance(c, DiscreteZpk):
-        r = np.linalg.eigvals(_loop_state_matrix(pd, c))
-        if fopid is not None:
-            r = _refine_unit_clusters(r, pd, *fopid)
-        order = np.lexsort((np.angle(r), -np.abs(r)))
-        return r[order]
-    return poles(feedback_unity(pd, c))
-
-
 def _grade(
     pd: DiscreteTf,
     md: DiscreteTf,
@@ -613,13 +368,9 @@ def _grade(
 ) -> ValidationReport:
     """Grading core shared by validate() and the command-line validator."""
     c = realize(theta, template)
-    fopid = None
-    if template.kind is ControllerKind.FOPID:
-        params = FopidParams.from_theta(theta)
-        fopid = (params.kfp, _fopid_branches(params, template))
     r = unit_step(n_samples, pd.sample_time)
-    loop_poles = tuple(complex(p) for p in _closed_loop_poles(pd, c, fopid))
-    stable = bool(all(abs(p) < 1.0 for p in loop_poles))
+    poles = tuple(complex(p) for p in loop_poles(pd, c))
+    stable = bool(all(abs(p) < STABLE_RADIUS for p in poles))
     y_cl, u = co_simulate(pd, c, r)
     y_model = simulate(md, r)
     err = np.abs(y_cl.samples - y_model.samples)
@@ -627,7 +378,7 @@ def _grade(
     finite_u = np.abs(u.samples)
     max_u = float(np.max(finite_u)) if finite_u.size else 0.0
     return ValidationReport(
-        closed_loop_poles=loop_poles,
+        closed_loop_poles=poles,
         stable=stable,
         tracking_error_l1=tracking,
         max_abs_input=max_u,

@@ -253,24 +253,6 @@ def _chain_arrays(zd, pd, gain):
     return A, B, gain * C, gain
 
 
-def _fopid_branches(p: FopidParams, t: ControllerTemplate):
-    """Discrete root triples (zeros, poles, gain) of the active fractional terms.
-
-    Terms whose gain is exactly zero are dropped, so their order parameters
-    are ignored. The returned triples are exact up to the bilinear map of
-    each individual root; nothing is expanded or summed yet.
-    """
-    ts = t.sample_time
-    branches = []
-    if p.kfi != 0.0:
-        z, q, k = _power_roots(-p.lam, t.oustaloup)
-        branches.append(_bilinear_roots(z, q, p.kfi * k, ts))
-    if p.kfd != 0.0:
-        z, q, k = _power_roots(p.mu, t.oustaloup)
-        branches.append(_bilinear_roots(z, q, p.kfd * k, ts))
-    return branches
-
-
 def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
     """Factored discrete realization of kfp + kfi*s**(-lam) + kfd*s**mu.
 
@@ -286,7 +268,11 @@ def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
     if t.kind is not ControllerKind.FOPID:
         raise ValueError("template kind must be FOPID")
     ts = t.sample_time
-    branches = _fopid_branches(p, t)
+    branches = []
+    for gain, power in ((p.kfi, -p.lam), (p.kfd, p.mu)):
+        if gain != 0.0:
+            z, q, k = _power_roots(power, t.oustaloup)
+            branches.append(_bilinear_roots(z, q, gain * k, ts))
     if not branches and p.kfp == 0.0:
         return DiscreteZpk((), (), 0.0, ts)
     blocks = [_chain_arrays(zd, pd, k) for zd, pd, k in branches]

@@ -47,8 +47,6 @@ __all__ = [
     "fictitious_reference",
     "toeplitz_solve",
     "reconstruct_output",
-    "evaluate_loss",
-    "stability_bound_report",
     "LossEvaluator",
 ]
 
@@ -193,38 +191,6 @@ def reconstruct_output(r0: Signal, t: Signal) -> Signal:
     return Signal(y, r0.sample_time)
 
 
-def _impulse_head(n: int, ts: float) -> Signal:
-    delta = np.zeros(n)
-    delta[0] = 1.0
-    return Signal(delta, ts)
-
-
-def stability_bound_report(
-    data: ExperimentRecord, md: DiscreteTf, t: Signal, epsilon: Signal
-) -> StabilityBoundReport:
-    """Check ||t||_1 <= gamma_R0 * ||epsilon||_1 + ||m_D||_1.
-
-    gamma_R0 is the l1 norm of the generating column of the inverse of
-    the reference Toeplitz matrix, which equals the operator norm that
-    the triangle inequality actually needs (the max column sum of a
-    lower triangular Toeplitz matrix is the l1 norm of its first
-    column). Since that inverse is again lower triangular Toeplitz, the
-    column is one forward substitution on a unit pulse. With this
-    constant the inequality is an identity-level consequence of
-    t = R0^-1 epsilon + m_D, so a violation can only mean the pipeline
-    broke, never that the candidate was unlucky.
-    """
-    n = len(data)
-    col = toeplitz_solve(data.r0, _impulse_head(n, data.sample_time))
-    gamma = col.l1()
-    m_d = impulse_response(md, n - 1)
-    bound = abs(gamma) * epsilon.l1() + m_d.l1()
-    t_l1 = t.l1()
-    return StabilityBoundReport(
-        gamma_r0=gamma, bound=bound, t_l1=t_l1, satisfied=bool(t_l1 <= bound)
-    )
-
-
 class LossEvaluator:
     """Reusable loss pipeline for one (template, data, reference model) triple.
 
@@ -258,8 +224,9 @@ class LossEvaluator:
         self._m_d = impulse_response(md, n - 1)
         self._m_d_l1 = self._m_d.l1()
         self._y_ref = reconstruct_output(data.r0, self._m_d)
-        col = toeplitz_solve(data.r0, _impulse_head(n, ts))
-        self._gamma_r0 = col.l1()
+        pulse = np.zeros(n)
+        pulse[0] = 1.0
+        self._gamma_r0 = toeplitz_solve(data.r0, Signal(pulse, ts)).l1()
         self.evaluations = 0
         self.penalties = 0
         self.penalty_counts = {reason: 0 for reason in PenaltyReason}
@@ -277,17 +244,28 @@ class LossEvaluator:
 
     def evaluate(self, theta) -> LossBreakdown:
         """Full pipeline for one candidate; never raises for in-box theta."""
+        self.evaluations += 1
+        breakdown = self._pipeline(self._as_theta(theta))
+        if breakdown.penalized:
+            self.penalties += 1
+            self.penalty_counts[breakdown.penalty_reason] += 1
+        elif self.check_bound:
+            self.bound_checks += 1
+            if breakdown.t_l1 > self._bound(breakdown.epsilon_l1):
+                self.bound_violations += 1
+        return breakdown
+
+    def _as_theta(self, theta) -> np.ndarray:
         arr = np.asarray(theta, dtype=float).reshape(-1)
         if arr.size != self.template.theta_dim:
             raise ValueError(
                 f"expected {self.template.theta_dim} parameters, got {arr.size}"
             )
-        self.evaluations += 1
-        breakdown = self._pipeline(arr)
-        if breakdown.penalized:
-            self.penalties += 1
-            self.penalty_counts[breakdown.penalty_reason] += 1
-        return breakdown
+        return arr
+
+    def _bound(self, epsilon_l1: float) -> float:
+        """gamma_R0 * ||epsilon||_1 + ||m_D||_1, the bound on ||t||_1."""
+        return abs(self._gamma_r0) * epsilon_l1 + self._m_d_l1
 
     def _pipeline(self, arr: np.ndarray) -> LossBreakdown:
         if not np.all(np.isfinite(arr)):
@@ -311,18 +289,11 @@ class LossEvaluator:
         y = reconstruct_output(self.data.r0, t)
         if not _well_scaled(y.samples):
             return _penalized(PenaltyReason.NONFINITE_SIGNAL)
-        epsilon = y - self._y_ref
-        j = epsilon.l1()
-        t_l1 = t.l1()
-        if self.check_bound:
-            self.bound_checks += 1
-            bound = abs(self._gamma_r0) * j + self._m_d_l1
-            if t_l1 > bound:
-                self.bound_violations += 1
+        j = (y - self._y_ref).l1()
         return LossBreakdown(
             j=j,
             epsilon_l1=j,
-            t_l1=t_l1,
+            t_l1=t.l1(),
             penalized=False,
             penalty_reason=PenaltyReason.NONE,
         )
@@ -331,26 +302,28 @@ class LossEvaluator:
         return self.evaluate(theta).j
 
     def bound_report(self, theta) -> StabilityBoundReport:
-        """Stability bound for one candidate (must evaluate cleanly)."""
-        breakdown = self.evaluate(theta)
+        """Check ||t||_1 <= gamma_R0 * ||epsilon||_1 + ||m_D||_1 for one candidate.
+
+        gamma_R0 is the l1 norm of the generating column of the inverse of
+        the reference Toeplitz matrix, which equals the operator norm that
+        the triangle inequality actually needs (the max column sum of a
+        lower triangular Toeplitz matrix is the l1 norm of its first
+        column). With this constant the inequality is an identity-level
+        consequence of t = R0^-1 epsilon + m_D, so a violation can only
+        mean the pipeline broke, never that the candidate was unlucky.
+        The candidate runs through the pipeline once, outside every
+        counter, and must evaluate cleanly.
+        """
+        breakdown = self._pipeline(self._as_theta(theta))
         if breakdown.penalized:
             raise ValueError(
                 f"candidate was penalized ({breakdown.penalty_reason.value}); "
                 "no bound is defined"
             )
-        c = realize(np.asarray(theta, dtype=float).reshape(-1), self.template)
-        rt = fictitious_reference(c, self.data)
-        t = toeplitz_solve(rt, self.data.y0)
-        y = reconstruct_output(self.data.r0, t)
-        return stability_bound_report(self.data, self.md, t, y - self._y_ref)
-
-
-def evaluate_loss(
-    theta, template: ControllerTemplate, data: ExperimentRecord, md: DiscreteTf
-) -> LossBreakdown:
-    """One-shot LossBreakdown for a single candidate.
-
-    Builds a fresh evaluator each call; optimization loops should hold a
-    LossEvaluator instead so the matching target is computed once.
-    """
-    return LossEvaluator(template, data, md, check_bound=False).evaluate(theta)
+        bound = self._bound(breakdown.epsilon_l1)
+        return StabilityBoundReport(
+            gamma_r0=self._gamma_r0,
+            bound=bound,
+            t_l1=breakdown.t_l1,
+            satisfied=bool(breakdown.t_l1 <= bound),
+        )

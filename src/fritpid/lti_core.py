@@ -10,12 +10,13 @@ precision; the factored form keeps every root exact and simulates through a
 cascade of second-order sections. Continuous TFs carry an optional dead
 time, discrete ones an integer sample delay. Only what the tuning pipeline
 needs is provided: bilinear discretization, difference-equation simulation,
-unity feedback, inversion, and pole-based stability checks.
+inversion, pole-based stability checks, and one state space of the
+unity-feedback loop that serves both its simulation and its poles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -35,10 +36,10 @@ __all__ = [
     "tustin",
     "simulate",
     "impulse_response",
-    "feedback_unity",
     "invert",
     "poles",
     "is_bibo_stable",
+    "loop_poles",
     "co_simulate",
 ]
 
@@ -109,12 +110,6 @@ class Polynomial:
     def __call__(self, x):
         return np.polyval(self.as_array(), x)
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(np.convolve(self.as_array(), other.as_array()))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(np.polyadd(self.as_array(), other.as_array()))
-
     def scaled(self, k: float) -> "Polynomial":
         return Polynomial(k * self.as_array())
 
@@ -142,10 +137,6 @@ class ContinuousTf:
             raise ValueError("denominator must not be identically zero")
         if not (self.dead_time >= 0.0):
             raise ValueError("dead time must be >= 0")
-
-    @property
-    def is_proper(self) -> bool:
-        return self.num.degree <= self.den.degree
 
 
 @dataclass(frozen=True)
@@ -290,6 +281,59 @@ def _fast_sos(zeros: np.ndarray, poles: np.ndarray, gain: float):
     return sos
 
 
+def _sections(zeros: np.ndarray, poles: np.ndarray) -> list:
+    """Cascade sections (A, den, num) of a factored system, in pole order.
+
+    Each section is num(z) / den(z) with den(z) = det(zI - A), and A is a
+    lag (1x1), two lags in series (2x2 lower triangular) or the rotation
+    block of a complex pair, so its eigenvalues are its poles. ``num`` has
+    one coefficient more than A has rows. Real zeros go to their nearest
+    real poles, closest pairs first, so near-cancelling pairs share a
+    section. Complex zero pairs ride on complex pole pairs, then on two
+    real lags; spare real zeros ride two at a time on the remaining
+    complex pole pairs. Sections run largest pole magnitude first.
+    """
+    zsplit = _split_conjugates(zeros)
+    psplit = _split_conjugates(poles)
+    if zsplit is None or psplit is None:
+        raise ValueError("a real state space needs conjugate-paired roots")
+    zr, zc = zsplit
+    pr, pc = psplit
+    zero_of = {}
+    taken = set()
+    dist = sorted((abs(z - p), i, j) for i, z in enumerate(zr) for j, p in enumerate(pr))
+    for _, i, j in dist:
+        if i not in taken and j not in zero_of:
+            zero_of[j] = i
+            taken.add(i)
+    spare_z = [z for i, z in enumerate(zr) if i not in taken]
+    spare_p = [j for j in range(pr.size) if j not in zero_of]
+    quads = [(1.0, -2.0 * q.real, abs(q) ** 2) for q in zc]
+    sections = []  # (magnitude, A, den, num)
+    for a in pc:
+        if quads:
+            num = quads.pop(0)
+        else:
+            tail = np.atleast_1d(np.poly(spare_z[:2]))
+            num = np.concatenate([np.zeros(3 - tail.size), tail])
+            spare_z = spare_z[2:]
+        s, w = a.real, a.imag
+        sections.append((abs(a), [[s, -w], [w, s]], (1.0, -2.0 * s, abs(a) ** 2), num))
+    for q in zc[len(zc) - len(quads):]:
+        j1, j2 = sorted(sorted(spare_p, key=lambda j: abs(q - pr[j]))[:2])
+        spare_p = [j for j in spare_p if j not in (j1, j2)]
+        p1, p2 = pr[j1], pr[j2]
+        den = (1.0, -(p1 + p2), p1 * p2)
+        key = max(abs(p1), abs(p2))
+        sections.append((key, [[p1, 0.0], [1.0, p2]], den, quads.pop(0)))
+    for j in spare_p:
+        sections.append((abs(pr[j]), [[pr[j]]], (1.0, -pr[j]), (0.0, 1.0)))
+    for j, i in zero_of.items():
+        sections.append((abs(pr[j]), [[pr[j]]], (1.0, -pr[j]), (1.0, -zr[i])))
+    sections.sort(key=lambda sec: -sec[0])
+    return [(np.array(A), np.asarray(den), np.asarray(num)) for _, A, den, num in sections]
+
+
 @dataclass(frozen=True)
 class DiscreteZpk:
     """Proper discrete-time TF held as factored zeros, poles, and gain.
@@ -371,38 +415,40 @@ class DiscreteZpk:
             )
         return _sig.zpk2sos(z, p, self.gain, pairing="nearest")
 
-    def to_transfer_function(self) -> DiscreteTf:
-        """Expanded polynomial view; exact only while the order stays small."""
-        num = self.gain * np.atleast_1d(np.real(np.poly(np.asarray(self.zeros))))
-        den = np.atleast_1d(np.real(np.poly(np.asarray(self.poles))))
-        if num.size < den.size:
-            num = np.concatenate([np.zeros(den.size - num.size), num])
-        return DiscreteTf(num, den, self.sample_time)
-
     def state_space(self):
-        """Dense (A, B, C, D) of the section cascade, states two per section."""
-        sos = self.as_sos()
+        """Dense (A, B, C, D) of a cascade of one- and two-pole sections.
+
+        A is lower block-triangular and its diagonal blocks hold the poles
+        themselves: each real pole is a first-order lag, each complex pair
+        a 2x2 rotation block. Its eigenvalues are therefore the stored
+        poles at the accuracy of the root data, however tightly they
+        cluster. The gain scales the output.
+        """
         if not self.poles:
-            return (np.zeros((0, 0)), np.zeros(0), np.zeros(0), self.gain)
-        n = 2 * sos.shape[0]
+            return np.zeros((0, 0)), np.zeros(0), np.zeros(0), self.gain
+        sections = _sections(
+            np.asarray(self.zeros, dtype=complex), np.asarray(self.poles, dtype=complex)
+        )
+        n = len(self.poles)
         A = np.zeros((n, n))
         B = np.zeros(n)
-        row = np.zeros(n)
-        through = 1.0
+        row = np.zeros(n)  # output of the cascade so far, on the states
+        through = 1.0  # and on the input
         i = 0
-        for b0, b1, b2, _, a1, a2 in sos:
-            A[i, i] = -a1
-            A[i, i + 1] = -a2
-            A[i + 1, i] = 1.0
-            A[i, :] += row  # section input carries the upstream output
-            B[i] += through
-            new_row = np.zeros(n)
-            new_row[i] = b1 - b0 * a1
-            new_row[i + 1] = b2 - b0 * a2
-            row = new_row + b0 * row
-            through = b0 * through
-            i += 2
-        return A, B, row, through
+        for As, den, num in sections:
+            # num/den = b0 + rem(z)/den, and C (zI - As)^-1 e1 = rem(z)/den
+            rem = num[1:] - num[0] * den[1:]
+            if As.shape[0] == 2:
+                rem = np.array([rem[0], (rem[1] + rem[0] * As[1, 1]) / As[1, 0]])
+            j = i + As.shape[0]
+            A[i:j, i:j] = As
+            A[i, :] += row  # the section input is the upstream output
+            B[i] = through
+            row = num[0] * row
+            row[i:j] += rem
+            through = num[0] * through
+            i = j
+        return A, B, self.gain * row, self.gain * through
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,29 +589,6 @@ def impulse_response(g: DiscreteTf, n: int) -> Signal:
     return simulate(g, Signal(delta, g.sample_time))
 
 
-# ---------------------------------------------------------------------------
-# interconnection
-
-
-def feedback_unity(p: DiscreteTf, c: DiscreteTf) -> DiscreteTf:
-    """Closed loop r -> y for the negative unity-feedback pair (p, c).
-
-    Any input delays of p and c are folded into the loop denominator as an
-    explicit z**d shift, so the result is a plain rational function with
-    delay_samples == 0.
-    """
-    if not _same_ts(p.sample_time, c.sample_time):
-        raise SampleTimeError("plant and controller sample times differ")
-    d = p.delay_samples + c.delay_samples
-    n_ol = np.convolve(p.num.as_array(), c.num.as_array())
-    d_ol = np.convolve(p.den.as_array(), c.den.as_array())
-    den = np.polyadd(np.concatenate([d_ol, np.zeros(d)]), n_ol)
-    scale = np.max(np.abs(den))
-    if scale == 0.0 or abs(den[0]) <= _LEAD_TOL * scale:
-        raise AlgebraicLoopError("feedback loop is not well posed")
-    return DiscreteTf(n_ol, den, p.sample_time, 0)
-
-
 def invert(g):
     """Exact inverse of a biproper, delay-free discrete TF.
 
@@ -611,100 +634,94 @@ def is_bibo_stable(g, tol: float = 0.0) -> BiboStability:
 
 
 # ---------------------------------------------------------------------------
-# sample-by-sample closed loop
+# closed loop
 
 
-class _Block:
-    """Direct-form II transposed filter with an integer input delay."""
+def _block_state_space(g):
+    """(A, B, C, D) of a plant or controller; an input delay adds shift states.
 
-    def __init__(self, g: DiscreteTf):
-        b, a = _filter_coeffs(g)
-        self.b = b
-        self.a = a
-        self.delay = g.delay_samples
-        self.state = np.zeros(b.size - 1)
-
-    @property
-    def feedthrough(self) -> float:
-        return 0.0 if self.delay > 0 else float(self.b[0])
-
-    def partial(self, past_inputs: np.ndarray, k: int) -> float:
-        """Output contribution already fixed by history at step k."""
-        head = float(self.state[0]) if self.state.size else 0.0
-        if self.delay > 0:
-            x = float(past_inputs[k - self.delay]) if k >= self.delay else 0.0
-            return self.feedthrough_free(x) + head
-        return head
-
-    def feedthrough_free(self, x: float) -> float:
-        return float(self.b[0]) * x
-
-    def advance(self, x: float, y: float) -> None:
-        if self.state.size:
-            shifted = np.concatenate([self.state[1:], [0.0]])
-            self.state = shifted + self.b[1:] * x - self.a[1:] * y
-
-
-class _StateBlock:
-    """Dense state-space stepper for factored systems, same interface."""
-
-    def __init__(self, g: DiscreteZpk):
-        self.A, self.B, self.C, self.D = g.state_space()
-        self.delay = 0
-        self.state = np.zeros(self.B.size)
-
-    @property
-    def feedthrough(self) -> float:
-        return float(self.D)
-
-    def partial(self, past_inputs: np.ndarray, k: int) -> float:
-        if self.state.size:
-            return float(self.C @ self.state)
-        return 0.0
-
-    def feedthrough_free(self, x: float) -> float:
-        return float(self.D) * x
-
-    def advance(self, x: float, y: float) -> None:
-        if self.state.size:
-            self.state = self.A @ self.state + self.B * x
+    Factored systems use their section cascade, polynomial ones the
+    controllable canonical form. With d delay samples the input first runs
+    through d shift states and the last of them feeds the rational part.
+    """
+    if isinstance(g, DiscreteZpk):
+        return g.state_space()
+    b, a = g.num.as_array(), g.den.as_array()
+    if a.size > 1:
+        A, B, C, D = _sig.tf2ss(b, a)
+        B, C, D = B[:, 0], C[0], float(D[0, 0])
+    else:
+        A, B, C, D = np.zeros((0, 0)), np.zeros(0), np.zeros(0), float(b[0])
+    d = g.delay_samples
+    if d == 0:
+        return A, B, C, D
+    n = A.shape[0]
+    Ad = np.zeros((d + n, d + n))
+    Ad[np.arange(1, d), np.arange(d - 1)] = 1.0
+    Ad[d:, d - 1] = B
+    Ad[d:, d:] = A
+    Bd = np.zeros(d + n)
+    Bd[0] = 1.0
+    Cd = np.concatenate([np.zeros(d), C])
+    Cd[d - 1] = D
+    return Ad, Bd, Cd, 0.0
 
 
-def _make_block(g):
-    return _StateBlock(g) if isinstance(g, DiscreteZpk) else _Block(g)
+def _loop_state_space(p, c):
+    """(A, B, C_y, D_y, C_u, D_u) of the unity-feedback loop r -> (y, u).
+
+    The state stacks the plant's states over the controller's. With
+    e = r - y, u = C e and y = P u, the feedthrough algebra is solved once:
+    u = (Cc xc - Dc Cp xp + Dc r) / (1 + Dc Dp). A loop where 1 + Dc Dp
+    vanishes raises AlgebraicLoopError.
+    """
+    if not _same_ts(p.sample_time, c.sample_time):
+        raise SampleTimeError("plant and controller sample times differ")
+    Ap, Bp, Cp, Dp = _block_state_space(p)
+    Ac, Bc, Cc, Dc = _block_state_space(c)
+    well_posed = 1.0 + Dc * Dp
+    if abs(well_posed) < _LEAD_TOL:
+        raise AlgebraicLoopError("feedback loop is not well posed")
+    n_p = Ap.shape[0]
+    C_u = np.concatenate([-Dc * Cp, Cc]) / well_posed
+    D_u = Dc / well_posed
+    C_y = np.concatenate([Cp, np.zeros(Cc.size)]) + Dp * C_u
+    D_y = Dp * D_u
+    A = np.zeros((n_p + Cc.size, n_p + Cc.size))
+    A[:n_p, :n_p] = Ap
+    A[n_p:, n_p:] = Ac
+    A[:n_p] += np.outer(Bp, C_u)
+    A[n_p:] -= np.outer(Bc, C_y)
+    B = np.concatenate([Bp * D_u, Bc * (1.0 - D_y)])
+    return A, B, C_y, D_y, C_u, D_u
+
+
+def loop_poles(p, c) -> np.ndarray:
+    """Closed-loop poles of the unity-feedback pair, largest magnitude first.
+
+    The eigenvalues of the loop's state matrix, reported as computed.
+    Every plant delay sample and every controller state is a mode, so
+    hidden (cancelled) modes show up too.
+    """
+    return _sorted_roots(np.linalg.eigvals(_loop_state_space(p, c)[0]))
 
 
 def co_simulate(p: DiscreteTf, c, r: Signal):
     """Run the unity-feedback loop of (p, c) one sample at a time.
 
-    Returns (y, u). The per-sample feedthrough algebra is solved exactly;
-    a loop where 1 + Dc*Dp vanishes raises AlgebraicLoopError. The
-    controller may be polynomial or factored.
+    Returns (y, u) from the loop's state space. A loop where 1 + Dc*Dp
+    vanishes raises AlgebraicLoopError. The controller may be polynomial
+    or factored.
     """
-    if not _same_ts(p.sample_time, c.sample_time):
-        raise SampleTimeError("plant and controller sample times differ")
     if not _same_ts(p.sample_time, r.sample_time):
         raise SampleTimeError("reference sample time differs from the loop")
-    n = len(r)
+    A, B, C_y, D_y, C_u, D_u = _loop_state_space(p, c)
     rs = r.samples
-    y = np.zeros(n)
-    u = np.zeros(n)
-    e = np.zeros(n)
-    bp = _make_block(p)
-    bc = _make_block(c)
-    ffp, ffc = bp.feedthrough, bc.feedthrough
-    gain = 1.0 + ffc * ffp
-    if abs(gain) < _LEAD_TOL:
-        raise AlgebraicLoopError("feedback loop is not well posed")
-    for k in range(n):
-        gp = bp.partial(u, k)
-        gc = bc.partial(e, k)
-        uk = (gc + ffc * (rs[k] - gp)) / gain
-        yk = gp + ffp * uk
-        ek = rs[k] - yk
-        u[k], y[k], e[k] = uk, yk, ek
-        xp = uk if bp.delay == 0 else (u[k - bp.delay] if k >= bp.delay else 0.0)
-        xc = ek if bc.delay == 0 else (e[k - bc.delay] if k >= bc.delay else 0.0)
-        bp.advance(xp, yk)
-        bc.advance(xc, uk)
+    states = np.zeros((len(r), B.size))
+    x = np.zeros(B.size)
+    for k in range(len(r)):
+        states[k] = x
+        x = A @ x + B * rs[k]
+    y = states @ C_y + D_y * rs
+    u = states @ C_u + D_u * rs
     return Signal(y, p.sample_time), Signal(u, p.sample_time)

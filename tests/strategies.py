@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and reference helpers for the test suite."""
 
 import numpy as np
 
@@ -79,3 +79,11 @@ def fopid_thetas(min_kfp=0.05, top=5.0):
         bounded_floats(0.0, top),
         bounded_floats(0.1, 1.9),
     ).map(np.asarray)
+
+
+def closed_form_loop(p: DiscreteTf, c: DiscreteTf) -> DiscreteTf:
+    """Reference r -> y of the unity loop: Np Nc / (z^d Dp Dc + Np Nc)."""
+    num = np.convolve(p.num.as_array(), c.num.as_array())
+    den = np.convolve(p.den.as_array(), c.den.as_array())
+    den = np.polyadd(np.concatenate([den, np.zeros(p.delay_samples + c.delay_samples)]), num)
+    return DiscreteTf(num, den, p.sample_time)

@@ -15,10 +15,8 @@ from fritpid.l1_idfrit import (
     LossBreakdown,
     LossEvaluator,
     PenaltyReason,
-    evaluate_loss,
     fictitious_reference,
     reconstruct_output,
-    stability_bound_report,
     toeplitz_solve,
 )
 from fritpid.lti_core import (
@@ -310,15 +308,25 @@ class TestStabilityBound:
             ev.bound_report([0.0, 0.0, 0.0])
 
     def test_standalone_report_matches_the_evaluator(self):
+        # gamma_R0 from a dense inverse of the reference Toeplitz matrix,
+        # the bound from the pipeline's own stages
         rec = closed_loop_record(PLANT, THETA0)
         ev = LossEvaluator(IOPID_T, rec, MD)
-        c = realize(THETA0, IOPID_T)
-        rt = fictitious_reference(c, rec)
-        t = toeplitz_solve(rt, rec.y0)
-        y = reconstruct_output(rec.r0, t)
-        rep = stability_bound_report(rec, MD, t, y - ev.target)
-        assert rep.gamma_r0 == pytest.approx(ev.gamma_r0, rel=1e-12)
+        r0 = rec.r0.samples
+        gamma = np.sum(np.abs(np.linalg.inv(sla.toeplitz(r0, np.zeros(r0.size)))[:, 0]))
+        t = toeplitz_solve(fictitious_reference(realize(THETA0, IOPID_T), rec), rec.y0)
+        epsilon = reconstruct_output(rec.r0, t) - ev.target
+        m_d = impulse_response(MD, len(rec) - 1)
+        rep = ev.bound_report(THETA0)
+        assert rep.gamma_r0 == pytest.approx(gamma, rel=1e-12)
+        assert rep.bound == pytest.approx(gamma * epsilon.l1() + m_d.l1(), rel=1e-12)
+        assert rep.t_l1 == pytest.approx(t.l1(), rel=1e-12)
 
+    def test_bound_report_leaves_the_counters_alone(self):
+        rec = closed_loop_record(PLANT, THETA0)
+        ev = LossEvaluator(IOPID_T, rec, MD)
+        ev.bound_report(THETA0)
+        assert (ev.evaluations, ev.bound_checks, ev.penalties) == (0, 0, 0)
 
 class TestEvaluatorInit:
     def test_template_sample_time_must_match(self):
@@ -347,7 +355,3 @@ class TestEvaluatorInit:
         ev = LossEvaluator(IOPID_T, rec, MD)
         assert ev(THETA0) == ev.evaluate(THETA0).j
 
-    def test_one_shot_helper_agrees(self):
-        rec = closed_loop_record(PLANT, THETA0)
-        ev = LossEvaluator(IOPID_T, rec, MD)
-        assert evaluate_loss(THETA0, IOPID_T, rec, MD).j == ev.evaluate(THETA0).j

@@ -17,16 +17,16 @@ from fritpid.lti_core import (
     SampleTimeError,
     Signal,
     co_simulate,
-    feedback_unity,
     impulse_response,
     invert,
     is_bibo_stable,
+    loop_poles,
     poles,
     simulate,
     tustin,
 )
 
-from .strategies import bounded_floats, signals, stable_discrete_tfs
+from .strategies import bounded_floats, closed_form_loop, signals, stable_discrete_tfs
 
 TS = 0.1
 
@@ -45,14 +45,6 @@ class TestPolynomial:
     def test_zero_polynomial(self):
         assert Polynomial((0.0, 0.0)).is_zero
         assert not Polynomial((1.0,)).is_zero
-
-    def test_product_of_conjugate_linear_factors(self):
-        prod = Polynomial((1.0, 1.0)) * Polynomial((1.0, -1.0))
-        assert prod.coeffs == (1.0, 0.0, -1.0)
-
-    def test_sum_aligns_degrees(self):
-        total = Polynomial((1.0, 0.0)) + Polynomial((2.0,))
-        assert total.coeffs == (1.0, 2.0)
 
     def test_scaled(self):
         assert Polynomial((2.0, -4.0)).scaled(0.5).coeffs == (1.0, -2.0)
@@ -185,12 +177,44 @@ class TestFeedback:
             y_loop, _ = co_simulate(p, c, r)
         except AlgebraicLoopError:
             assume(False)
-        y_tf = simulate(feedback_unity(p, c), r)
+        y_tf = simulate(closed_form_loop(p, c), r)
         peak = np.max(np.abs(y_tf.samples))
         assume(np.all(np.isfinite(y_tf.samples)) and peak < 1e6)
         np.testing.assert_allclose(
             y_loop.samples, y_tf.samples, atol=1e-8 * (1.0 + peak)
         )
+
+    @given(signals(sample_time=TS, max_len=48))
+    @settings(max_examples=20)
+    def test_factored_controller_loop_matches_the_closed_form(self, r):
+        p = DiscreteTf([0.2, 0.1], [1.0, -1.2, 0.35], TS, delay_samples=2)
+        c = DiscreteZpk((0.9, 0.2 + 0.5j, 0.2 - 0.5j), (1.0, 0.5, -0.3), 0.4, TS)
+        expanded = DiscreteTf(0.4 * np.real(np.poly(c.zeros)), np.real(np.poly(c.poles)), TS)
+        y_loop, _ = co_simulate(p, c, r)
+        y_tf = simulate(closed_form_loop(p, expanded), r)
+        scale = 1.0 + np.max(np.abs(y_tf.samples))
+        np.testing.assert_allclose(y_loop.samples, y_tf.samples, atol=1e-9 * scale)
+
+    def test_static_gain_moves_the_single_pole(self):
+        # y = k/(z - 0.5 + k) r, so the loop pole sits at 0.5 - k
+        p = DiscreteTf([1.0], [1.0, -0.5], TS)
+        for k in (0.1, 0.25, 1.7):
+            got = loop_poles(p, DiscreteTf([k], [1.0], TS))
+            np.testing.assert_allclose(got, [0.5 - k], atol=1e-15)
+
+    def test_plant_delay_adds_a_loop_pole(self):
+        # one delay sample: z (z - 0.5) + 0.06 = (z - 0.3)(z - 0.2)
+        p = DiscreteTf([1.0], [1.0, -0.5], TS, delay_samples=1)
+        got = loop_poles(p, DiscreteTf([0.06], [1.0], TS))
+        np.testing.assert_allclose(got, [0.3, 0.2], atol=1e-15)
+
+    def test_loop_poles_keep_a_cancelled_mode(self):
+        # C = 1/(z - 0.9) cancels the plant zero at 0.9; the mode stays
+        p = DiscreteTf([1.0, -0.9], [1.0, 0.0, 0.0], TS)
+        c = DiscreteZpk((), (0.9,), 1.0, TS)
+        got = loop_poles(p, c)
+        assert np.min(np.abs(got - 0.9)) < 1e-12
+        assert got.size == 3
 
     def test_ill_posed_loop_is_rejected(self):
         p = DiscreteTf([1.0], [1.0], TS)
@@ -276,23 +300,37 @@ class TestDiscreteZpk:
         assert g.response_at(z) == pytest.approx(expected, rel=1e-14)
 
     def test_state_space_eigenvalues_are_the_poles(self):
-        # two states per section, so an odd order carries one inert
-        # padding state at the origin alongside the true poles
+        # one state per pole; every real pole sits alone on the diagonal
+        # of the lower-triangular state matrix
         g = DiscreteZpk((0.1, 0.4), (0.3, -0.6, 0.8), 1.5, TS)
         a, _, _, _ = g.state_space()
-        eigs = np.linalg.eigvals(a)
-        for p in g.poles:
-            assert np.min(np.abs(eigs - p)) < 1e-12
-        surplus = sorted(np.abs(eigs))[: len(eigs) - len(g.poles)]
-        assert all(m < 1e-12 for m in surplus)
+        assert a.shape == (3, 3)
+        assert np.all(np.triu(a, 1) == 0.0)
+        assert sorted(np.diag(a)) == sorted(p.real for p in g.poles)
 
-    def test_transfer_function_round_trip(self):
-        g = DiscreteZpk((0.5, -0.2), (0.3, -0.6, 0.1), 0.7, TS)
-        tf = g.to_transfer_function()
-        for z in (1.0, -1.0, 0.5 + 0.5j, 2.0):
-            num = np.polyval(tf.num.as_array(), z)
-            den = np.polyval(tf.den.as_array(), z)
-            assert num / den == pytest.approx(g.response_at(z), rel=1e-12)
+    @pytest.mark.parametrize(
+        "zeros, poles",
+        [
+            # complex zero pair on a complex pole pair, real zeros on lags
+            ((0.5, -0.2, 0.9j, -0.9j), (0.3, -0.6, 0.1, 0.55 + 0.3j, 0.55 - 0.3j)),
+            # complex zero pair riding on two real lags
+            ((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5)),
+            # spare real zeros riding on a complex pole pair
+            ((0.1, 0.2, 0.3), (0.5 + 0.5j, 0.5 - 0.5j, 0.7)),
+            ((0.1, 0.3), (0.5 + 0.5j, 0.5 - 0.5j, 0.7)),
+            # strictly proper, nothing to pair
+            ((), (0.5 + 0.2j, 0.5 - 0.2j, 0.1)),
+        ],
+    )
+    def test_state_space_realizes_the_transfer_function(self, zeros, poles):
+        g = DiscreteZpk(zeros, poles, 0.7, TS)
+        a, b, c, d = g.state_space()
+        assert sorted(np.abs(np.linalg.eigvals(a))) == pytest.approx(
+            sorted(np.abs(poles)), abs=1e-14
+        )
+        for z in (1.0, -1.0, 0.3 + 0.8j, 2.0):
+            got = c @ np.linalg.solve(z * np.eye(a.shape[0]) - a, b) + d
+            assert got == pytest.approx(g.response_at(z), rel=1e-12)
 
     @given(signals(sample_time=TS, max_len=48))
     @settings(max_examples=40)
@@ -304,7 +342,8 @@ class TestDiscreteZpk:
             TS,
         )
         y_fac = simulate(g, u)
-        y_tf = simulate(g.to_transfer_function(), u)
+        expanded = DiscreteTf(0.7 * np.real(np.poly(g.zeros)), np.real(np.poly(g.poles)), TS)
+        y_tf = simulate(expanded, u)
         scale = 1.0 + np.max(np.abs(y_tf.samples))
         np.testing.assert_allclose(y_fac.samples, y_tf.samples, atol=1e-9 * scale)
 
