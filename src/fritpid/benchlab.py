@@ -454,7 +454,7 @@ def tune_case(
     j_theta0 = float(evaluator(case.theta0))
     results, best = _seed_sweep(evaluator, case.bounds, pso, seeds, case.theta0)
     breakdown = evaluator.evaluate(best.best_theta)
-    bound_rep = evaluator.bound_report(best.best_theta)
+    bound_rep = evaluator.bound_report(breakdown)
     report = validate(case, best.best_theta)
     return CaseResult(
         case=case,

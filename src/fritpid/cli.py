@@ -765,7 +765,7 @@ def cmd_tune(
             f"(last penalty: {breakdown.penalty_reason.value})",
             EXIT_NUMERIC,
         )
-    bound = evaluator.bound_report(best.best_theta)
+    bound = evaluator.bound_report(breakdown)
     controller = realize(best.best_theta, config.template)
 
     summary = {

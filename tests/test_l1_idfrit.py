@@ -1,11 +1,13 @@
 """Tests for the fictitious-reference l1 matching pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
+from scipy import signal as sig
 
 from fritpid.folib import ControllerKind, ControllerTemplate, realize, realize_fopid, FopidParams
 from fritpid.l1_idfrit import (
@@ -15,6 +17,7 @@ from fritpid.l1_idfrit import (
     LossBreakdown,
     LossEvaluator,
     PenaltyReason,
+    _BLOCK,
     fictitious_reference,
     reconstruct_output,
     toeplitz_solve,
@@ -114,6 +117,58 @@ class TestToeplitzSolve:
         t = toeplitz_solve(Signal(col, TS), Signal(y, TS)).samples
         back = np.convolve(col, t)[:N]
         assert np.max(np.abs(back - y)) <= 1e-10 * np.max(np.abs(y))
+
+    @staticmethod
+    def _minimum_phase_column(n, seed):
+        # stable inverse plus small noise: the solution stays of order one
+        rng = np.random.default_rng(seed)
+        col = impulse_response(DiscreteTf([1.0, 0.4], [1.0, -0.5], TS), n - 1).samples
+        return col + 1e-3 * rng.standard_normal(n), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 1001])
+    def test_blocks_match_the_dense_triangular_solve(self, n):
+        col, y = self._minimum_phase_column(n, seed=n)
+        t = toeplitz_solve(Signal(col, TS), Signal(y, TS)).samples
+        dense = sla.solve_triangular(sla.toeplitz(col, np.zeros(n)), y, lower=True)
+        scale = max(np.max(np.abs(dense)), 1.0)
+        assert np.max(np.abs(t - dense)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [1, 50, _BLOCK - 1, _BLOCK])
+    def test_one_block_is_the_all_pole_filter_bit_for_bit(self, n):
+        col, y = self._minimum_phase_column(n, seed=n)
+        t = toeplitz_solve(Signal(col, TS), Signal(y, TS)).samples
+        np.testing.assert_array_equal(t, sig.lfilter([1.0], col, y))
+
+    def test_overflow_across_a_block_boundary_does_not_warn(self):
+        # t_128 = y_128 - rt_128 t_0 = 2e308 overflows; like the all-pole
+        # filter, the solver hands the infinity back to the caller silently
+        n = _BLOCK + 1
+        col = np.zeros(n)
+        col[[0, _BLOCK]] = [1.0, -1.0]
+        y = np.zeros(n)
+        y[[0, _BLOCK]] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = toeplitz_solve(Signal(col, TS), Signal(y, TS)).samples
+        assert np.all(t[:_BLOCK] == y[:_BLOCK])
+        assert t[_BLOCK] == np.inf
+
+    def test_overflowing_inverse_is_penalized_without_warnings(self):
+        # data made so that r~ = [1, -3, 0, ...] at THETA0: the inverse
+        # column grows as 3^k and overflows long before k = 1000
+        n = 1001
+        c = realize(THETA0, IOPID_T)
+        y0 = step(n)
+        rt = np.zeros(n)
+        rt[:2] = [1.0, -3.0]
+        u0 = simulate(c, Signal(rt, TS) - y0)
+        ev = LossEvaluator(IOPID_T, ExperimentRecord(step(n), u0, y0), MD)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = toeplitz_solve(fictitious_reference(c, ev.data), y0).samples
+            b = ev.evaluate(THETA0)
+        assert not np.all(np.isfinite(t))
+        assert b.penalty_reason is PenaltyReason.NONFINITE_SIGNAL
 
     def test_zero_head_raises(self):
         col = np.ones(N)
@@ -281,9 +336,9 @@ class TestStabilityBound:
     def test_report_reproduces_the_bound_formula(self):
         rec = closed_loop_record(PLANT, THETA0)
         ev = LossEvaluator(IOPID_T, rec, MD)
-        rep = ev.bound_report(THETA0)
-        m_d_l1 = impulse_response(MD, len(rec) - 1).l1()
         b = ev.evaluate(THETA0)
+        rep = ev.bound_report(b)
+        m_d_l1 = impulse_response(MD, len(rec) - 1).l1()
         assert rep.bound == pytest.approx(ev.gamma_r0 * b.j + m_d_l1, rel=1e-12)
         assert rep.t_l1 <= rep.bound
         assert rep.satisfied
@@ -297,15 +352,17 @@ class TestStabilityBound:
             b = ev.evaluate(theta)
             if b.penalized:
                 continue
-            rep = ev.bound_report(theta)
+            rep = ev.bound_report(b)
             assert rep.satisfied
         assert ev.bound_violations == 0
 
     def test_bound_report_refuses_penalized_candidates(self):
         rec = closed_loop_record(PLANT, THETA0)
         ev = LossEvaluator(IOPID_T, rec, MD)
+        b = ev.evaluate([0.0, 0.0, 0.0])
+        assert b.penalized
         with pytest.raises(ValueError, match="penalized"):
-            ev.bound_report([0.0, 0.0, 0.0])
+            ev.bound_report(b)
 
     def test_standalone_report_matches_the_evaluator(self):
         # gamma_R0 from a dense inverse of the reference Toeplitz matrix,
@@ -317,7 +374,7 @@ class TestStabilityBound:
         t = toeplitz_solve(fictitious_reference(realize(THETA0, IOPID_T), rec), rec.y0)
         epsilon = reconstruct_output(rec.r0, t) - ev.target
         m_d = impulse_response(MD, len(rec) - 1)
-        rep = ev.bound_report(THETA0)
+        rep = ev.bound_report(ev.evaluate(THETA0))
         assert rep.gamma_r0 == pytest.approx(gamma, rel=1e-12)
         assert rep.bound == pytest.approx(gamma * epsilon.l1() + m_d.l1(), rel=1e-12)
         assert rep.t_l1 == pytest.approx(t.l1(), rel=1e-12)
@@ -325,8 +382,9 @@ class TestStabilityBound:
     def test_bound_report_leaves_the_counters_alone(self):
         rec = closed_loop_record(PLANT, THETA0)
         ev = LossEvaluator(IOPID_T, rec, MD)
-        ev.bound_report(THETA0)
-        assert (ev.evaluations, ev.bound_checks, ev.penalties) == (0, 0, 0)
+        b = ev.evaluate(THETA0)
+        ev.bound_report(b)
+        assert (ev.evaluations, ev.bound_checks, ev.penalties) == (1, 1, 0)
 
 class TestEvaluatorInit:
     def test_template_sample_time_must_match(self):
