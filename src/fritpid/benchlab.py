@@ -192,6 +192,7 @@ class CaseResult:
     validation: ValidationReport
     evaluations: int
     penalized_evaluations: int
+    penalty_counts: dict
     bound_checks: int
     bound_violations: int
 
@@ -469,6 +470,7 @@ def tune_case(
         validation=report,
         evaluations=evaluator.evaluations,
         penalized_evaluations=evaluator.penalties,
+        penalty_counts=dict(evaluator.penalty_counts),
         bound_checks=evaluator.bound_checks,
         bound_violations=evaluator.bound_violations,
     )

@@ -442,6 +442,7 @@ def _tuning_payload(
     bound: StabilityBoundReport,
     evaluations: int,
     penalized_evaluations: int,
+    penalty_counts: dict,
     bound_checks: int,
     bound_violations: int,
 ) -> dict:
@@ -474,6 +475,7 @@ def _tuning_payload(
         },
         "evaluations": int(evaluations),
         "penalized_evaluations": int(penalized_evaluations),
+        "penalty_counts": {r.value: int(n) for r, n in penalty_counts.items()},
         "bound_checks": int(bound_checks),
         "bound_violations": int(bound_violations),
     }
@@ -490,6 +492,7 @@ def _tuning_payload_from_result(result: CaseResult) -> dict:
         result.bound_report,
         result.evaluations,
         result.penalized_evaluations,
+        result.penalty_counts,
         result.bound_checks,
         result.bound_violations,
     )
@@ -780,6 +783,7 @@ def cmd_tune(
             bound,
             evaluator.evaluations,
             evaluator.penalties,
+            evaluator.penalty_counts,
             evaluator.bound_checks,
             evaluator.bound_violations,
         ),

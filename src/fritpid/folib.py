@@ -4,11 +4,11 @@ s**alpha is approximated on a finite frequency band by the Oustaloup
 recursive filter (geometrically spaced zero/pole pairs). Controller
 templates map a parameter vector theta to a ready-to-run discrete TF.
 
-The integer-order form discretizes termwise and sums over a common
-discrete denominator, staying polynomial throughout. The fractional form
-cannot: its approximation spreads roots over the whole band, and the
-expanded coefficients of such a sum lose the slow dynamics entirely in
-double precision. It is therefore realized in factored form, mapping
+The integer-order form has a closed-form bilinear image over z**2 - 1,
+staying polynomial throughout. The fractional form cannot: its
+approximation spreads roots over the whole band, and the expanded
+coefficients of a common-denominator sum lose the slow dynamics entirely
+in double precision. It is therefore realized in factored form, mapping
 every zero and pole through the bilinear substitution individually and
 recovering the zeros of the parallel sum from a structured state-space
 assembly, which is the same rational function the common-denominator
@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 from scipy import signal as _sig
 
-from .lti_core import ContinuousTf, DiscreteTf, DiscreteZpk, DiscretizationError, tustin
+from .lti_core import ContinuousTf, DiscreteTf, DiscreteZpk, DiscretizationError
 
 __all__ = [
     "FopidParams",
@@ -185,15 +185,6 @@ def oustaloup(alpha: float, cfg: OustaloupConfig) -> ContinuousTf:
     return ContinuousTf(np.convolve(mono, np.atleast_1d(num)), den)
 
 
-def _sum_terms(terms):
-    """Combine (num, den) coefficient pairs over a common denominator."""
-    num, den = terms[0]
-    for n2, d2 in terms[1:]:
-        num = np.polyadd(np.convolve(num, d2), np.convolve(n2, den))
-        den = np.convolve(den, d2)
-    return num, den
-
-
 def _power_roots(power: float, cfg: OustaloupConfig):
     """Continuous zeros, poles, and gain of the band-limited s**power."""
     if power == 0.0:
@@ -299,28 +290,24 @@ def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
 
 
 def realize_iopid(p: IopidParams, t: ControllerTemplate) -> DiscreteTf:
-    """Discrete realization of kp + ki/s + kd*s, discretized termwise.
+    """Tustin image of kp + ki/s + kd*s, in closed form.
 
-    The continuous sum is improper whenever kd is nonzero, but each term
-    has a perfectly good bilinear image, so the terms are mapped first and
-    then summed over a common discrete denominator. Zero gains are dropped.
+    With a = ki*ts/2 and d = 2*kd/ts, kp + a(z + 1)/(z - 1) + d(z - 1)/(z + 1)
+    is [(kp + a + d)z**2 + 2(a - d)z + (a + d - kp)] / (z**2 - 1). A term
+    whose gain is exactly zero is dropped with its pole, so no cancelled
+    factor is ever left in the realization.
     """
     if t.kind is not ControllerKind.IOPID:
         raise ValueError("template kind must be IOPID")
     ts = t.sample_time
-    terms = []
-    for g in (
-        ContinuousTf([p.kp], [1.0]) if p.kp != 0.0 else None,
-        ContinuousTf([p.ki], [1.0, 0.0]) if p.ki != 0.0 else None,
-        ContinuousTf([p.kd, 0.0], [1.0]) if p.kd != 0.0 else None,
-    ):
-        if g is not None:
-            gz = tustin(g, ts)
-            terms.append((gz.num.as_array(), gz.den.as_array()))
-    if not terms:
-        return DiscreteTf([0.0], [1.0], ts)
-    num, den = _sum_terms(terms)
-    return DiscreteTf(num, den, ts)
+    kp, a, d = p.kp, p.ki * ts / 2.0, 2.0 * p.kd / ts
+    if p.ki == 0.0 and p.kd == 0.0:
+        return DiscreteTf([kp], [1.0], ts)
+    if p.kd == 0.0:
+        return DiscreteTf([kp + a, a - kp], [1.0, -1.0], ts)
+    if p.ki == 0.0:
+        return DiscreteTf([kp + d, kp - d], [1.0, 1.0], ts)
+    return DiscreteTf([kp + a + d, 2.0 * (a - d), a + d - kp], [1.0, 0.0, -1.0], ts)
 
 
 def realize(theta, t: ControllerTemplate):

@@ -220,8 +220,8 @@ class LossEvaluator:
     operator norm gamma_R0, then maps parameter vectors to LossBreakdowns.
     Instances are also callable as plain scalar objectives, which is the
     form the swarm optimizer consumes. Simple counters keep track of how
-    often candidates were penalized and whether any non-penalized
-    candidate ever violated the stability bound.
+    often candidates were penalized, by reason, and whether any
+    non-penalized candidate ever violated the stability bound.
     """
 
     def __init__(
@@ -251,7 +251,7 @@ class LossEvaluator:
         self._gamma_r0 = toeplitz_solve(data.r0, Signal(pulse, ts)).l1()
         self.evaluations = 0
         self.penalties = 0
-        self.penalty_counts = {reason: 0 for reason in PenaltyReason}
+        self.penalty_counts = {r: 0 for r in PenaltyReason if r is not PenaltyReason.NONE}
         self.bound_checks = 0
         self.bound_violations = 0
 

@@ -16,6 +16,7 @@ unity-feedback loop that serves both its simulation and its poles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -667,13 +668,15 @@ def _block_state_space(g):
     return Ad, Bd, Cd, 0.0
 
 
+@functools.lru_cache(maxsize=1)
 def _loop_state_space(p, c):
     """(A, B, C_y, D_y, C_u, D_u) of the unity-feedback loop r -> (y, u).
 
     The state stacks the plant's states over the controller's. With
     e = r - y, u = C e and y = P u, the feedthrough algebra is solved once:
     u = (Cc xc - Dc Cp xp + Dc r) / (1 + Dc Dp). A loop where 1 + Dc Dp
-    vanishes raises AlgebraicLoopError.
+    vanishes raises AlgebraicLoopError. The last pair's loop is cached,
+    read-only, so loop_poles and co_simulate on one pair build it once.
     """
     if not _same_ts(p.sample_time, c.sample_time):
         raise SampleTimeError("plant and controller sample times differ")
@@ -693,6 +696,8 @@ def _loop_state_space(p, c):
     A[:n_p] += np.outer(Bp, C_u)
     A[n_p:] -= np.outer(Bc, C_y)
     B = np.concatenate([Bp * D_u, Bc * (1.0 - D_y)])
+    for arr in (A, B, C_y, C_u):
+        arr.setflags(write=False)
     return A, B, C_y, D_y, C_u, D_u
 
 

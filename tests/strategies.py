@@ -4,7 +4,7 @@ import numpy as np
 
 from hypothesis import strategies as st
 
-from fritpid.lti_core import DiscreteTf, Signal
+from fritpid.lti_core import ContinuousTf, DiscreteTf, Signal, tustin
 
 SAMPLE_TIMES = (0.01, 0.05, 0.1, 0.5, 1.0)
 
@@ -69,6 +69,34 @@ def iopid_thetas(min_kp=0.05, top=5.0):
         bounded_floats(0.0, top),
         bounded_floats(0.0, top),
     ).map(np.asarray)
+
+
+def iopid_gains_with_zeros(top=5.0):
+    """Parameter triples in which any of the three gains may be exactly zero."""
+    gain = st.one_of(st.just(0.0), bounded_floats(0.0, top))
+    return st.tuples(gain, gain, gain).map(np.asarray)
+
+
+def termwise_iopid(theta, ts: float) -> DiscreteTf:
+    """Reference PID: every nonzero term through tustin, summed over a common denominator."""
+    kp, ki, kd = (float(x) for x in theta)
+    terms = [
+        tustin(g, ts)
+        for gain, g in (
+            (kp, ContinuousTf([kp], [1.0])),
+            (ki, ContinuousTf([ki], [1.0, 0.0])),
+            (kd, ContinuousTf([kd, 0.0], [1.0])),
+        )
+        if gain != 0.0
+    ]
+    if not terms:
+        return DiscreteTf([0.0], [1.0], ts)
+    num, den = terms[0].num.as_array(), terms[0].den.as_array()
+    for g in terms[1:]:
+        n2, d2 = g.num.as_array(), g.den.as_array()
+        num = np.polyadd(np.convolve(num, d2), np.convolve(n2, den))
+        den = np.convolve(den, d2)
+    return DiscreteTf(num, den, ts)
 
 
 def fopid_thetas(min_kfp=0.05, top=5.0):

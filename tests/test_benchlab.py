@@ -20,7 +20,7 @@ from fritpid.benchlab import (
     validate,
 )
 from fritpid.folib import ControllerKind
-from fritpid.lti_core import DiscreteTf, simulate
+from fritpid.lti_core import DiscreteTf, _loop_state_space, simulate
 from fritpid.swarm_opt import PsoConfig
 
 from .strategies import closed_form_loop
@@ -206,6 +206,12 @@ class TestValidate:
         assert rep.max_pole_magnitude > 1.0
         assert np.isfinite(rep.tracking_error_l1)
 
+    def test_the_loop_is_built_once_per_validation(self):
+        _loop_state_space.cache_clear()
+        validate(builtin_case("example3_fo"), reference_targets("example3_fo").theta_star)
+        info = _loop_state_space.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_model_trace_is_the_reference_model_response(self):
         case = builtin_case("example3_io")
         rep = validate(case, case.theta0)
@@ -238,6 +244,7 @@ class TestTuneCase:
         swept = sum(r.evaluations for r in res.seed_results)
         assert res.evaluations == 1 + swept + 1
         assert res.bound_violations == 0
+        assert sum(res.penalty_counts.values()) == res.penalized_evaluations
 
     def test_bound_report_is_satisfied_at_the_winner(self):
         res = self.tune_smoke()

@@ -251,6 +251,10 @@ class TestReproduce:
         assert tuning["j_star"] <= tuning["j_theta0"]
         assert tuning["bound_checks"] > 0
         assert tuning["bound_violations"] == 0
+        counts = tuning["penalty_counts"]
+        assert set(counts) == {"non_invertible_controller", "fictitious_head_zero",
+                               "nonfinite_signal"}
+        assert sum(counts.values()) == tuning["penalized_evaluations"]
 
     def test_sibling_comparison_is_written(self, repro_dir):
         cmp = read_json(repro_dir / "comparison.json")

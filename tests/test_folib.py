@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from fritpid.benchlab import builtin_case, discretized_plant
 from fritpid.folib import (
     ControllerKind,
     ControllerTemplate,
@@ -21,10 +22,17 @@ from fritpid.lti_core import (
     DiscretizationError,
     Signal,
     invert,
+    loop_poles,
     simulate,
 )
 
-from .strategies import fopid_thetas, iopid_thetas
+from .strategies import (
+    fopid_thetas,
+    iopid_gains_with_zeros,
+    iopid_thetas,
+    sample_times,
+    termwise_iopid,
+)
 
 CFG = OustaloupConfig()
 TS = 0.1
@@ -178,6 +186,47 @@ class TestOustaloup:
 
 
 class TestRealizeIopid:
+    def test_closed_form_coefficients_by_hand(self):
+        # ts = 0.5: a = ki*ts/2 = 0.125 and d = 2*kd/ts = 1, all exact in binary
+        t = ControllerTemplate(ControllerKind.IOPID, 0.5)
+        cases = (
+            ((2.0, 0.5, 0.25), (3.125, -1.75, -0.875), (1.0, 0.0, -1.0)),
+            ((2.0, 0.5, 0.0), (2.125, -1.875), (1.0, -1.0)),
+            ((2.0, 0.0, 0.25), (3.0, 1.0), (1.0, 1.0)),
+            ((2.0, 0.0, 0.0), (2.0,), (1.0,)),
+        )
+        for theta, num, den in cases:
+            c = realize_iopid(IopidParams(*theta), t)
+            assert c.num.coeffs == num
+            assert c.den.coeffs == den
+
+    @given(theta=iopid_gains_with_zeros(), ts=sample_times())
+    @example(theta=np.zeros(3), ts=0.1)
+    @example(theta=np.array([0.0, 0.0, 1.5]), ts=0.05)
+    @example(theta=np.array([0.0, 2.5, 0.0]), ts=0.05)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_termwise_tustin_sum(self, theta, ts):
+        t = ControllerTemplate(ControllerKind.IOPID, ts)
+        got = realize_iopid(IopidParams.from_theta(theta), t)
+        want = termwise_iopid(theta, ts)
+        assert got.den.degree == want.den.degree
+        assert got.num.degree == want.num.degree
+        coeffs = np.concatenate([want.num.as_array(), want.den.as_array()])
+        atol = 1e-15 * np.max(np.abs(coeffs))
+        np.testing.assert_allclose(got.num.as_array(), want.num.as_array(), rtol=0, atol=atol)
+        np.testing.assert_allclose(got.den.as_array(), want.den.as_array(), rtol=0, atol=atol)
+
+    def test_example3_start_controller_has_no_derivative_pole(self):
+        # theta0 = [0.1, 0.5, 0]: kd = 0 leaves the integrator alone, so the
+        # loop has one controller mode and none at z = -1
+        case = builtin_case("example3_io")
+        c = realize(case.theta0, case.template)
+        assert c.den.coeffs == (1.0, -1.0)
+        p = discretized_plant(case)
+        poles = loop_poles(p, c)
+        assert poles.size == p.order + p.delay_samples + 1
+        assert np.min(np.abs(poles + 1.0)) > 0.5
+
     def test_matches_termwise_bilinear_algebra(self):
         # kp + ki*(ts/2)(z+1)/(z-1) + kd*(2/ts)(z-1)/(z+1) over (z-1)(z+1)
         kp, ki, kd = 2.0, 0.7, 0.3

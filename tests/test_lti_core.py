@@ -24,6 +24,7 @@ from fritpid.lti_core import (
     poles,
     simulate,
     tustin,
+    _loop_state_space,
 )
 
 from .strategies import bounded_floats, closed_form_loop, signals, stable_discrete_tfs
@@ -215,6 +216,21 @@ class TestFeedback:
         got = loop_poles(p, c)
         assert np.min(np.abs(got - 0.9)) < 1e-12
         assert got.size == 3
+
+    def test_poles_and_co_simulation_of_one_pair_share_one_build(self):
+        p = DiscreteTf([0.2, 0.1], [1.0, -1.2, 0.35], TS, delay_samples=2)
+        c = DiscreteTf([0.5, -0.2], [1.0, -1.0], TS)
+        _loop_state_space.cache_clear()
+        first = loop_poles(p, c)
+        co_simulate(p, c, Signal(np.ones(10), TS))
+        info = _loop_state_space.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        A, B, C_y, _, C_u, _ = _loop_state_space(p, c)
+        assert not any(arr.flags.writeable for arr in (A, B, C_y, C_u))
+        # another pair is built afresh, never served from the cached one
+        other = loop_poles(p, DiscreteTf([0.4, -0.2], [1.0, -1.0], TS))
+        assert not np.array_equal(other, first)
+        assert _loop_state_space.cache_info().misses == 2
 
     def test_ill_posed_loop_is_rejected(self):
         p = DiscreteTf([1.0], [1.0], TS)
