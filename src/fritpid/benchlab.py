@@ -167,13 +167,15 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class SeedResult:
-    """Outcome of one seeded swarm run."""
+    """Outcome of one seeded swarm run, with why it stopped (stall or cap)."""
 
     seed: int
     best_theta: np.ndarray
     best_value: float
     evaluations: int
     trace: Tuple[Tuple[int, float], ...]
+    iterations: int
+    stop_reason: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,6 +430,8 @@ def _seed_sweep(
                 best_value=float(run.best_value),
                 evaluations=run.evaluations,
                 trace=tuple((int(i), float(v)) for i, v in run.trace),
+                iterations=run.iterations,
+                stop_reason=run.stop_reason,
             )
         )
     best = min(results, key=lambda r: (r.best_value, r.seed))

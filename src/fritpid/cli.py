@@ -457,6 +457,8 @@ def _tuning_payload(
                 "best_j": float(r.best_value),
                 "best_theta": [float(x) for x in r.best_theta],
                 "evaluations": r.evaluations,
+                "iterations": r.iterations,
+                "stop": r.stop_reason,
             }
             for r in seed_results
         ],
@@ -695,6 +697,7 @@ def cmd_reproduce(
         "j_theta0_reproduced": reproduced,
         "j_star_within_band": within_band,
         "pass": reproduced and within_band,
+        "closed_loop_stable": result.validation.stable,
     }
     summary = {
         "example": example,

@@ -154,10 +154,8 @@ def _staircase(a: float, cfg: OustaloupConfig):
     midpoint sqrt(w_b*w_h) to the ideal value exactly.
     """
     m = cfg.n_sections
-    ratio = cfg.w_h / cfg.w_b
-    k = np.arange(1, m + 1)
-    wz = cfg.w_b * ratio ** ((k - 1.0 + (1.0 - a) / 2.0) / m)
-    wp = cfg.w_b * ratio ** ((k - 1.0 + (1.0 + a) / 2.0) / m)
+    half = np.array([[(1.0 - a) / 2.0], [(1.0 + a) / 2.0]])
+    wz, wp = cfg.w_b * (cfg.w_h / cfg.w_b) ** ((np.arange(m, dtype=float) + half) / m)
     return wz, wp, cfg.w_h ** a
 
 
@@ -185,63 +183,38 @@ def oustaloup(alpha: float, cfg: OustaloupConfig) -> ContinuousTf:
     return ContinuousTf(np.convolve(mono, np.atleast_1d(num)), den)
 
 
-def _power_roots(power: float, cfg: OustaloupConfig):
-    """Continuous zeros, poles, and gain of the band-limited s**power."""
-    if power == 0.0:
-        return np.zeros(0), np.zeros(0), 1.0
+def _branch(gain: float, power: float, cfg: OustaloupConfig, ts: float):
+    """Discrete section chain of gain * s**power: (poles, chain row, gain).
+
+    The continuous roots are the integer part's n zeros at s = 0 and the
+    fractional part's staircase, zeros and poles swapped for a negative
+    power. Each maps on its own through s -> (c + s)/(c - s), c = 2/ts,
+    and the side with fewer roots picks up images of the roots at
+    infinity, which land on z = -1. This accepts improper terms, unlike
+    the polynomial route. Section i of the chain holds one pole:
+    x_i+ = pd_i x_i + u_i, y_i = u_i + (pd_i - zd_i) x_i, with sections
+    fed in series and the gain applied at the output, so every state
+    matrix entry stays within a few orders of magnitude of the root data.
+    """
     mag = abs(power)
     n = int(math.floor(mag))
     a = mag - n
-    zeros = [0.0] * n
-    poles = []
-    gain = 1.0
+    zeros, poles, k = np.zeros(n), np.zeros(0), 1.0
     if a > 0.0:
-        wz, wp, gain = _staircase(a, cfg)
-        zeros.extend(-wz)
-        poles.extend(-wp)
-    zeros = np.asarray(zeros, dtype=float)
-    poles = np.asarray(poles, dtype=float)
+        wz, wp, k = _staircase(a, cfg)
+        zeros, poles = np.concatenate([zeros, -wz]), -wp
     if power < 0.0:
-        return poles, zeros, 1.0 / gain
-    return zeros, poles, gain
-
-
-def _bilinear_roots(zeros, poles, gain, ts):
-    """Map a continuous zpk triple through s -> (2/ts)(z-1)/(z+1).
-
-    Every root maps individually as s0 -> (c + s0)/(c - s0); the side with
-    fewer roots picks up images of the roots at infinity, which land on
-    z = -1. Accepts improper triples, unlike the polynomial route.
-    """
+        zeros, poles, k = poles, zeros, 1.0 / k
     c = 2.0 / ts
-    zd = (c + zeros) / (c - zeros)
-    pd = (c + poles) / (c - poles)
-    gain = gain * float(np.prod(c - zeros) / np.prod(c - poles))
+    dz, dp = c - zeros, c - poles
+    zd, pd = (c + zeros) / dz, (c + poles) / dp
+    k = gain * k * float(dz.prod() / dp.prod())
     deficit = poles.size - zeros.size
     if deficit > 0:
         zd = np.concatenate([zd, -np.ones(deficit)])
     elif deficit < 0:
         pd = np.concatenate([pd, -np.ones(-deficit)])
-    return zd, pd, gain
-
-
-def _chain_arrays(zd, pd, gain):
-    """State-space of gain * prod (z - zd_i)/(z - pd_i) as a section chain.
-
-    Section i holds one pole: x_i+ = pd_i x_i + u_i, y_i = u_i +
-    (pd_i - zd_i) x_i, with sections fed in series and the gain applied
-    at the output, so every matrix entry stays within a few orders of
-    magnitude of the root data itself.
-    """
-    n = pd.size
-    A = np.zeros((n, n))
-    B = np.ones(n)
-    C = np.empty(n)
-    for i in range(n):
-        A[i, i] = pd[i]
-        A[i, :i] = C[:i]
-        C[i] = pd[i] - zd[i]
-    return A, B, gain * C, gain
+    return pd, pd - zd, k
 
 
 def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
@@ -259,34 +232,33 @@ def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
     if t.kind is not ControllerKind.FOPID:
         raise ValueError("template kind must be FOPID")
     ts = t.sample_time
-    branches = []
-    for gain, power in ((p.kfi, -p.lam), (p.kfd, p.mu)):
-        if gain != 0.0:
-            z, q, k = _power_roots(power, t.oustaloup)
-            branches.append(_bilinear_roots(z, q, gain * k, ts))
+    branches = [
+        _branch(gain, power, t.oustaloup, ts)
+        for gain, power in ((p.kfi, -p.lam), (p.kfd, p.mu))
+        if gain != 0.0
+    ]
     if not branches and p.kfp == 0.0:
         return DiscreteZpk((), (), 0.0, ts)
-    blocks = [_chain_arrays(zd, pd, k) for zd, pd, k in branches]
-    feedthrough = p.kfp + sum(b[3] for b in blocks)
-    n = sum(b[0].shape[0] for b in blocks)
+    feedthrough = p.kfp + sum(b[2] for b in branches)
+    sizes = [b[0].size for b in branches]
+    n = sum(sizes)
     if n == 0:
         return DiscreteZpk((), (), feedthrough, ts)
-    scale = abs(p.kfp) + sum(abs(b[3]) for b in blocks)
+    scale = abs(p.kfp) + sum(abs(b[2]) for b in branches)
     if abs(feedthrough) <= 1e-12 * scale:
         raise DiscretizationError("realization has no usable feedthrough")
-    A = np.zeros((n, n))
-    B = np.zeros(n)
-    C = np.zeros(n)
-    i = 0
-    for Ab, Bb, Cb, _ in blocks:
-        m = Ab.shape[0]
-        A[i:i + m, i:i + m] = Ab
-        B[i:i + m] = Bb
-        C[i:i + m] = Cb
-        i += m
-    pole_list = np.concatenate([np.diag(b[0]) for b in blocks])
-    zero_list = np.linalg.eigvals(A - np.outer(B, C / feedthrough))
-    return DiscreteZpk(tuple(zero_list), tuple(pole_list), feedthrough, ts)
+    poles = np.concatenate([b[0] for b in branches])
+    chain = np.concatenate([b[1] for b in branches])
+    # block-diagonal over the branches: A[i, j] = chain[j] below the
+    # diagonal of a block, the poles on it; every state takes the unit
+    # input (B = 1)
+    i = np.arange(n)
+    A = np.where(i < i[:, None], chain, 0.0)
+    A[i, i] = poles
+    A[sizes[0]:, : sizes[0]] = 0.0
+    C = np.concatenate([b[2] * b[1] for b in branches])
+    zeros = np.linalg.eigvals(A - C / feedthrough)
+    return DiscreteZpk(zeros, poles, feedthrough, ts)
 
 
 def realize_iopid(p: IopidParams, t: ControllerTemplate) -> DiscreteTf:

@@ -76,7 +76,7 @@ class FictitiousHeadZeroError(ValueError):
 
 def _well_scaled(arr: np.ndarray) -> bool:
     # NaN and +-inf fail the comparison, so one pass decides all three
-    return bool(np.max(np.abs(arr)) <= _OVERFLOW_LIMIT)
+    return bool(np.abs(arr).max() <= _OVERFLOW_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,7 @@ class LossEvaluator:
         return abs(self._gamma_r0) * epsilon_l1 + self._m_d_l1
 
     def _pipeline(self, arr: np.ndarray) -> LossBreakdown:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             return _penalized(PenaltyReason.NONFINITE_SIGNAL)
         try:
             c = realize(arr, self.template)
@@ -308,10 +308,10 @@ class LossEvaluator:
             return _penalized(PenaltyReason.FICTITIOUS_HEAD_ZERO)
         if not _well_scaled(t.samples):
             return _penalized(PenaltyReason.NONFINITE_SIGNAL)
-        y = reconstruct_output(self.data.r0, t)
-        if not _well_scaled(y.samples):
+        y = reconstruct_output(self.data.r0, t).samples
+        if not _well_scaled(y):
             return _penalized(PenaltyReason.NONFINITE_SIGNAL)
-        j = (y - self._y_ref).l1()
+        j = float(np.abs(y - self._y_ref.samples).sum())
         return LossBreakdown(
             j=j,
             epsilon_l1=j,

@@ -17,6 +17,8 @@ unity-feedback loop that serves both its simulation and its poles.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -71,17 +73,28 @@ def _same_ts(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
+def _unchecked(cls, **fields):
+    """Frozen dataclass instance from fields that already hold its invariants."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _strip(vals: list) -> tuple:
+    # strip exact-zero leading terms, keep at least the constant term
+    k = 0
+    while k < len(vals) - 1 and vals[k] == 0.0:
+        k += 1
+    return tuple(vals[k:])
+
+
 def _coerce_coeffs(coeffs) -> tuple:
     if isinstance(coeffs, Polynomial):
         return coeffs.coeffs
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if arr.ndim != 1 or arr.size == 0:
+    arr = np.asarray(coeffs, dtype=float)
+    if arr.ndim > 1 or arr.size == 0:
         raise ValueError("coefficients must be a non-empty 1-D sequence")
-    # strip exact-zero leading terms, keep at least the constant term
-    k = 0
-    while k < arr.size - 1 and arr[k] == 0.0:
-        k += 1
-    return tuple(arr[k:].tolist())
+    return _strip(arr.reshape(-1).tolist())
 
 
 @dataclass(frozen=True)
@@ -154,24 +167,24 @@ class DiscreteTf:
     delay_samples: int = 0
 
     def __post_init__(self):
-        num = Polynomial(self.num)
-        den = Polynomial(self.den)
-        if den.is_zero:
+        num = _coerce_coeffs(self.num)
+        den = _coerce_coeffs(self.den)
+        lead = den[0]
+        if lead == 0.0:  # only the zero polynomial keeps a zero lead
             raise ValueError("denominator must not be identically zero")
-        lead = den.coeffs[0]
         if lead != 1.0:
-            num = num.scaled(1.0 / lead)
-            den = den.scaled(1.0 / lead)
             # rescaling must leave the lead exactly one
-            den = Polynomial((1.0,) + den.coeffs[1:])
-        if num.degree > den.degree:
+            k = 1.0 / lead
+            num = _strip([k * c for c in num])
+            den = (1.0,) + tuple(k * c for c in den[1:])
+        if len(num) > len(den):
             raise ValueError("improper discrete transfer function")
         if not (self.sample_time > 0.0):
             raise ValueError("sample time must be > 0")
         if self.delay_samples < 0 or int(self.delay_samples) != self.delay_samples:
             raise ValueError("delay must be a non-negative integer sample count")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", _unchecked(Polynomial, coeffs=num))
+        object.__setattr__(self, "den", _unchecked(Polynomial, coeffs=den))
         object.__setattr__(self, "delay_samples", int(self.delay_samples))
 
     @property
@@ -194,27 +207,34 @@ def _sorted_roots(r: np.ndarray) -> np.ndarray:
     return r[order]
 
 
-def _split_conjugates(roots: np.ndarray):
+_by_parts = operator.attrgetter("real", "imag")
+_first = operator.itemgetter(0)
+
+
+def _split_conjugates(roots: Sequence[complex]):
     """Split roots into (reals desc, upper-half pair members), or None.
 
-    Returns None unless every complex root has its exact conjugate
-    present, which is how they arrive from real-matrix eigenvalues.
+    Works on plain Python numbers. Returns None unless every complex root
+    has its exact conjugate present, which is how they arrive from
+    real-matrix eigenvalues.
     """
-    real = roots[roots.imag == 0.0].real
-    upper = roots[roots.imag > 0.0]
-    lower = roots[roots.imag < 0.0]
-    if upper.size != lower.size:
+    real, upper, mirrored = [], [], []
+    for r in roots:
+        if r.imag == 0.0:
+            real.append(r.real)
+        elif r.imag > 0.0:
+            upper.append(r)
+        else:
+            mirrored.append(r.conjugate())
+    upper.sort(key=_by_parts)
+    mirrored.sort(key=_by_parts)
+    if upper != mirrored:
         return None
-    if upper.size:
-        upper = upper[np.lexsort((upper.imag, upper.real))]
-        mirrored = np.conj(lower)
-        mirrored = mirrored[np.lexsort((mirrored.imag, mirrored.real))]
-        if not np.array_equal(upper, mirrored):
-            return None
-    return np.sort(real)[::-1], upper
+    real.sort(reverse=True)
+    return real, upper
 
 
-def _quadratic_groups(real: np.ndarray, cplx: np.ndarray):
+def _quadratic_groups(real: list, cplx: list):
     """(key, coeffs) quadratic factors plus an optional linear tail.
 
     Adjacent pairing of the sorted real roots keeps each factor local on
@@ -225,17 +245,13 @@ def _quadratic_groups(real: np.ndarray, cplx: np.ndarray):
         (abs(q), (1.0, -2.0 * q.real, q.real * q.real + q.imag * q.imag))
         for q in cplx
     ]
-    for i in range(0, real.size - 1, 2):
-        r1, r2 = real[i], real[i + 1]
+    for r1, r2 in zip(real[::2], real[1::2]):
         groups.append((max(abs(r1), abs(r2)), (1.0, -(r1 + r2), r1 * r2)))
-    tail = None
-    if real.size % 2:
-        r = real[-1]
-        tail = (1.0, -r, 0.0)
+    tail = (1.0, -real[-1], 0.0) if len(real) % 2 else None
     return groups, tail
 
 
-def _fast_sos(zeros: np.ndarray, poles: np.ndarray, gain: float):
+def _fast_sos(zeros: Sequence[complex], poles: Sequence[complex], gain: float):
     """Second-order sections from conjugate-paired root data.
 
     Handles any relative degree: pole sections left without a zero group
@@ -245,7 +261,7 @@ def _fast_sos(zeros: np.ndarray, poles: np.ndarray, gain: float):
     some complex root lacks its exact conjugate; the caller then decides
     on a fallback.
     """
-    if poles.size == 0 or zeros.size > poles.size:
+    if not poles or len(zeros) > len(poles):
         return None
     zsplit = _split_conjugates(zeros)
     psplit = _split_conjugates(poles)
@@ -253,8 +269,8 @@ def _fast_sos(zeros: np.ndarray, poles: np.ndarray, gain: float):
         return None
     z_groups, z_tail = _quadratic_groups(*zsplit)
     p_groups, p_tail = _quadratic_groups(*psplit)
-    z_groups.sort(key=lambda g: g[0])
-    p_groups.sort(key=lambda g: g[0])
+    z_groups.sort(key=_first)
+    p_groups.sort(key=_first)
     spare = len(p_groups) - len(z_groups)
     rows = []
     if z_tail is not None and p_tail is None:
@@ -265,24 +281,21 @@ def _fast_sos(zeros: np.ndarray, poles: np.ndarray, gain: float):
         r = -z_tail[1]
         idx = min(range(spare), key=lambda i: abs(p_groups[i][0] - abs(r)))
         _, a = p_groups.pop(idx)
-        rows.append([0.0, 1.0, -r] + list(a))
+        rows.append((0.0, 1.0, -r) + a)
         spare -= 1
         z_tail = None
     for _, a in p_groups[:spare]:
-        rows.append([0.0, 0.0, 1.0] + list(a))
+        rows.append((0.0, 0.0, 1.0) + a)
     for (_, b), (_, a) in zip(z_groups, p_groups[spare:]):
-        rows.append(list(b) + list(a))
+        rows.append(b + a)
     if p_tail is not None:
-        if z_tail is not None:
-            rows.append(list(z_tail) + list(p_tail))
-        else:
-            rows.append([0.0, 1.0, 0.0] + list(p_tail))
+        rows.append((z_tail or (0.0, 1.0, 0.0)) + p_tail)
     sos = np.asarray(rows, dtype=float)
     sos[0, :3] *= gain
     return sos
 
 
-def _sections(zeros: np.ndarray, poles: np.ndarray) -> list:
+def _sections(zeros: Sequence[complex], poles: Sequence[complex]) -> list:
     """Cascade sections (A, den, num) of a factored system, in pole order.
 
     Each section is num(z) / den(z) with den(z) = det(zI - A), and A is a
@@ -308,7 +321,7 @@ def _sections(zeros: np.ndarray, poles: np.ndarray) -> list:
             zero_of[j] = i
             taken.add(i)
     spare_z = [z for i, z in enumerate(zr) if i not in taken]
-    spare_p = [j for j in range(pr.size) if j not in zero_of]
+    spare_p = [j for j in range(len(pr)) if j not in zero_of]
     quads = [(1.0, -2.0 * q.real, abs(q) ** 2) for q in zc]
     sections = []  # (magnitude, A, den, num)
     for a in pc:
@@ -352,16 +365,15 @@ class DiscreteZpk:
     sample_time: float
 
     def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.zeros, dtype=complex)).reshape(-1)
-        p = np.atleast_1d(np.asarray(self.poles, dtype=complex)).reshape(-1)
-        if z.size and not np.all(np.isfinite(z)):
-            raise ValueError("zeros must be finite")
-        if p.size and not np.all(np.isfinite(p)):
-            raise ValueError("poles must be finite")
+        z = np.asarray(self.zeros, dtype=complex).reshape(-1)
+        p = np.asarray(self.poles, dtype=complex).reshape(-1)
+        finite = np.isfinite(np.concatenate((z, p)))
+        if not finite.all():
+            raise ValueError(("poles" if finite[: z.size].all() else "zeros") + " must be finite")
         if z.size > p.size:
             raise ValueError("improper discrete transfer function")
         gain = float(self.gain)
-        if not np.isfinite(gain):
+        if not math.isfinite(gain):
             raise ValueError("gain must be finite")
         if not (self.sample_time > 0.0):
             raise ValueError("sample time must be > 0")
@@ -402,19 +414,17 @@ class DiscreteZpk:
         """Second-order-section matrix of the factored form (gain folded in)."""
         if not self.poles:
             return np.array([[self.gain, 0.0, 0.0, 1.0, 0.0, 0.0]])
-        z = np.asarray(self.zeros)
-        p = np.asarray(self.poles)
-        sos = _fast_sos(z, p, self.gain)
+        sos = _fast_sos(self.zeros, self.poles, self.gain)
         if sos is not None:
             return sos
-        if z.size < p.size:
+        if not self.is_biproper:
             # the generic pairing below works in z^-1 coefficients and
             # would silently drop the relative-degree delay
             raise ValueError(
                 "sections for a strictly proper factored system need "
                 "conjugate-paired roots"
             )
-        return _sig.zpk2sos(z, p, self.gain, pairing="nearest")
+        return _sig.zpk2sos(self.zeros, self.poles, self.gain, pairing="nearest")
 
     def state_space(self):
         """Dense (A, B, C, D) of a cascade of one- and two-pole sections.
@@ -427,9 +437,7 @@ class DiscreteZpk:
         """
         if not self.poles:
             return np.zeros((0, 0)), np.zeros(0), np.zeros(0), self.gain
-        sections = _sections(
-            np.asarray(self.zeros, dtype=complex), np.asarray(self.poles, dtype=complex)
-        )
+        sections = _sections(self.zeros, self.poles)
         n = len(self.poles)
         A = np.zeros((n, n))
         B = np.zeros(n)
@@ -470,7 +478,7 @@ class Signal:
         return self.samples.size
 
     def l1(self) -> float:
-        return float(np.sum(np.abs(self.samples)))
+        return float(np.abs(self.samples).sum())
 
     def _binary(self, other: "Signal", op) -> "Signal":
         if not isinstance(other, Signal):
@@ -593,20 +601,21 @@ def impulse_response(g: DiscreteTf, n: int) -> Signal:
 def invert(g):
     """Exact inverse of a biproper, delay-free discrete TF.
 
-    Factored systems invert by swapping zeros and poles, so the inverse
-    stays in factored form and never touches expanded coefficients.
+    Factored systems invert by swapping zeros and poles, which are stored
+    sorted already, so the inverse stays in factored form and never touches
+    expanded coefficients.
     """
     if isinstance(g, DiscreteZpk):
         if not g.is_biproper or abs(g.gain) < _FEEDTHROUGH_TOL:
             raise NonInvertibleError("non-invertible controller")
-        return DiscreteZpk(g.poles, g.zeros, 1.0 / g.gain, g.sample_time)
-    if g.delay_samples != 0:
+        return _unchecked(
+            DiscreteZpk, zeros=g.poles, poles=g.zeros, gain=1.0 / g.gain,
+            sample_time=g.sample_time,
+        )
+    num = g.num.coeffs
+    if g.delay_samples != 0 or len(num) != len(g.den.coeffs) or abs(num[0]) < _FEEDTHROUGH_TOL:
         raise NonInvertibleError("non-invertible controller")
-    num = g.num.as_array()
-    den = g.den.as_array()
-    if num.size != den.size or abs(num[0]) < _FEEDTHROUGH_TOL:
-        raise NonInvertibleError("non-invertible controller")
-    return DiscreteTf(den, num, g.sample_time, 0)
+    return DiscreteTf(g.den, g.num, g.sample_time)
 
 
 # ---------------------------------------------------------------------------

@@ -87,13 +87,16 @@ class Bounds:
 
 @dataclass(frozen=True, eq=False)
 class OptimResult:
-    """Best point found, its value, the per-iteration best trace, and
-    the total number of objective evaluations."""
+    """Best point found, its value, the per-iteration best trace, the
+    total number of objective evaluations, the iterations run, and why
+    the search stopped: ``"stall"`` or ``"cap"`` (max_iterations)."""
 
     best_theta: np.ndarray
     best_value: float
     trace: List[Tuple[int, float]]
     evaluations: int
+    iterations: int
+    stop_reason: str
 
 
 def _evaluate_swarm(objective, positions: np.ndarray) -> np.ndarray:
@@ -196,4 +199,6 @@ def minimize(
         best_value=gbest_value,
         trace=trace,
         evaluations=evaluations,
+        iterations=iteration,
+        stop_reason="stall" if stall >= cfg.stall_iterations else "cap",
     )

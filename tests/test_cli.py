@@ -255,6 +255,21 @@ class TestReproduce:
         assert set(counts) == {"non_invertible_controller", "fictitious_head_zero",
                                "nonfinite_signal"}
         assert sum(counts.values()) == tuning["penalized_evaluations"]
+        # the smoke swarm runs 12 iterations unless it stalls first
+        seed = tuning["seeds"][0]
+        assert (seed["iterations"], seed["stop"]) == (12, "cap")
+        assert acc["closed_loop_stable"] is s["validation"]["stable"]
+
+    def test_acceptance_reports_an_unstable_loop_without_failing_on_it(self, tmp_path):
+        # example2's winner keeps the hidden z = -1 mode; the verdict is
+        # reported, and pass still grades only J(theta0) and the J* band
+        assert main(["reproduce", "example2", "--seeds", "1", *SMOKE,
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        s = read_json(tmp_path / "example2" / "summary.json")
+        acc = s["acceptance"]
+        assert acc["closed_loop_stable"] is False
+        assert s["validation"]["stable"] is False
+        assert acc["pass"] == (acc["j_theta0_reproduced"] and acc["j_star_within_band"])
 
     def test_sibling_comparison_is_written(self, repro_dir):
         cmp = read_json(repro_dir / "comparison.json")

@@ -1,10 +1,13 @@
 """Tests for fractional operators and discrete controller realization."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from scipy import signal as _sig
 
-from fritpid.benchlab import builtin_case, discretized_plant
+from fritpid.benchlab import builtin_case, collect_data, discretized_plant
 from fritpid.folib import (
     ControllerKind,
     ControllerTemplate,
@@ -16,6 +19,7 @@ from fritpid.folib import (
     realize_fopid,
     realize_iopid,
 )
+from fritpid.l1_idfrit import fictitious_reference
 from fritpid.lti_core import (
     DiscreteTf,
     DiscreteZpk,
@@ -30,6 +34,9 @@ from .strategies import (
     fopid_thetas,
     iopid_gains_with_zeros,
     iopid_thetas,
+    reference_as_sos,
+    reference_realize_fopid,
+    reference_zpk_invert,
     sample_times,
     termwise_iopid,
 )
@@ -332,6 +339,42 @@ class TestRealizeFopid:
         c = realize_fopid(FopidParams.from_theta(theta), FOPID_T)
         if c.poles:
             assert max(abs(q) for q in c.poles) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("name", ["example1", "example3_fo"])
+    def test_realization_and_fictitious_reference_match_the_reference_path(self, name):
+        # integer and zero orders, zero branch gains and the box corners
+        # against per-row chain blocks, numpy root grouping and a re-sorted
+        # inverse: zeros, poles, gain and r~ must agree bit for bit
+        case = builtin_case(name)
+        data = collect_data(case)
+        lo, hi = case.bounds.lower, case.bounds.upper
+        mid = (lo + hi) / 3.0
+        thetas = [np.asarray(case.theta0, dtype=float)]
+        thetas += [np.array(corner) for corner in itertools.product(*zip(lo, hi))]
+        for lam, mu, (ki, kd) in itertools.product(
+            (0.0, 0.37, 1.0, 1.71, 2.0), (0.0, 0.52, 1.0, 1.33, 2.0),
+            ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)),
+        ):
+            thetas.append(np.array([mid[0], ki * mid[1], lam, kd * mid[3], mu]))
+        checked = 0
+        for theta in thetas:
+            try:
+                ref = reference_realize_fopid(theta, case.template)
+            except DiscretizationError:
+                with pytest.raises(DiscretizationError):
+                    realize(theta, case.template)
+                continue
+            c = realize(theta, case.template)
+            for got, want in ((c.zeros, ref.zeros), (c.poles, ref.poles)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert c.gain == ref.gain
+            if not ref.is_biproper or abs(ref.gain) < 1e-12:
+                continue
+            inv = reference_zpk_invert(ref)
+            want = _sig.sosfilt(reference_as_sos(inv), data.u0.samples) + data.y0.samples
+            assert fictitious_reference(c, data).samples.tobytes() == want.tobytes()
+            checked += 1
+        assert checked >= 100
 
 
 class TestRealizeDispatch:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fritpid.lti_core import (
@@ -27,7 +27,15 @@ from fritpid.lti_core import (
     _loop_state_space,
 )
 
-from .strategies import bounded_floats, closed_form_loop, signals, stable_discrete_tfs
+from .strategies import (
+    bounded_floats,
+    closed_form_loop,
+    conjugate_root_sets,
+    reference_as_sos,
+    reference_zpk_invert,
+    signals,
+    stable_discrete_tfs,
+)
 
 TS = 0.1
 
@@ -378,6 +386,29 @@ class TestDiscreteZpk:
         with pytest.raises(ValueError):
             DiscreteZpk((0.1, 0.2), (0.5,), 1.0, TS)
 
+    @given(conjugate_root_sets())
+    @settings(max_examples=300, derandomize=True)
+    @example(((0.5,), (0.3, -0.6, 0.55 + 0.3j, 0.55 - 0.3j), 0.7))
+    @example(((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5), -1.5))
+    @example(((0.2 + 0.7j, 0.4 - 0.7j, 0.4), (0.9, 0.8, -0.5), 2.0))
+    def test_sections_and_inverse_match_the_reference_bit_for_bit(self, roots):
+        # the builder groups plain Python numbers and the inverse swaps
+        # the sorted roots without sorting again; neither may move a bit
+        zeros, poles, gain = roots
+        g = DiscreteZpk(zeros, poles, gain, TS)
+        try:
+            want = reference_as_sos(g)
+        except ValueError:
+            with pytest.raises(ValueError):
+                g.as_sos()
+        else:
+            assert g.as_sos().tobytes() == want.tobytes()
+        if g.is_biproper:
+            gi, ref = invert(g), reference_zpk_invert(g)
+            assert np.asarray(gi.zeros).tobytes() == np.asarray(ref.zeros).tobytes()
+            assert np.asarray(gi.poles).tobytes() == np.asarray(ref.poles).tobytes()
+            assert gi.gain == ref.gain
+
 
 class TestValidation:
     def test_improper_transfer_function_is_rejected(self):
@@ -395,6 +426,41 @@ class TestValidation:
     def test_negative_delay_is_rejected(self):
         with pytest.raises(ValueError):
             DiscreteTf([1.0], [1.0], TS, delay_samples=-1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DiscreteZpk((math.nan,), (0.5,), 1.0, TS), "zeros must be finite"),
+            (lambda: DiscreteZpk((0.1,), (0.5, math.inf), 1.0, TS), "poles must be finite"),
+            (lambda: DiscreteZpk((), (0.5,), math.inf, TS), "gain must be finite"),
+            (lambda: DiscreteZpk((0.1, 0.2), (0.5,), 1.0, TS), "improper discrete"),
+            (lambda: DiscreteTf([1.0, 0.0, 0.0], [2.0, -1.0], TS), "improper discrete"),
+            (lambda: DiscreteTf([1.0], [0.0, 0.0], TS), "must not be identically zero"),
+            (lambda: DiscreteTf([[1.0]], [1.0], TS), "non-empty 1-D sequence"),
+            (lambda: DiscreteTf([], [1.0], TS), "non-empty 1-D sequence"),
+        ],
+    )
+    def test_construction_errors_name_the_fault(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            DiscreteZpk((0.5,), (0.2,), 0.0, TS),
+            DiscreteZpk((0.5,), (0.2,), 1e-13, TS),
+            DiscreteTf([1e-13, 1.0], [1.0, -0.5], TS),
+            DiscreteTf([0.0, 1.0], [1.0, -0.5], TS),
+        ],
+    )
+    def test_zero_feedthrough_is_not_invertible(self, g):
+        with pytest.raises(NonInvertibleError, match="non-invertible controller"):
+            invert(g)
+
+    def test_inverse_of_a_polynomial_tf_is_normalized_once(self):
+        gi = invert(DiscreteTf([2.0, 1.0, 0.5], [1.0, -0.5, 0.25], TS))
+        assert gi.num.coeffs == (0.5, -0.25, 0.125)
+        assert gi.den.coeffs == (1.0, 0.5, 0.25)
 
     def test_denominator_is_normalized_monic(self):
         g = DiscreteTf([2.0], [2.0, -1.0], TS)
