@@ -1,4 +1,10 @@
-"""Benchmark definitions, data collection, tuning runs, and validation.
+"""Run configuration, benchmark cases, the tuning core, and grading.
+
+A run config holds the controller template, the search box, the
+reference model, and optionally theta0, a plant and a horizon. ``tune``
+is the one tuning flow: the command-line tuner calls it on a recorded
+experiment, and ``tune_case`` calls it on a built-in case's record and
+then grades the winner with ``validate``.
 
 Three built-in plants exercise the tuner: a fourth-order lag, the same
 lag with a 5 s dead time, and an oscillatory discrete plant tuned with
@@ -40,14 +46,16 @@ from .lti_core import (
 from .swarm_opt import Bounds, PsoConfig, minimize
 
 __all__ = [
+    "RunConfig",
     "BenchmarkCase",
     "ReferenceTargets",
     "ValidationReport",
     "StepTraces",
     "SeedResult",
+    "TuningResult",
     "CaseResult",
-    "FoIoComparison",
     "CASE_NAMES",
+    "DEFAULT_SEEDS",
     "builtin_case",
     "reference_targets",
     "discretized_plant",
@@ -56,11 +64,14 @@ __all__ = [
     "collect_data",
     "make_evaluator",
     "validate",
+    "tune",
     "tune_case",
-    "compare_fo_io",
 ]
 
 CASE_NAMES = ("example1", "example2", "example3_io", "example3_fo")
+
+#: seeds a tuning run uses when none are asked for
+DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
 PlantLike = Union[ContinuousTf, DiscreteTf]
 
@@ -70,51 +81,73 @@ PlantLike = Union[ContinuousTf, DiscreteTf]
 STABLE_RADIUS = 1.0 - 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class BenchmarkCase:
-    """One complete tuning scenario.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class RunConfig:
+    """Everything a tuning or grading run needs besides the data record.
 
-    ``plant`` and ``reference_model`` may be continuous (discretized on
-    demand with the case sample time) or already discrete. ``theta0`` is
-    the parameter vector of the data-collection controller and must lie
-    inside ``bounds``. Only a unit-step reference is supported.
+    ``reference_model`` and ``plant`` may be continuous (discretized with
+    the template's sample time) or already discrete. ``theta0``, when
+    given, is scored and injected into every swarm; ``plant`` and
+    ``sim_time`` are needed only to collect data or to validate.
     """
 
-    name: str
-    plant: PlantLike
-    reference_model: PlantLike
-    sample_time: float
-    sim_time: float
-    theta0: np.ndarray
-    bounds: Bounds
     template: ControllerTemplate
-    reference_signal: str = "unit_step"
+    bounds: Bounds
+    reference_model: PlantLike
+    theta0: Optional[np.ndarray] = None
+    plant: Optional[PlantLike] = None
+    sim_time: Optional[float] = None
+    pso: PsoConfig = PsoConfig()
+    seeds: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        theta0 = np.asarray(self.theta0, dtype=float).reshape(-1)
-        theta0.setflags(write=False)
-        object.__setattr__(self, "theta0", theta0)
-        if not (self.sample_time > 0.0 and self.sim_time > 0.0):
-            raise ValueError("sample_time and sim_time must be > 0")
-        if abs(self.template.sample_time - self.sample_time) > 1e-12 * self.sample_time:
-            raise ValueError("template sample time differs from the case")
-        for g in (self.plant, self.reference_model):
-            if isinstance(g, DiscreteTf):
-                if abs(g.sample_time - self.sample_time) > 1e-12 * self.sample_time:
-                    raise ValueError("discrete block sample time differs from the case")
-        if self.bounds.dim != self.template.theta_dim:
-            raise ValueError("bounds dimension does not match the controller kind")
-        if theta0.size != self.template.theta_dim:
-            raise ValueError("theta0 dimension does not match the controller kind")
-        if not self.bounds.contains(theta0):
-            raise ValueError("theta0 must lie inside the search bounds")
-        if self.reference_signal != "unit_step":
-            raise ValueError("only the unit_step reference is supported")
+        kind, dim = self.template.kind.value, self.template.theta_dim
+        if self.bounds.dim != dim:
+            raise ValueError(
+                f"bounds have dimension {self.bounds.dim}, a {kind} controller needs {dim}"
+            )
+        if self.theta0 is not None:
+            theta0 = np.asarray(self.theta0, dtype=float).reshape(-1)
+            if theta0.size != dim:
+                raise ValueError(
+                    f"theta0 has dimension {theta0.size}, a {kind} controller needs {dim}"
+                )
+            theta0.setflags(write=False)
+            object.__setattr__(self, "theta0", theta0)
+
+    @property
+    def sample_time(self) -> float:
+        return self.template.sample_time
 
     @property
     def n_samples(self) -> int:
         """Horizon N+1 with N = round(sim_time / sample_time)."""
         return int(round(self.sim_time / self.sample_time)) + 1
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class BenchmarkCase(RunConfig):
+    """One complete tuning scenario: a run config with its true plant.
+
+    ``theta0`` is the parameter vector of the data-collection controller
+    and must lie inside ``bounds``. The reference is a unit step.
+    """
+
+    name: str
+    plant: PlantLike
+    theta0: np.ndarray
+    sim_time: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.sim_time > 0.0:
+            raise ValueError("sim_time must be > 0")
+        for g in (self.plant, self.reference_model):
+            if isinstance(g, DiscreteTf):
+                if abs(g.sample_time - self.sample_time) > 1e-12 * self.sample_time:
+                    raise ValueError("discrete block sample time differs from the case")
+        if not self.bounds.contains(self.theta0):
+            raise ValueError("theta0 must lie inside the search bounds")
 
 
 @dataclass(frozen=True)
@@ -179,19 +212,21 @@ class SeedResult:
 
 
 @dataclass(frozen=True, eq=False)
-class CaseResult:
-    """Everything produced by tuning one case over a list of seeds."""
+class TuningResult:
+    """Outcome of tuning over a list of seeds, with the campaign's counters.
 
-    case: BenchmarkCase
-    data: ExperimentRecord
-    j_theta0: float
+    ``j_theta0`` is None when no starting vector was given. The counters
+    cover every evaluation of the run: J(theta0), all seeded swarms, and
+    the winner's breakdown.
+    """
+
+    j_theta0: Optional[float]
     seed_results: Tuple[SeedResult, ...]
     best_seed: int
     theta_star: np.ndarray
     j_star: float
     breakdown_star: LossBreakdown
     bound_report: StabilityBoundReport
-    validation: ValidationReport
     evaluations: int
     penalized_evaluations: int
     penalty_counts: dict
@@ -200,20 +235,12 @@ class CaseResult:
 
 
 @dataclass(frozen=True, eq=False)
-class FoIoComparison:
-    """Side-by-side metrics for the two controller families on one plant."""
+class CaseResult(TuningResult):
+    """A benchmark case's tuning, its data record, and the winner's grade."""
 
-    j_fo: float
-    j_io: float
-    fo_beats_io: bool
-    tracking_error_fo: float
-    tracking_error_io: float
-    max_input_fo: float
-    max_input_io: float
-    input_l1_fo: float
-    input_l1_io: float
-    theta_fo: Tuple[float, ...]
-    theta_io: Tuple[float, ...]
+    case: BenchmarkCase
+    data: ExperimentRecord
+    validation: ValidationReport
 
 
 _EX12_PLANT_NUM = (12.0, 8.0)
@@ -259,7 +286,6 @@ def _example12_case(name: str, dead_time: float) -> BenchmarkCase:
         name=name,
         plant=ContinuousTf(_EX12_PLANT_NUM, _EX12_PLANT_DEN, dead_time=dead_time),
         reference_model=ContinuousTf([1.0], [1.0, 2.0, 1.0]),
-        sample_time=ts,
         sim_time=100.0,
         theta0=np.array([1.0, 0.0, 1.0, 0.0, 1.0]),
         bounds=Bounds([0.0] * 5, [10.0, 10.0, 2.0, 10.0, 2.0]),
@@ -287,7 +313,6 @@ def _example3_case(name: str, kind: ControllerKind) -> BenchmarkCase:
         name=name,
         plant=plant,
         reference_model=md,
-        sample_time=ts,
         sim_time=4.0,
         theta0=theta0,
         bounds=bounds,
@@ -318,16 +343,16 @@ def reference_targets(name: str) -> ReferenceTargets:
         ) from None
 
 
-def discretized_plant(case: BenchmarkCase) -> DiscreteTf:
-    if isinstance(case.plant, DiscreteTf):
-        return case.plant
-    return tustin(case.plant, case.sample_time)
+def discretized_plant(config: RunConfig) -> DiscreteTf:
+    if isinstance(config.plant, DiscreteTf):
+        return config.plant
+    return tustin(config.plant, config.sample_time)
 
 
-def discretized_reference_model(case: BenchmarkCase) -> DiscreteTf:
-    if isinstance(case.reference_model, DiscreteTf):
-        return case.reference_model
-    return tustin(case.reference_model, case.sample_time)
+def discretized_reference_model(config: RunConfig) -> DiscreteTf:
+    if isinstance(config.reference_model, DiscreteTf):
+        return config.reference_model
+    return tustin(config.reference_model, config.sample_time)
 
 
 def unit_step(n_samples: int, sample_time: float) -> Signal:
@@ -349,33 +374,26 @@ def collect_data(case: BenchmarkCase) -> ExperimentRecord:
     return ExperimentRecord(r0=r0, u0=u0, y0=y0)
 
 
-def make_evaluator(
-    case: BenchmarkCase,
-    data: Optional[ExperimentRecord] = None,
-    check_bound: bool = True,
-) -> LossEvaluator:
-    """Loss evaluator for a case, collecting the data record if needed."""
-    if data is None:
-        data = collect_data(case)
-    return LossEvaluator(
-        case.template, data, discretized_reference_model(case), check_bound=check_bound
-    )
+def make_evaluator(config: RunConfig, data: ExperimentRecord) -> LossEvaluator:
+    """Loss evaluator for a config's template and reference model on a record."""
+    return LossEvaluator(config.template, data, discretized_reference_model(config))
 
 
-def _grade(
-    pd: DiscreteTf,
-    md: DiscreteTf,
-    template: ControllerTemplate,
-    theta,
-    n_samples: int,
-) -> ValidationReport:
-    """Grading core shared by validate() and the command-line validator."""
-    c = realize(theta, template)
-    r = unit_step(n_samples, pd.sample_time)
+def validate(config: RunConfig, theta) -> ValidationReport:
+    """Grade a parameter vector against the config's true plant.
+
+    Builds the actual closed loop, reports its poles and stability, the
+    l1 gap between its step response and the reference model's over
+    ``sim_time``, and the input effort. Instability shows up in the
+    report, never as an exception.
+    """
+    pd = discretized_plant(config)
+    c = realize(theta, config.template)
+    r = unit_step(config.n_samples, pd.sample_time)
     poles = tuple(complex(p) for p in loop_poles(pd, c))
     stable = bool(all(abs(p) < STABLE_RADIUS for p in poles))
     y_cl, u = co_simulate(pd, c, r)
-    y_model = simulate(md, r)
+    y_model = simulate(discretized_reference_model(config), r)
     err = np.abs(y_cl.samples - y_model.samples)
     tracking = float(np.sum(err)) if np.all(np.isfinite(err)) else math.inf
     finite_u = np.abs(u.samples)
@@ -389,40 +407,28 @@ def _grade(
     )
 
 
-def validate(case: BenchmarkCase, theta) -> ValidationReport:
-    """Grade a parameter vector against the true plant.
-
-    Builds the actual closed loop, reports its poles and stability, the
-    l1 gap between its step response and the reference model's, and the
-    input effort. Instability shows up in the report, never as an
-    exception.
-    """
-    return _grade(
-        discretized_plant(case),
-        discretized_reference_model(case),
-        case.template,
-        theta,
-        case.n_samples,
-    )
-
-
-def _seed_sweep(
+def tune(
     evaluator: LossEvaluator,
     bounds: Bounds,
-    pso: Optional[PsoConfig],
     seeds: Sequence[int],
-    x0,
-) -> Tuple[Tuple[SeedResult, ...], SeedResult]:
-    """Run one swarm per seed against a shared evaluator, rank the outcomes.
+    pso: PsoConfig,
+    theta0=None,
+) -> TuningResult:
+    """Run one swarm per seed against a shared evaluator, keep the best.
 
-    Ties on the best value go to the lowest seed, which keeps the choice
-    reproducible. The command-line tuner calls this directly, so its
-    results on an exported data record match tune_case bit for bit.
+    J(theta0) is scored first when theta0 is given, and theta0 is
+    injected into every swarm, so no seed can end up worse than it. Ties
+    on the best value go to the lowest seed, which keeps the choice
+    reproducible. The evaluator's counters cover the whole run.
+
+    Raises ValueError when no seed is given or the winner is penalized.
     """
-    base = pso if pso is not None else PsoConfig()
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    j_theta0 = None if theta0 is None else float(evaluator(theta0))
     results = []
     for seed in seeds:
-        run = minimize(evaluator, bounds, replace(base, seed=int(seed)), x0=x0)
+        run = minimize(evaluator, bounds, replace(pso, seed=int(seed)), x0=theta0)
         results.append(
             SeedResult(
                 seed=int(seed),
@@ -435,43 +441,20 @@ def _seed_sweep(
             )
         )
     best = min(results, key=lambda r: (r.best_value, r.seed))
-    return tuple(results), best
-
-
-def tune_case(
-    case: BenchmarkCase,
-    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-    pso: Optional[PsoConfig] = None,
-    data: Optional[ExperimentRecord] = None,
-) -> CaseResult:
-    """Tune one case over several seeds and keep the best outcome.
-
-    Every swarm run injects theta0 as a starting particle, so no seed
-    can end up worse than the data-collection controller. The evaluator
-    is shared across seeds, which makes its counters (penalties, bound
-    checks, bound violations) cover the whole tuning campaign.
-    """
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    if data is None:
-        data = collect_data(case)
-    evaluator = make_evaluator(case, data=data)
-    j_theta0 = float(evaluator(case.theta0))
-    results, best = _seed_sweep(evaluator, case.bounds, pso, seeds, case.theta0)
     breakdown = evaluator.evaluate(best.best_theta)
-    bound_rep = evaluator.bound_report(breakdown)
-    report = validate(case, best.best_theta)
-    return CaseResult(
-        case=case,
-        data=data,
+    if breakdown.penalized:
+        raise ValueError(
+            "tuning never found an evaluable candidate "
+            f"(last penalty: {breakdown.penalty_reason.value})"
+        )
+    return TuningResult(
         j_theta0=j_theta0,
         seed_results=tuple(results),
         best_seed=best.seed,
         theta_star=best.best_theta,
         j_star=best.best_value,
         breakdown_star=breakdown,
-        bound_report=bound_rep,
-        validation=report,
+        bound_report=evaluator.bound_report(breakdown),
         evaluations=evaluator.evaluations,
         penalized_evaluations=evaluator.penalties,
         penalty_counts=dict(evaluator.penalty_counts),
@@ -480,24 +463,11 @@ def tune_case(
     )
 
 
-def compare_fo_io(fo: CaseResult, io: CaseResult) -> FoIoComparison:
-    """Summarize the fractional-vs-integer head-to-head on a shared plant."""
-    if fo.case.template.kind is not ControllerKind.FOPID:
-        raise ValueError("first result must come from a FOPID tuning")
-    if io.case.template.kind is not ControllerKind.IOPID:
-        raise ValueError("second result must come from an IOPID tuning")
-    u_fo = fo.validation.step_traces.u
-    u_io = io.validation.step_traces.u
-    return FoIoComparison(
-        j_fo=fo.j_star,
-        j_io=io.j_star,
-        fo_beats_io=bool(fo.j_star < io.j_star),
-        tracking_error_fo=fo.validation.tracking_error_l1,
-        tracking_error_io=io.validation.tracking_error_l1,
-        max_input_fo=fo.validation.max_abs_input,
-        max_input_io=io.validation.max_abs_input,
-        input_l1_fo=u_fo.l1(),
-        input_l1_io=u_io.l1(),
-        theta_fo=tuple(float(x) for x in fo.theta_star),
-        theta_io=tuple(float(x) for x in io.theta_star),
+def tune_case(case: BenchmarkCase, seeds: Sequence[int] = DEFAULT_SEEDS) -> CaseResult:
+    """Collect a case's record, tune it over several seeds, grade the winner."""
+    data = collect_data(case)
+    evaluator = make_evaluator(case, data)
+    tuned = tune(evaluator, case.bounds, seeds, case.pso, case.theta0)
+    return CaseResult(
+        **vars(tuned), case=case, data=data, validation=validate(case, tuned.theta_star)
     )

@@ -40,7 +40,8 @@ The config schema, shared by ``tune`` and ``validate``::
 
 ``reproduce`` writes such a config next to its results, and feeding that
 config together with the exported ``initial_data.csv`` back through
-``tune`` reproduces the tuning section of the summary bit for bit.
+``tune`` reproduces the tuning section of the summary bit for bit: both
+subcommands tune through ``benchlab.tune``.
 
 Exit codes: 0 success, 2 usage or config errors, 3 violated data
 assumptions, 4 malformed data files, 5 numerical failures.
@@ -54,7 +55,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -62,18 +63,21 @@ import numpy as np
 
 from .benchlab import (
     CASE_NAMES,
+    DEFAULT_SEEDS,
     BenchmarkCase,
-    CaseResult,
+    RunConfig,
+    TuningResult,
     ValidationReport,
-    _grade,
-    _seed_sweep,
     builtin_case,
     discretized_reference_model,
+    make_evaluator,
     reference_targets,
+    tune,
     tune_case,
+    validate,
 )
 from .folib import ControllerKind, ControllerTemplate, OustaloupConfig, realize
-from .l1_idfrit import ExperimentRecord, LossBreakdown, LossEvaluator, StabilityBoundReport
+from .l1_idfrit import ExperimentRecord
 from .lti_core import (
     ContinuousTf,
     DiscreteTf,
@@ -92,7 +96,6 @@ __all__ = [
     "EXIT_DATA",
     "EXIT_NUMERIC",
     "CliError",
-    "RunConfig",
     "load_run_config",
     "load_data_record",
     "cmd_reproduce",
@@ -107,9 +110,6 @@ EXIT_ASSUMPTION = 3
 EXIT_DATA = 4
 EXIT_NUMERIC = 5
 
-#: default seed list when neither flags, config, nor FRIT_SEED specify one
-DEFAULT_SEEDS = (1, 2, 3, 4, 5)
-
 
 class CliError(Exception):
     """Anticipated command failure carrying its process exit status."""
@@ -117,39 +117,6 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and validated contents of a JSON run configuration."""
-
-    template: ControllerTemplate
-    bounds: Bounds
-    reference_model: DiscreteTf
-    sample_time: float
-    pso: PsoConfig
-    seeds: Optional[Tuple[int, ...]] = None
-    theta0: Optional[np.ndarray] = None
-    plant: Optional[DiscreteTf] = None
-    sim_time: Optional[float] = None
-
-    def __post_init__(self):
-        if self.bounds.dim != self.template.theta_dim:
-            raise ValueError(
-                f"bounds have dimension {self.bounds.dim}, a "
-                f"{self.template.kind.value} controller needs "
-                f"{self.template.theta_dim}"
-            )
-        if self.theta0 is not None:
-            theta0 = np.asarray(self.theta0, dtype=float).reshape(-1)
-            if theta0.size != self.template.theta_dim:
-                raise ValueError(
-                    f"theta0 has dimension {theta0.size}, a "
-                    f"{self.template.kind.value} controller needs "
-                    f"{self.template.theta_dim}"
-                )
-            theta0.setflags(write=False)
-            object.__setattr__(self, "theta0", theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +153,8 @@ def _parse_tf(node: dict, sample_time: float, what: str) -> DiscreteTf:
         raise CliError(f"config: invalid {what}: {exc}", EXIT_USAGE) from exc
 
 
-_PSO_KEYS = (
-    "swarm_size",
-    "max_iterations",
-    "inertia_range",
-    "cognitive_coeff",
-    "social_coeff",
-    "stall_iterations",
-    "tolerance",
-)
+#: swarm settings a config may override; the seed comes from the seed list
+_PSO_KEYS = tuple(f.name for f in fields(PsoConfig) if f.name != "seed")
 
 
 def _parse_pso(node: dict) -> PsoConfig:
@@ -205,16 +165,15 @@ def _parse_pso(node: dict) -> PsoConfig:
             f"{', '.join(_PSO_KEYS)}",
             EXIT_USAGE,
         )
+    # each value takes the type of its default: int, float, or a float pair
+    defaults = PsoConfig()
     kwargs = {}
-    for key in ("swarm_size", "max_iterations", "stall_iterations"):
-        if key in node:
-            kwargs[key] = int(node[key])
-    for key in ("cognitive_coeff", "social_coeff", "tolerance"):
-        if key in node:
-            kwargs[key] = float(node[key])
-    if "inertia_range" in node:
-        lo, hi = node["inertia_range"]
-        kwargs["inertia_range"] = (float(lo), float(hi))
+    for key in node:
+        default = getattr(defaults, key)
+        if isinstance(default, tuple):
+            kwargs[key] = tuple(float(x) for x in node[key])
+        else:
+            kwargs[key] = type(default)(node[key])
     try:
         return replace(PsoConfig(), **kwargs)
     except ValueError as exc:
@@ -271,12 +230,11 @@ def load_run_config(path) -> RunConfig:
             reference_model=_parse_tf(
                 _require(raw, "reference_model", "config"), sample_time, "reference_model"
             ),
-            sample_time=sample_time,
-            pso=_parse_pso(raw.get("pso", {})),
-            seeds=seeds,
             theta0=theta0,
             plant=_parse_tf(raw["plant"], sample_time, "plant") if "plant" in raw else None,
             sim_time=float(raw["sim_time"]) if "sim_time" in raw else None,
+            pso=_parse_pso(raw.get("pso", {})),
+            seeds=seeds,
         )
     except CliError:
         raise
@@ -400,6 +358,10 @@ def _tf_payload(g: DiscreteTf) -> dict:
 
 
 def _config_payload(config: RunConfig, seeds: Tuple[int, ...]) -> dict:
+    """The config as ``tune`` and ``validate`` read it back.
+
+    A benchmark case's plant grades its tuning and stays out of the export.
+    """
     oust = config.template.oustaloup
     out = {
         "controller": {
@@ -407,50 +369,30 @@ def _config_payload(config: RunConfig, seeds: Tuple[int, ...]) -> dict:
             "oustaloup": {"order": oust.order, "w_b": oust.w_b, "w_h": oust.w_h},
         },
         "sample_time": config.sample_time,
-        "reference_model": _tf_payload(config.reference_model),
+        "reference_model": _tf_payload(discretized_reference_model(config)),
         "bounds": {
             "lower": [float(x) for x in config.bounds.lower],
             "upper": [float(x) for x in config.bounds.upper],
         },
-        "pso": {
-            "swarm_size": config.pso.swarm_size,
-            "max_iterations": config.pso.max_iterations,
-            "inertia_range": list(config.pso.inertia_range),
-            "cognitive_coeff": config.pso.cognitive_coeff,
-            "social_coeff": config.pso.social_coeff,
-            "stall_iterations": config.pso.stall_iterations,
-            "tolerance": config.pso.tolerance,
-        },
+        "pso": {key: getattr(config.pso, key) for key in _PSO_KEYS},
         "seeds": list(seeds),
     }
     if config.theta0 is not None:
         out["theta0"] = [float(x) for x in config.theta0]
     if config.sim_time is not None:
         out["sim_time"] = config.sim_time
-    if config.plant is not None:
+    if config.plant is not None and not isinstance(config, BenchmarkCase):
         out["plant"] = _tf_payload(config.plant)
     return out
 
 
-def _tuning_payload(
-    j_theta0: Optional[float],
-    seed_results,
-    best_seed: int,
-    theta_star,
-    j_star: float,
-    breakdown: LossBreakdown,
-    bound: StabilityBoundReport,
-    evaluations: int,
-    penalized_evaluations: int,
-    penalty_counts: dict,
-    bound_checks: int,
-    bound_violations: int,
-) -> dict:
+def _tuning_payload(result: TuningResult) -> dict:
+    breakdown, bound = result.breakdown_star, result.bound_report
     return {
-        "j_theta0": None if j_theta0 is None else float(j_theta0),
-        "best_seed": int(best_seed),
-        "theta_star": [float(x) for x in theta_star],
-        "j_star": float(j_star),
+        "j_theta0": result.j_theta0,
+        "best_seed": int(result.best_seed),
+        "theta_star": [float(x) for x in result.theta_star],
+        "j_star": float(result.j_star),
         "seeds": [
             {
                 "seed": r.seed,
@@ -460,7 +402,7 @@ def _tuning_payload(
                 "iterations": r.iterations,
                 "stop": r.stop_reason,
             }
-            for r in seed_results
+            for r in result.seed_results
         ],
         "loss_breakdown": {
             "j": breakdown.j,
@@ -475,29 +417,12 @@ def _tuning_payload(
             "t_l1": bound.t_l1,
             "satisfied": bound.satisfied,
         },
-        "evaluations": int(evaluations),
-        "penalized_evaluations": int(penalized_evaluations),
-        "penalty_counts": {r.value: int(n) for r, n in penalty_counts.items()},
-        "bound_checks": int(bound_checks),
-        "bound_violations": int(bound_violations),
+        "evaluations": int(result.evaluations),
+        "penalized_evaluations": int(result.penalized_evaluations),
+        "penalty_counts": {r.value: int(n) for r, n in result.penalty_counts.items()},
+        "bound_checks": int(result.bound_checks),
+        "bound_violations": int(result.bound_violations),
     }
-
-
-def _tuning_payload_from_result(result: CaseResult) -> dict:
-    return _tuning_payload(
-        result.j_theta0,
-        result.seed_results,
-        result.best_seed,
-        result.theta_star,
-        result.j_star,
-        result.breakdown_star,
-        result.bound_report,
-        result.evaluations,
-        result.penalized_evaluations,
-        result.penalty_counts,
-        result.bound_checks,
-        result.bound_violations,
-    )
 
 
 def _validation_payload(report: ValidationReport) -> dict:
@@ -639,19 +564,6 @@ def _pso_with_overrides(base: PsoConfig, args: argparse.Namespace) -> PsoConfig:
 # subcommands
 
 
-def _case_run_config(case: BenchmarkCase, pso: PsoConfig) -> RunConfig:
-    """Exportable config for a built-in case; the plant stays out of it."""
-    return RunConfig(
-        template=case.template,
-        bounds=case.bounds,
-        reference_model=discretized_reference_model(case),
-        sample_time=case.sample_time,
-        pso=pso,
-        theta0=case.theta0,
-        sim_time=case.sim_time,
-    )
-
-
 def _comparison_payload(fo_summary: dict, io_summary: dict) -> dict:
     j_fo = fo_summary["tuning"]["j_star"]
     j_io = io_summary["tuning"]["j_star"]
@@ -681,12 +593,12 @@ def cmd_reproduce(
 ) -> int:
     """Tune one built-in benchmark and write its artifact set."""
     try:
-        case = builtin_case(example)
+        case = replace(builtin_case(example), pso=pso)
     except KeyError as exc:
         raise CliError(str(exc.args[0]), EXIT_USAGE) from None
     targets = reference_targets(example)
     print(f"{example}: tuning with seeds {list(seeds)} ...")
-    result = tune_case(case, seeds=seeds, pso=pso)
+    result = tune_case(case, seeds=seeds)
 
     reproduced = bool(
         abs(result.j_theta0 - targets.j_theta0)
@@ -707,7 +619,7 @@ def cmd_reproduce(
             "theta_star": list(targets.theta_star),
             "j_star_band": [targets.j_star_min, targets.j_star_max],
         },
-        "tuning": _tuning_payload_from_result(result),
+        "tuning": _tuning_payload(result),
         "validation": _validation_payload(result.validation),
         "acceptance": acceptance,
         "controller": _controller_payload(realize(result.theta_star, case.template)),
@@ -716,7 +628,7 @@ def cmd_reproduce(
     case_dir = out_dir / example
     case_dir.mkdir(parents=True, exist_ok=True)
     _write_json(case_dir / "summary.json", summary)
-    _write_json(case_dir / "config.json", _config_payload(_case_run_config(case, pso), seeds))
+    _write_json(case_dir / "config.json", _config_payload(case, seeds))
     _write_trace_csv(case_dir / "trace.csv", result.seed_results)
     _write_step_csv(case_dir / "step_response.csv", result.validation)
     _write_data_csv(case_dir / "initial_data.csv", result.data)
@@ -754,53 +666,31 @@ def cmd_tune(
 ) -> int:
     """Tune from a recorded experiment; no plant model is involved."""
     try:
-        evaluator = LossEvaluator(config.template, data, config.reference_model)
+        evaluator = make_evaluator(config, data)
     except SampleTimeError as exc:
         raise CliError(str(exc), EXIT_NUMERIC) from exc
     except ValueError as exc:
         raise CliError(f"config: {exc}", EXIT_USAGE) from exc
-
-    theta0 = config.theta0
-    j_theta0 = float(evaluator(theta0)) if theta0 is not None else None
     print(f"tuning over {len(data)} samples with seeds {list(seeds)} ...")
-    results, best = _seed_sweep(evaluator, config.bounds, config.pso, seeds, theta0)
-    breakdown = evaluator.evaluate(best.best_theta)
-    if breakdown.penalized:
-        raise CliError(
-            "tuning never found an evaluable candidate "
-            f"(last penalty: {breakdown.penalty_reason.value})",
-            EXIT_NUMERIC,
-        )
-    bound = evaluator.bound_report(breakdown)
-    controller = realize(best.best_theta, config.template)
+    try:
+        result = tune(evaluator, config.bounds, seeds, config.pso, config.theta0)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_NUMERIC) from exc
 
     summary = {
         "config": _config_payload(config, seeds),
-        "tuning": _tuning_payload(
-            j_theta0,
-            results,
-            best.seed,
-            best.best_theta,
-            best.best_value,
-            breakdown,
-            bound,
-            evaluator.evaluations,
-            evaluator.penalties,
-            evaluator.penalty_counts,
-            evaluator.bound_checks,
-            evaluator.bound_violations,
-        ),
-        "controller": _controller_payload(controller),
+        "tuning": _tuning_payload(result),
+        "controller": _controller_payload(realize(result.theta_star, config.template)),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "summary.json", summary)
-    _write_trace_csv(out_dir / "trace.csv", results)
+    _write_trace_csv(out_dir / "trace.csv", result.seed_results)
 
-    theta_text = ", ".join(format(float(x), ".6g") for x in best.best_theta)
-    print(f"J* = {best.best_value:.6g} at theta* = [{theta_text}] (seed {best.seed})")
-    if j_theta0 is not None:
-        print(f"J(theta0) = {j_theta0:.6g}")
-    print(f"stability bound satisfied: {bound.satisfied}")
+    theta_text = ", ".join(format(float(x), ".6g") for x in result.theta_star)
+    print(f"J* = {result.j_star:.6g} at theta* = [{theta_text}] (seed {result.best_seed})")
+    if result.j_theta0 is not None:
+        print(f"J(theta0) = {result.j_theta0:.6g}")
+    print(f"stability bound satisfied: {result.bound_report.satisfied}")
     print(f"artifacts in {out_dir}")
     return EXIT_OK
 
@@ -823,11 +713,8 @@ def cmd_validate(config: RunConfig, theta: np.ndarray, out_dir: Path) -> int:
             "warning: theta lies outside the configured bounds; validating anyway",
             file=sys.stderr,
         )
-    n_samples = int(round(config.sim_time / config.sample_time)) + 1
     try:
-        report = _grade(
-            config.plant, config.reference_model, config.template, theta, n_samples
-        )
+        report = validate(config, theta)
     except (DiscretizationError, ValueError) as exc:
         raise CliError(f"cannot realize theta: {exc}", EXIT_NUMERIC) from exc
 

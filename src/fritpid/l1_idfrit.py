@@ -229,7 +229,6 @@ class LossEvaluator:
         template: ControllerTemplate,
         data: ExperimentRecord,
         md: DiscreteTf,
-        check_bound: bool = True,
     ):
         ts = data.sample_time
         if abs(template.sample_time - ts) > 1e-12 * ts:
@@ -241,7 +240,6 @@ class LossEvaluator:
         self.template = template
         self.data = data
         self.md = md
-        self.check_bound = bool(check_bound)
         n = len(data)
         self._m_d = impulse_response(md, n - 1)
         self._m_d_l1 = self._m_d.l1()
@@ -271,7 +269,7 @@ class LossEvaluator:
         if breakdown.penalized:
             self.penalties += 1
             self.penalty_counts[breakdown.penalty_reason] += 1
-        elif self.check_bound:
+        else:
             self.bound_checks += 1
             if breakdown.t_l1 > self._bound(breakdown.epsilon_l1):
                 self.bound_violations += 1

@@ -1,16 +1,16 @@
 """Tests for the benchmark catalog, data collection, tuning, and grading."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fritpid.benchlab import (
     CASE_NAMES,
     BenchmarkCase,
-    FoIoComparison,
     ValidationReport,
     builtin_case,
     collect_data,
-    compare_fo_io,
     discretized_plant,
     discretized_reference_model,
     make_evaluator,
@@ -39,7 +39,6 @@ class TestCaseCatalog:
         assert case.name == name
         assert case.bounds.dim == case.template.theta_dim
         assert case.bounds.contains(case.theta0)
-        assert case.reference_signal == "unit_step"
         assert case.n_samples == int(round(case.sim_time / case.sample_time)) + 1
 
     def test_controller_families(self):
@@ -133,7 +132,7 @@ class TestDataCollection:
     def test_initial_loss_reproduces_the_published_value(self, name):
         case = builtin_case(name)
         t = reference_targets(name)
-        j0 = make_evaluator(case)(case.theta0)
+        j0 = make_evaluator(case, collect_data(case))(case.theta0)
         assert j0 == pytest.approx(t.j_theta0, rel=t.j_theta0_rtol)
 
     @pytest.mark.parametrize("name", CASE_NAMES)
@@ -141,7 +140,7 @@ class TestDataCollection:
         # the fictitious-reference fixed point: with the data-collection
         # controller the predicted loop is the recorded loop
         case = builtin_case(name)
-        j0 = make_evaluator(case)(case.theta0)
+        j0 = make_evaluator(case, collect_data(case))(case.theta0)
         rep = validate(case, case.theta0)
         assert j0 == pytest.approx(rep.tracking_error_l1, rel=1e-9)
 
@@ -222,7 +221,7 @@ class TestValidate:
 
 class TestTuneCase:
     def tune_smoke(self, name="example3_fo", seeds=(0, 1)):
-        return tune_case(builtin_case(name), seeds=seeds, pso=SMOKE_PSO)
+        return tune_case(replace(builtin_case(name), pso=SMOKE_PSO), seeds=seeds)
 
     def test_result_is_never_worse_than_the_start(self):
         res = self.tune_smoke()
@@ -263,26 +262,3 @@ class TestTuneCase:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             tune_case(builtin_case("example3_fo"), seeds=())
-
-
-class TestCompareFoIo:
-    def test_comparison_wires_both_results(self):
-        fo = tune_case(builtin_case("example3_fo"), seeds=(0,), pso=SMOKE_PSO)
-        io = tune_case(builtin_case("example3_io"), seeds=(0,), pso=SMOKE_PSO)
-        cmp = compare_fo_io(fo, io)
-        assert isinstance(cmp, FoIoComparison)
-        assert cmp.j_fo == fo.j_star
-        assert cmp.j_io == io.j_star
-        assert cmp.fo_beats_io == (fo.j_star < io.j_star)
-        assert cmp.tracking_error_fo == fo.validation.tracking_error_l1
-        assert cmp.max_input_io == io.validation.max_abs_input
-        assert cmp.input_l1_fo == fo.validation.step_traces.u.l1()
-        assert cmp.theta_fo == tuple(float(x) for x in fo.theta_star)
-
-    def test_family_order_is_enforced(self):
-        fo = tune_case(builtin_case("example3_fo"), seeds=(0,), pso=SMOKE_PSO)
-        io = tune_case(builtin_case("example3_io"), seeds=(0,), pso=SMOKE_PSO)
-        with pytest.raises(ValueError, match="FOPID"):
-            compare_fo_io(io, io)
-        with pytest.raises(ValueError, match="IOPID"):
-            compare_fo_io(fo, fo)

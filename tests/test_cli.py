@@ -275,9 +275,14 @@ class TestReproduce:
         cmp = read_json(repro_dir / "comparison.json")
         fo = read_json(repro_dir / "example3_fo" / "summary.json")
         io = read_json(repro_dir / "example3_io" / "summary.json")
-        assert cmp["j_fo"] == fo["tuning"]["j_star"]
-        assert cmp["j_io"] == io["tuning"]["j_star"]
-        assert cmp["fo_beats_io"] == (cmp["j_fo"] < cmp["j_io"])
+        want = {"fo_beats_io": fo["tuning"]["j_star"] < io["tuning"]["j_star"]}
+        for suffix, s in (("fo", fo), ("io", io)):
+            want[f"j_{suffix}"] = s["tuning"]["j_star"]
+            want[f"theta_{suffix}"] = s["tuning"]["theta_star"]
+            want[f"tracking_error_{suffix}"] = s["validation"]["tracking_error_l1"]
+            want[f"max_input_{suffix}"] = s["validation"]["max_abs_input"]
+            want[f"input_l1_{suffix}"] = s["validation"]["input_l1"]
+        assert cmp == want
 
     def test_exported_data_reparses_to_the_recorded_experiment(self, repro_dir):
         case = builtin_case("example3_io")
@@ -303,8 +308,9 @@ class TestReproduce:
 
 
 class TestTune:
-    def test_round_trip_reproduces_the_tuning_subtree(self, repro_dir, tmp_path):
-        src = repro_dir / "example3_io"
+    @pytest.mark.parametrize("name", ["example3_io", "example3_fo"])
+    def test_round_trip_reproduces_the_tuning_subtree(self, repro_dir, tmp_path, name):
+        src = repro_dir / name
         assert main(["tune",
                      "--config", str(src / "config.json"),
                      "--data", str(src / "initial_data.csv"),
@@ -335,6 +341,24 @@ class TestTune:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_NUMERIC
         assert "sample time" in capsys.readouterr().err
+
+    def test_a_box_of_penalized_candidates_is_a_numeric_error(
+        self, repro_dir, tmp_path, capsys
+    ):
+        # every candidate in a box pinned at the zero controller is
+        # non-invertible, and without theta0 nothing else is scored
+        src = repro_dir / "example3_io"
+        cfg = read_json(src / "config.json")
+        cfg["bounds"] = {"lower": [0.0, 0.0, 0.0], "upper": [0.0, 0.0, 0.0]}
+        del cfg["theta0"]
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps(cfg))
+        code = main(["tune", "--config", str(bad),
+                     "--data", str(src / "initial_data.csv"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        assert "never found an evaluable candidate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_head_data_is_an_assumption_error(self, repro_dir, tmp_path, capsys):
         src = repro_dir / "example3_io"
