@@ -38,6 +38,7 @@ from .lti_core import (
     ContinuousTf,
     DiscreteTf,
     Signal,
+    _same_ts,
     co_simulate,
     loop_poles,
     simulate,
@@ -88,7 +89,9 @@ class RunConfig:
     ``reference_model`` and ``plant`` may be continuous (discretized with
     the template's sample time) or already discrete. ``theta0``, when
     given, is scored and injected into every swarm; ``plant`` and
-    ``sim_time`` are needed only to collect data or to validate.
+    ``sim_time`` are needed only to collect data or to validate. A given
+    ``sim_time`` must be positive, and a discrete block must run at the
+    template's sample time.
     """
 
     template: ControllerTemplate
@@ -114,6 +117,14 @@ class RunConfig:
                 )
             theta0.setflags(write=False)
             object.__setattr__(self, "theta0", theta0)
+        if self.sim_time is not None and not self.sim_time > 0.0:
+            raise ValueError("sim_time must be > 0")
+        for what, g in (("plant", self.plant), ("reference model", self.reference_model)):
+            if isinstance(g, DiscreteTf) and not _same_ts(g.sample_time, self.sample_time):
+                raise ValueError(
+                    f"{what} sample time {g.sample_time} differs from the "
+                    f"controller's {self.sample_time}"
+                )
 
     @property
     def sample_time(self) -> float:
@@ -140,12 +151,6 @@ class BenchmarkCase(RunConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.sim_time > 0.0:
-            raise ValueError("sim_time must be > 0")
-        for g in (self.plant, self.reference_model):
-            if isinstance(g, DiscreteTf):
-                if abs(g.sample_time - self.sample_time) > 1e-12 * self.sample_time:
-                    raise ValueError("discrete block sample time differs from the case")
         if not self.bounds.contains(self.theta0):
             raise ValueError("theta0 must lie inside the search bounds")
 

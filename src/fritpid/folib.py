@@ -12,7 +12,9 @@ in double precision. It is therefore realized in factored form, mapping
 every zero and pole through the bilinear substitution individually and
 recovering the zeros of the parallel sum from a structured state-space
 assembly, which is the same rational function the common-denominator
-route defines, computed without ever expanding it.
+route defines, computed without ever expanding it. That state space
+travels with the factored form and is the controller block of every
+closed loop built from it.
 """
 
 from __future__ import annotations
@@ -227,7 +229,10 @@ def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
     assembled as a block-diagonal state space whose transmission zeros
     (eigenvalues of the inverse system) complete the factored form. The
     result is biproper whenever any term is active, because the bilinear
-    image of each band-limited term is itself biproper.
+    image of each band-limited term is itself biproper, and it carries
+    that state space as its realization: A lower triangular with each
+    pole alone on its diagonal, B all ones, C the gain-scaled chain rows
+    and D the feedthrough.
     """
     if t.kind is not ControllerKind.FOPID:
         raise ValueError("template kind must be FOPID")
@@ -258,7 +263,7 @@ def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
     A[sizes[0]:, : sizes[0]] = 0.0
     C = np.concatenate([b[2] * b[1] for b in branches])
     zeros = np.linalg.eigvals(A - C / feedthrough)
-    return DiscreteZpk(zeros, poles, feedthrough, ts)
+    return DiscreteZpk(zeros, poles, feedthrough, ts, realization=(A, np.ones(n), C, feedthrough))
 
 
 def realize_iopid(p: IopidParams, t: ControllerTemplate) -> DiscreteTf:

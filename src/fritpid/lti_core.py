@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy import signal as _sig
@@ -121,12 +121,6 @@ class Polynomial:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
 
-    def __call__(self, x):
-        return np.polyval(self.as_array(), x)
-
-    def scaled(self, k: float) -> "Polynomial":
-        return Polynomial(k * self.as_array())
-
 
 PolyLike = Union[Polynomial, Sequence[float], np.ndarray]
 
@@ -197,9 +191,6 @@ class DiscreteTf:
         if self.delay_samples > 0 or self.num.degree < self.den.degree:
             return 0.0
         return self.num.coeffs[0]
-
-    def dc_gain(self) -> float:
-        return float(self.num(1.0) / self.den(1.0))
 
 
 def _sorted_roots(r: np.ndarray) -> np.ndarray:
@@ -276,8 +267,6 @@ def _fast_sos(zeros: Sequence[complex], poles: Sequence[complex], gain: float):
     if z_tail is not None and p_tail is None:
         # odd zero count against even pole count: the leftover linear
         # zero rides on the spare pole section with the nearest key
-        if spare == 0:
-            return None
         r = -z_tail[1]
         idx = min(range(spare), key=lambda i: abs(p_groups[i][0] - abs(r)))
         _, a = p_groups.pop(idx)
@@ -295,59 +284,6 @@ def _fast_sos(zeros: Sequence[complex], poles: Sequence[complex], gain: float):
     return sos
 
 
-def _sections(zeros: Sequence[complex], poles: Sequence[complex]) -> list:
-    """Cascade sections (A, den, num) of a factored system, in pole order.
-
-    Each section is num(z) / den(z) with den(z) = det(zI - A), and A is a
-    lag (1x1), two lags in series (2x2 lower triangular) or the rotation
-    block of a complex pair, so its eigenvalues are its poles. ``num`` has
-    one coefficient more than A has rows. Real zeros go to their nearest
-    real poles, closest pairs first, so near-cancelling pairs share a
-    section. Complex zero pairs ride on complex pole pairs, then on two
-    real lags; spare real zeros ride two at a time on the remaining
-    complex pole pairs. Sections run largest pole magnitude first.
-    """
-    zsplit = _split_conjugates(zeros)
-    psplit = _split_conjugates(poles)
-    if zsplit is None or psplit is None:
-        raise ValueError("a real state space needs conjugate-paired roots")
-    zr, zc = zsplit
-    pr, pc = psplit
-    zero_of = {}
-    taken = set()
-    dist = sorted((abs(z - p), i, j) for i, z in enumerate(zr) for j, p in enumerate(pr))
-    for _, i, j in dist:
-        if i not in taken and j not in zero_of:
-            zero_of[j] = i
-            taken.add(i)
-    spare_z = [z for i, z in enumerate(zr) if i not in taken]
-    spare_p = [j for j in range(len(pr)) if j not in zero_of]
-    quads = [(1.0, -2.0 * q.real, abs(q) ** 2) for q in zc]
-    sections = []  # (magnitude, A, den, num)
-    for a in pc:
-        if quads:
-            num = quads.pop(0)
-        else:
-            tail = np.atleast_1d(np.poly(spare_z[:2]))
-            num = np.concatenate([np.zeros(3 - tail.size), tail])
-            spare_z = spare_z[2:]
-        s, w = a.real, a.imag
-        sections.append((abs(a), [[s, -w], [w, s]], (1.0, -2.0 * s, abs(a) ** 2), num))
-    for q in zc[len(zc) - len(quads):]:
-        j1, j2 = sorted(sorted(spare_p, key=lambda j: abs(q - pr[j]))[:2])
-        spare_p = [j for j in spare_p if j not in (j1, j2)]
-        p1, p2 = pr[j1], pr[j2]
-        den = (1.0, -(p1 + p2), p1 * p2)
-        key = max(abs(p1), abs(p2))
-        sections.append((key, [[p1, 0.0], [1.0, p2]], den, quads.pop(0)))
-    for j in spare_p:
-        sections.append((abs(pr[j]), [[pr[j]]], (1.0, -pr[j]), (0.0, 1.0)))
-    for j, i in zero_of.items():
-        sections.append((abs(pr[j]), [[pr[j]]], (1.0, -pr[j]), (1.0, -zr[i])))
-    sections.sort(key=lambda sec: -sec[0])
-    return [(np.array(A), np.asarray(den), np.asarray(num)) for _, A, den, num in sections]
-
-
 @dataclass(frozen=True)
 class DiscreteZpk:
     """Proper discrete-time TF held as factored zeros, poles, and gain.
@@ -356,13 +292,16 @@ class DiscreteZpk:
     delay. Roots are stored exactly and sorted (largest magnitude first),
     complex ones in conjugate pairs; all downstream numerics work on the
     roots or on second-order sections built from them, never on expanded
-    high-order coefficient vectors.
+    high-order coefficient vectors. ``realization`` is the read-only
+    (A, B, C, D) the roots were computed from, when the builder had one;
+    it takes no part in equality, hashing or repr.
     """
 
     zeros: tuple
     poles: tuple
     gain: float
     sample_time: float
+    realization: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         z = np.asarray(self.zeros, dtype=complex).reshape(-1)
@@ -380,6 +319,9 @@ class DiscreteZpk:
         object.__setattr__(self, "zeros", tuple(_sorted_roots(z).tolist()))
         object.__setattr__(self, "poles", tuple(_sorted_roots(p).tolist()))
         object.__setattr__(self, "gain", gain)
+        if self.realization is not None:
+            for arr in self.realization[:3]:
+                arr.setflags(write=False)
 
     @property
     def order(self) -> int:
@@ -393,12 +335,6 @@ class DiscreteZpk:
     def feedthrough(self) -> float:
         """Direct input-to-output gain at the current sample."""
         return self.gain if self.is_biproper else 0.0
-
-    def dc_gain(self) -> float:
-        num = self.gain * np.prod(np.subtract(1.0, self.zeros))
-        den = np.prod(np.subtract(1.0, self.poles))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.real(num / den))
 
     def response_at(self, z):
         """Frequency response by stable factorwise products, no expansion."""
@@ -427,37 +363,18 @@ class DiscreteZpk:
         return _sig.zpk2sos(self.zeros, self.poles, self.gain, pairing="nearest")
 
     def state_space(self):
-        """Dense (A, B, C, D) of a cascade of one- and two-pole sections.
+        """The (A, B, C, D) the system was realized with.
 
-        A is lower block-triangular and its diagonal blocks hold the poles
-        themselves: each real pole is a first-order lag, each complex pair
-        a 2x2 rotation block. Its eigenvalues are therefore the stored
-        poles at the accuracy of the root data, however tightly they
-        cluster. The gain scales the output.
+        Only a system built together with its state space has one: the
+        empty system stands for a constant, and a factored system built
+        from roots alone raises ValueError, because no builder here
+        recovers a state space from computed zeros.
         """
         if not self.poles:
             return np.zeros((0, 0)), np.zeros(0), np.zeros(0), self.gain
-        sections = _sections(self.zeros, self.poles)
-        n = len(self.poles)
-        A = np.zeros((n, n))
-        B = np.zeros(n)
-        row = np.zeros(n)  # output of the cascade so far, on the states
-        through = 1.0  # and on the input
-        i = 0
-        for As, den, num in sections:
-            # num/den = b0 + rem(z)/den, and C (zI - As)^-1 e1 = rem(z)/den
-            rem = num[1:] - num[0] * den[1:]
-            if As.shape[0] == 2:
-                rem = np.array([rem[0], (rem[1] + rem[0] * As[1, 1]) / As[1, 0]])
-            j = i + As.shape[0]
-            A[i:j, i:j] = As
-            A[i, :] += row  # the section input is the upstream output
-            B[i] = through
-            row = num[0] * row
-            row[i:j] += rem
-            through = num[0] * through
-            i = j
-        return A, B, self.gain * row, self.gain * through
+        if self.realization is None:
+            raise ValueError("a factored system built from roots alone has no state space")
+        return self.realization
 
 
 @dataclass(frozen=True, eq=False)
@@ -610,7 +527,7 @@ def invert(g):
             raise NonInvertibleError("non-invertible controller")
         return _unchecked(
             DiscreteZpk, zeros=g.poles, poles=g.zeros, gain=1.0 / g.gain,
-            sample_time=g.sample_time,
+            sample_time=g.sample_time, realization=None,
         )
     num = g.num.coeffs
     if g.delay_samples != 0 or len(num) != len(g.den.coeffs) or abs(num[0]) < _FEEDTHROUGH_TOL:
@@ -650,9 +567,10 @@ def is_bibo_stable(g, tol: float = 0.0) -> BiboStability:
 def _block_state_space(g):
     """(A, B, C, D) of a plant or controller; an input delay adds shift states.
 
-    Factored systems use their section cascade, polynomial ones the
-    controllable canonical form. With d delay samples the input first runs
-    through d shift states and the last of them feeds the rational part.
+    Factored systems use the state space they were realized with,
+    polynomial ones the controllable canonical form. With d delay samples
+    the input first runs through d shift states and the last of them feeds
+    the rational part.
     """
     if isinstance(g, DiscreteZpk):
         return g.state_space()

@@ -79,10 +79,25 @@ class TestCaseCatalog:
         case = builtin_case("example3_fo")
         assert discretized_plant(case) is case.plant
 
+    @pytest.mark.parametrize("sim_time", [0.0, -1.0, float("nan")])
+    def test_nonpositive_sim_time_is_rejected(self, sim_time):
+        with pytest.raises(ValueError, match="sim_time must be > 0"):
+            replace(builtin_case("example1"), sim_time=sim_time)
+
+    @pytest.mark.parametrize(
+        "block, what", [("plant", "plant"), ("reference_model", "reference model")]
+    )
+    def test_discrete_block_at_another_sample_time_is_rejected(self, block, what):
+        case = builtin_case("example3_fo")
+        g = getattr(case, block)
+        moved = DiscreteTf(g.num, g.den, 0.1, g.delay_samples)
+        with pytest.raises(ValueError, match=f"{what} sample time 0.1 differs"):
+            replace(case, **{block: moved})
+
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_reference_models_have_unit_dc_gain(self, name):
         md = discretized_reference_model(builtin_case(name))
-        assert md.dc_gain() == pytest.approx(1.0, abs=1e-12)
+        assert sum(md.num.coeffs) / sum(md.den.coeffs) == pytest.approx(1.0, abs=1e-12)
 
     def test_example3_reference_model_is_deadbeat_like(self):
         # second-order pole pair at exp(-0.5) with a 3-sample transport delay

@@ -330,7 +330,7 @@ class TestTune:
         tuned = read_json(tmp_path / "summary.json")
         assert [s["seed"] for s in tuned["tuning"]["seeds"]] == [2]
 
-    def test_sample_time_mismatch_is_a_numeric_error(self, repro_dir, tmp_path, capsys):
+    def test_sample_time_mismatch_is_a_config_error(self, repro_dir, tmp_path, capsys):
         src = repro_dir / "example3_io"
         cfg = read_json(src / "config.json")
         cfg["reference_model"]["sample_time"] = 0.1
@@ -339,7 +339,7 @@ class TestTune:
         code = main(["tune", "--config", str(bad),
                      "--data", str(src / "initial_data.csv"),
                      "--out-dir", str(tmp_path)])
-        assert code == EXIT_NUMERIC
+        assert code == EXIT_USAGE
         assert "sample time" in capsys.readouterr().err
 
     def test_a_box_of_penalized_candidates_is_a_numeric_error(
@@ -414,6 +414,26 @@ class TestValidate:
         cfg = write_validate_config(tmp_path / "c.json")
         assert main(["validate", "1,a,0", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "v")]) == EXIT_USAGE
+
+    def test_plant_sample_time_mismatch_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            plant={"num": [1.0], "den": [1.0], "sample_time": 0.1},
+            sim_time=1.0,
+        )
+        assert main(["validate", "1,0,0", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "v")]) == EXIT_USAGE
+        assert "plant sample time" in capsys.readouterr().err
+
+    def test_nonpositive_sim_time_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            plant={"num": [1.0], "den": [1.0], "sample_time": 0.05},
+            sim_time=-1.0,
+        )
+        assert main(["validate", "1,0,0", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "v")]) == EXIT_USAGE
+        assert "sim_time must be > 0" in capsys.readouterr().err
 
     def test_nonfinite_theta_is_a_numeric_error(self, tmp_path, capsys):
         cfg = write_validate_config(tmp_path / "c.json")

@@ -7,6 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fritpid.folib import (
+    ControllerKind,
+    ControllerTemplate,
+    FopidParams,
+    OustaloupConfig,
+    realize_fopid,
+)
 from fritpid.lti_core import (
     AlgebraicLoopError,
     ContinuousTf,
@@ -31,6 +38,7 @@ from .strategies import (
     bounded_floats,
     closed_form_loop,
     conjugate_root_sets,
+    fopid_thetas,
     reference_as_sos,
     reference_zpk_invert,
     signals,
@@ -38,6 +46,8 @@ from .strategies import (
 )
 
 TS = 0.1
+FOPID_T = ControllerTemplate(ControllerKind.FOPID, TS)
+ORDER1_T = ControllerTemplate(ControllerKind.FOPID, TS, OustaloupConfig(order=1))
 
 
 def lag_d():
@@ -54,9 +64,6 @@ class TestPolynomial:
     def test_zero_polynomial(self):
         assert Polynomial((0.0, 0.0)).is_zero
         assert not Polynomial((1.0,)).is_zero
-
-    def test_scaled(self):
-        assert Polynomial((2.0, -4.0)).scaled(0.5).coeffs == (1.0, -2.0)
 
 
 class TestSignal:
@@ -113,7 +120,7 @@ class TestTustin:
     def test_dc_gain_is_preserved(self):
         g = ContinuousTf([3.0, 2.0], [4.0, 3.0, 1.0])
         gd = tustin(g, TS)
-        assert math.isclose(gd.dc_gain(), 2.0, rel_tol=1e-12)
+        assert math.isclose(sum(gd.num.coeffs) / sum(gd.den.coeffs), 2.0, rel_tol=1e-12)
 
     def test_dead_time_rounds_to_sample_count(self):
         gd = tustin(ContinuousTf([1.0], [1.0, 1.0], dead_time=0.52), TS)
@@ -197,8 +204,10 @@ class TestFeedback:
     @settings(max_examples=20)
     def test_factored_controller_loop_matches_the_closed_form(self, r):
         p = DiscreteTf([0.2, 0.1], [1.0, -1.2, 0.35], TS, delay_samples=2)
-        c = DiscreteZpk((0.9, 0.2 + 0.5j, 0.2 - 0.5j), (1.0, 0.5, -0.3), 0.4, TS)
-        expanded = DiscreteTf(0.4 * np.real(np.poly(c.zeros)), np.real(np.poly(c.poles)), TS)
+        c = realize_fopid(FopidParams(0.8, 1.2, 0.6, 0.4, 1.3), ORDER1_T)
+        expanded = DiscreteTf(
+            c.gain * np.real(np.poly(c.zeros)), np.real(np.poly(c.poles)), TS
+        )
         y_loop, _ = co_simulate(p, c, r)
         y_tf = simulate(closed_form_loop(p, expanded), r)
         scale = 1.0 + np.max(np.abs(y_tf.samples))
@@ -220,7 +229,7 @@ class TestFeedback:
     def test_loop_poles_keep_a_cancelled_mode(self):
         # C = 1/(z - 0.9) cancels the plant zero at 0.9; the mode stays
         p = DiscreteTf([1.0, -0.9], [1.0, 0.0, 0.0], TS)
-        c = DiscreteZpk((), (0.9,), 1.0, TS)
+        c = DiscreteTf([1.0], [1.0, -0.9], TS)
         got = loop_poles(p, c)
         assert np.min(np.abs(got - 0.9)) < 1e-12
         assert got.size == 3
@@ -239,6 +248,18 @@ class TestFeedback:
         other = loop_poles(p, DiscreteTf([0.4, -0.2], [1.0, -1.0], TS))
         assert not np.array_equal(other, first)
         assert _loop_state_space.cache_info().misses == 2
+
+    def test_roots_only_factored_controller_cannot_close_a_loop(self):
+        # no state space is ever rebuilt from computed zeros
+        p = DiscreteTf([0.2, 0.1], [1.0, -1.2, 0.35], TS)
+        c = DiscreteZpk((0.5,), (0.2,), 1.0, TS)
+        _loop_state_space.cache_clear()
+        with pytest.raises(ValueError, match="roots alone"):
+            loop_poles(p, c)
+        with pytest.raises(ValueError, match="roots alone"):
+            co_simulate(p, c, Signal(np.ones(4), TS))
+        # a constant needs no realization: its state space is empty
+        assert loop_poles(p, DiscreteZpk((), (), 0.5, TS)).size == 2
 
     def test_ill_posed_loop_is_rejected(self):
         p = DiscreteTf([1.0], [1.0], TS)
@@ -324,35 +345,27 @@ class TestDiscreteZpk:
         assert g.response_at(z) == pytest.approx(expected, rel=1e-14)
 
     def test_state_space_eigenvalues_are_the_poles(self):
-        # one state per pole; every real pole sits alone on the diagonal
-        # of the lower-triangular state matrix
-        g = DiscreteZpk((0.1, 0.4), (0.3, -0.6, 0.8), 1.5, TS)
-        a, _, _, _ = g.state_space()
-        assert a.shape == (3, 3)
+        # one state per pole; every pole sits alone on the diagonal of the
+        # lower-triangular state matrix, and the realization is read-only
+        g = realize_fopid(FopidParams(0.8, 1.2, 0.6, 0.4, 1.3), FOPID_T)
+        a, b, c, d = g.state_space()
+        assert a.shape == (g.order, g.order)
         assert np.all(np.triu(a, 1) == 0.0)
         assert sorted(np.diag(a)) == sorted(p.real for p in g.poles)
+        assert np.all(b == 1.0)
+        assert d == g.gain
+        assert not any(arr.flags.writeable for arr in (a, b, c))
 
-    @pytest.mark.parametrize(
-        "zeros, poles",
-        [
-            # complex zero pair on a complex pole pair, real zeros on lags
-            ((0.5, -0.2, 0.9j, -0.9j), (0.3, -0.6, 0.1, 0.55 + 0.3j, 0.55 - 0.3j)),
-            # complex zero pair riding on two real lags
-            ((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5)),
-            # spare real zeros riding on a complex pole pair
-            ((0.1, 0.2, 0.3), (0.5 + 0.5j, 0.5 - 0.5j, 0.7)),
-            ((0.1, 0.3), (0.5 + 0.5j, 0.5 - 0.5j, 0.7)),
-            # strictly proper, nothing to pair
-            ((), (0.5 + 0.2j, 0.5 - 0.2j, 0.1)),
-        ],
-    )
-    def test_state_space_realizes_the_transfer_function(self, zeros, poles):
-        g = DiscreteZpk(zeros, poles, 0.7, TS)
+    @pytest.mark.parametrize("template", [FOPID_T, ORDER1_T], ids=["default", "order1"])
+    @given(theta=fopid_thetas())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_state_space_realizes_the_transfer_function(self, template, theta):
+        g = realize_fopid(FopidParams.from_theta(theta), template)
         a, b, c, d = g.state_space()
-        assert sorted(np.abs(np.linalg.eigvals(a))) == pytest.approx(
-            sorted(np.abs(poles)), abs=1e-14
-        )
-        for z in (1.0, -1.0, 0.3 + 0.8j, 2.0):
+        # off the real axis and away from z = 1, where the slow poles and
+        # zeros nearly cancel and the product over computed zeros is itself
+        # ill-conditioned
+        for z in (0.3 + 0.8j, -0.6 - 0.7j, -0.8 + 0.6j, 2.0j, -1.5 + 0.5j):
             got = c @ np.linalg.solve(z * np.eye(a.shape[0]) - a, b) + d
             assert got == pytest.approx(g.response_at(z), rel=1e-12)
 
