@@ -356,10 +356,41 @@ class TestDiscreteZpk:
         assert d == g.gain
         assert not any(arr.flags.writeable for arr in (a, b, c))
 
+    @pytest.mark.parametrize(
+        "zeros, poles",
+        [
+            # complex zero pair on a complex pole pair, real zeros on lags
+            ((0.5, -0.2, 0.9j, -0.9j), (0.3, -0.6, 0.1, 0.55 + 0.3j, 0.55 - 0.3j)),
+            # complex zero pair riding on two real lags
+            ((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5)),
+            # spare real zeros riding on a complex pole pair
+            ((0.1, 0.2, 0.3), (0.5 + 0.5j, 0.5 - 0.5j, 0.7)),
+            ((0.1, 0.3), (0.5 + 0.5j, 0.5 - 0.5j, 0.7)),
+            # strictly proper, nothing to pair
+            ((), (0.5 + 0.2j, 0.5 - 0.2j, 0.1)),
+        ],
+    )
+    def test_state_space_realizes_the_transfer_function(self, zeros, poles):
+        # a system built from roots alone is realized by its section
+        # cascade, the one builder every pairing case above goes through;
+        # each section's state pair carries its denominator's two roots
+        g = DiscreteZpk(zeros, poles, 0.7, TS)
+        sos = g.as_sos()
+        section_poles = np.concatenate([np.roots(row[3:]) for row in sos])
+        section_poles = section_poles[section_poles != 0.0]
+        assert sorted(np.abs(section_poles)) == pytest.approx(
+            sorted(np.abs(poles)), abs=1e-14
+        )
+        for z in (1.0, -1.0, 0.3 + 0.8j, 2.0):
+            got = np.prod(
+                [np.polyval(row[:3], z) / np.polyval(row[3:], z) for row in sos]
+            )
+            assert got == pytest.approx(g.response_at(z), rel=1e-12)
+
     @pytest.mark.parametrize("template", [FOPID_T, ORDER1_T], ids=["default", "order1"])
     @given(theta=fopid_thetas())
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_state_space_realizes_the_transfer_function(self, template, theta):
+    def test_realized_fopid_state_space_matches_the_response(self, template, theta):
         g = realize_fopid(FopidParams.from_theta(theta), template)
         a, b, c, d = g.state_space()
         # off the real axis and away from z = 1, where the slow poles and
