@@ -28,19 +28,15 @@ from .folib import (
     OustaloupConfig,
     realize,
 )
-from .l1_idfrit import (
-    ExperimentRecord,
-    LossBreakdown,
-    LossEvaluator,
-    StabilityBoundReport,
-)
+from .l1_idfrit import ExperimentRecord, LossBreakdown, LossEvaluator
 from .lti_core import (
     ContinuousTf,
     DiscreteTf,
     Signal,
-    _same_ts,
     co_simulate,
+    is_stable,
     loop_poles,
+    same_sample_time,
     simulate,
     tustin,
 )
@@ -75,11 +71,6 @@ CASE_NAMES = ("example1", "example2", "example3_io", "example3_fo")
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
 PlantLike = Union[ContinuousTf, DiscreteTf]
-
-#: a closed loop is graded stable iff every pole magnitude is below this;
-#: the margin keeps a mode on the unit circle that the eigensolver puts a
-#: few ulp inside it (a cancelled z = -1 mode, say) from counting as stable
-STABLE_RADIUS = 1.0 - 1e-9
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -120,7 +111,7 @@ class RunConfig:
         if self.sim_time is not None and not self.sim_time > 0.0:
             raise ValueError("sim_time must be > 0")
         for what, g in (("plant", self.plant), ("reference model", self.reference_model)):
-            if isinstance(g, DiscreteTf) and not _same_ts(g.sample_time, self.sample_time):
+            if isinstance(g, DiscreteTf) and not same_sample_time(g.sample_time, self.sample_time):
                 raise ValueError(
                     f"{what} sample time {g.sample_time} differs from the "
                     f"controller's {self.sample_time}"
@@ -182,19 +173,17 @@ class ValidationReport:
     """Grading of a candidate against the true plant.
 
     ``closed_loop_poles`` are the eigenvalues of the loop's state matrix
-    as computed; ``stable`` holds iff every one lies inside STABLE_RADIUS.
+    as computed; ``stable`` is their verdict by ``lti_core.is_stable``.
     """
 
     closed_loop_poles: Tuple[complex, ...]
-    stable: bool
     tracking_error_l1: float
     max_abs_input: float
     step_traces: StepTraces
 
-    def __post_init__(self):
-        mags = [abs(p) for p in self.closed_loop_poles]
-        if self.stable != all(m < STABLE_RADIUS for m in mags):
-            raise ValueError("stable flag must mirror the pole magnitudes")
+    @property
+    def stable(self) -> bool:
+        return is_stable(self.closed_loop_poles)
 
     @property
     def max_pole_magnitude(self) -> float:
@@ -222,7 +211,7 @@ class TuningResult:
 
     ``j_theta0`` is None when no starting vector was given. The counters
     cover every evaluation of the run: J(theta0), all seeded swarms, and
-    the winner's breakdown.
+    the winner's breakdown, which carries the winner's stability bound.
     """
 
     j_theta0: Optional[float]
@@ -231,7 +220,7 @@ class TuningResult:
     theta_star: np.ndarray
     j_star: float
     breakdown_star: LossBreakdown
-    bound_report: StabilityBoundReport
+    gamma_r0: float
     evaluations: int
     penalized_evaluations: int
     penalty_counts: dict
@@ -396,7 +385,6 @@ def validate(config: RunConfig, theta) -> ValidationReport:
     c = realize(theta, config.template)
     r = unit_step(config.n_samples, pd.sample_time)
     poles = tuple(complex(p) for p in loop_poles(pd, c))
-    stable = bool(all(abs(p) < STABLE_RADIUS for p in poles))
     y_cl, u = co_simulate(pd, c, r)
     y_model = simulate(discretized_reference_model(config), r)
     err = np.abs(y_cl.samples - y_model.samples)
@@ -405,7 +393,6 @@ def validate(config: RunConfig, theta) -> ValidationReport:
     max_u = float(np.max(finite_u)) if finite_u.size else 0.0
     return ValidationReport(
         closed_loop_poles=poles,
-        stable=stable,
         tracking_error_l1=tracking,
         max_abs_input=max_u,
         step_traces=StepTraces(r=r, y_model=y_model, y_closed_loop=y_cl, u=u),
@@ -459,7 +446,7 @@ def tune(
         theta_star=best.best_theta,
         j_star=best.best_value,
         breakdown_star=breakdown,
-        bound_report=evaluator.bound_report(breakdown),
+        gamma_r0=evaluator.gamma_r0,
         evaluations=evaluator.evaluations,
         penalized_evaluations=evaluator.penalties,
         penalty_counts=dict(evaluator.penalty_counts),

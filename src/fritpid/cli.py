@@ -386,7 +386,7 @@ def _config_payload(config: RunConfig, seeds: Tuple[int, ...]) -> dict:
 
 
 def _tuning_payload(result: TuningResult) -> dict:
-    breakdown, bound = result.breakdown_star, result.bound_report
+    breakdown = result.breakdown_star
     return {
         "j_theta0": result.j_theta0,
         "best_seed": int(result.best_seed),
@@ -411,10 +411,10 @@ def _tuning_payload(result: TuningResult) -> dict:
             "penalty_reason": breakdown.penalty_reason.value,
         },
         "stability_bound": {
-            "gamma_r0": bound.gamma_r0,
-            "bound": bound.bound,
-            "t_l1": bound.t_l1,
-            "satisfied": bound.satisfied,
+            "gamma_r0": result.gamma_r0,
+            "bound": breakdown.bound,
+            "t_l1": breakdown.t_l1,
+            "satisfied": breakdown.bound_satisfied,
         },
         "evaluations": int(result.evaluations),
         "penalized_evaluations": int(result.penalized_evaluations),
@@ -651,7 +651,7 @@ def cmd_reproduce(
     print(
         f"{example}: best seed {result.best_seed}, "
         f"closed loop stable: {result.validation.stable}, "
-        f"bound satisfied: {result.bound_report.satisfied} -> {verdict}"
+        f"bound satisfied: {result.breakdown_star.bound_satisfied} -> {verdict}"
     )
     print(f"{example}: artifacts in {case_dir}")
     return EXIT_OK
@@ -687,7 +687,7 @@ def cmd_tune(
     print(f"J* = {result.j_star:.6g} at theta* = [{theta_text}] (seed {result.best_seed})")
     if result.j_theta0 is not None:
         print(f"J(theta0) = {result.j_theta0:.6g}")
-    print(f"stability bound satisfied: {result.bound_report.satisfied}")
+    print(f"stability bound satisfied: {result.breakdown_star.bound_satisfied}")
     print(f"artifacts in {out_dir}")
     return EXIT_OK
 

@@ -62,9 +62,6 @@ class FopidParams:
         for name in ("kfp", "kfi", "lam", "kfd", "mu"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
-    def as_theta(self) -> np.ndarray:
-        return np.array([self.kfp, self.kfi, self.lam, self.kfd, self.mu])
-
     @classmethod
     def from_theta(cls, theta) -> "FopidParams":
         arr = np.asarray(theta, dtype=float).reshape(-1)
@@ -84,9 +81,6 @@ class IopidParams:
     def __post_init__(self):
         for name in ("kp", "ki", "kd"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-
-    def as_theta(self) -> np.ndarray:
-        return np.array([self.kp, self.ki, self.kd])
 
     @classmethod
     def from_theta(cls, theta) -> "IopidParams":

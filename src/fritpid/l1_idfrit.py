@@ -6,13 +6,14 @@ produced the recorded pair through the closed loop. Solving the
 lower-triangular Toeplitz system R~ t = y0 recovers the closed-loop
 impulse response the candidate would realize, and y = R0 t is what that
 loop would do to the actual reference. The tuning loss is the l1 norm of
-y minus the reference-model response; every candidate also gets an l1
-stability bound check on t. No plant model is used anywhere.
+y minus the reference-model response; every clean candidate also gets
+the l1 stability bound on t. No plant model is used anywhere.
 
-All diagnostics for a candidate are collected in a LossBreakdown; any
-failure along the pipeline (non-invertible controller, vanishing
-fictitious head, numerical blow-up) is converted into a flat penalty so
-the surrounding optimizer only ever sees finite numbers.
+All diagnostics for a candidate are collected in a LossBreakdown, which
+stores what was measured and derives every verdict from it; any failure
+along the pipeline (non-invertible controller, vanishing fictitious
+head, numerical blow-up) is converted into a flat penalty so the
+surrounding optimizer only ever sees finite numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .lti_core import (
     Signal,
     impulse_response,
     invert,
-    is_bibo_stable,
+    is_stable,
+    poles,
+    same_sample_time,
     simulate,
 )
 
@@ -43,7 +46,6 @@ __all__ = [
     "FictitiousHeadZeroError",
     "ExperimentRecord",
     "LossBreakdown",
-    "StabilityBoundReport",
     "fictitious_reference",
     "toeplitz_solve",
     "reconstruct_output",
@@ -99,9 +101,8 @@ class ExperimentRecord:
         n = len(self.r0)
         if len(self.u0) != n or len(self.y0) != n:
             raise ValueError("r0, u0, y0 must have equal lengths")
-        ts = self.r0.sample_time
         for s in (self.u0, self.y0):
-            if abs(s.sample_time - ts) > 1e-12 * ts:
+            if not same_sample_time(s.sample_time, self.r0.sample_time):
                 raise SampleTimeError("experiment signals have mixed sample times")
         if not np.all(np.isfinite(self.r0.samples)):
             raise ValueError("reference signal must be finite")
@@ -118,39 +119,38 @@ class ExperimentRecord:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Loss value and diagnostics for one candidate parameter vector."""
+    """Loss value and diagnostics for one candidate parameter vector.
+
+    ``t_l1`` is ||t||_1 and ``bound`` the l1 stability bound on it,
+    gamma_R0 * ||epsilon||_1 + ||m_D||_1; both are NaN for a penalized
+    candidate, whose ``j`` is the flat PENALTY.
+    """
 
     j: float
-    epsilon_l1: float
     t_l1: float
-    penalized: bool
+    bound: float
     penalty_reason: PenaltyReason
 
-    def __post_init__(self):
-        if self.penalized != (self.penalty_reason is not PenaltyReason.NONE):
-            raise ValueError("penalized flag must mirror penalty_reason")
-        if not self.penalized and self.j != self.epsilon_l1:
-            raise ValueError("unpenalized loss must equal the l1 matching error")
+    @property
+    def penalized(self) -> bool:
+        return self.penalty_reason is not PenaltyReason.NONE
+
+    @property
+    def epsilon_l1(self) -> float:
+        """||epsilon||_1, the l1 matching error: the loss of a clean candidate."""
+        return math.nan if self.penalized else self.j
+
+    @property
+    def bound_satisfied(self) -> bool:
+        return self.t_l1 <= self.bound
 
 
-@dataclass(frozen=True)
-class StabilityBoundReport:
-    """Finite-horizon l1 bound on the recovered closed-loop impulse response."""
-
-    gamma_r0: float
-    bound: float
-    t_l1: float
-    satisfied: bool
-
-
-def _penalized(reason: PenaltyReason) -> LossBreakdown:
-    return LossBreakdown(
-        j=PENALTY,
-        epsilon_l1=math.nan,
-        t_l1=math.nan,
-        penalized=True,
-        penalty_reason=reason,
-    )
+#: one shared breakdown per penalty: it carries nothing candidate-specific
+_PENALIZED = {
+    r: LossBreakdown(j=PENALTY, t_l1=math.nan, bound=math.nan, penalty_reason=r)
+    for r in PenaltyReason
+    if r is not PenaltyReason.NONE
+}
 
 
 def fictitious_reference(c, data: ExperimentRecord) -> Signal:
@@ -222,6 +222,17 @@ class LossEvaluator:
     form the swarm optimizer consumes. Simple counters keep track of how
     often candidates were penalized, by reason, and whether any
     non-penalized candidate ever violated the stability bound.
+
+    The bound ||t||_1 <= gamma_R0 * ||epsilon||_1 + ||m_D||_1 takes as
+    gamma_R0 the l1 norm of the generating column of the inverse of the
+    reference Toeplitz matrix, which equals the operator norm that the
+    triangle inequality actually needs (the max column sum of a lower
+    triangular Toeplitz matrix is the l1 norm of its first column). With
+    this constant the inequality is an identity-level consequence of
+    t = R0^-1 epsilon + m_D, so a violation can only mean the pipeline
+    broke, never that the candidate was unlucky. The reference model
+    must be stable by ``lti_core.is_stable``, the rule every pole set is
+    judged by.
     """
 
     def __init__(
@@ -231,19 +242,19 @@ class LossEvaluator:
         md: DiscreteTf,
     ):
         ts = data.sample_time
-        if abs(template.sample_time - ts) > 1e-12 * ts:
+        if not same_sample_time(template.sample_time, ts):
             raise SampleTimeError("template sample time differs from the data")
-        if abs(md.sample_time - ts) > 1e-12 * ts:
+        if not same_sample_time(md.sample_time, ts):
             raise SampleTimeError("reference model sample time differs from the data")
-        if not is_bibo_stable(md).stable:
+        if not is_stable(poles(md)):
             raise ValueError("reference model must be BIBO stable")
         self.template = template
         self.data = data
         self.md = md
         n = len(data)
-        self._m_d = impulse_response(md, n - 1)
-        self._m_d_l1 = self._m_d.l1()
-        self._y_ref = reconstruct_output(data.r0, self._m_d)
+        m_d = impulse_response(md, n - 1)
+        self._m_d_l1 = m_d.l1()
+        self._y_ref = reconstruct_output(data.r0, m_d)
         pulse = np.zeros(n)
         pulse[0] = 1.0
         self._gamma_r0 = toeplitz_solve(data.r0, Signal(pulse, ts)).l1()
@@ -271,7 +282,7 @@ class LossEvaluator:
             self.penalty_counts[breakdown.penalty_reason] += 1
         else:
             self.bound_checks += 1
-            if breakdown.t_l1 > self._bound(breakdown.epsilon_l1):
+            if not breakdown.bound_satisfied:
                 self.bound_violations += 1
         return breakdown
 
@@ -283,66 +294,35 @@ class LossEvaluator:
             )
         return arr
 
-    def _bound(self, epsilon_l1: float) -> float:
-        """gamma_R0 * ||epsilon||_1 + ||m_D||_1, the bound on ||t||_1."""
-        return abs(self._gamma_r0) * epsilon_l1 + self._m_d_l1
-
     def _pipeline(self, arr: np.ndarray) -> LossBreakdown:
         if not np.isfinite(arr).all():
-            return _penalized(PenaltyReason.NONFINITE_SIGNAL)
+            return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         try:
             c = realize(arr, self.template)
         except DiscretizationError:
-            return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER)
+            return _PENALIZED[PenaltyReason.NON_INVERTIBLE_CONTROLLER]
         try:
             rt = fictitious_reference(c, self.data)
         except NonInvertibleError:
-            return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER)
+            return _PENALIZED[PenaltyReason.NON_INVERTIBLE_CONTROLLER]
         if not _well_scaled(rt.samples):
-            return _penalized(PenaltyReason.NONFINITE_SIGNAL)
+            return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         try:
             t = toeplitz_solve(rt, self.data.y0)
         except FictitiousHeadZeroError:
-            return _penalized(PenaltyReason.FICTITIOUS_HEAD_ZERO)
+            return _PENALIZED[PenaltyReason.FICTITIOUS_HEAD_ZERO]
         if not _well_scaled(t.samples):
-            return _penalized(PenaltyReason.NONFINITE_SIGNAL)
+            return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         y = reconstruct_output(self.data.r0, t).samples
         if not _well_scaled(y):
-            return _penalized(PenaltyReason.NONFINITE_SIGNAL)
+            return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         j = float(np.abs(y - self._y_ref.samples).sum())
         return LossBreakdown(
             j=j,
-            epsilon_l1=j,
             t_l1=t.l1(),
-            penalized=False,
+            bound=self._gamma_r0 * j + self._m_d_l1,
             penalty_reason=PenaltyReason.NONE,
         )
 
     def __call__(self, theta) -> float:
         return self.evaluate(theta).j
-
-    def bound_report(self, breakdown: LossBreakdown) -> StabilityBoundReport:
-        """Check ||t||_1 <= gamma_R0 * ||epsilon||_1 + ||m_D||_1 for one candidate.
-
-        gamma_R0 is the l1 norm of the generating column of the inverse of
-        the reference Toeplitz matrix, which equals the operator norm that
-        the triangle inequality actually needs (the max column sum of a
-        lower triangular Toeplitz matrix is the l1 norm of its first
-        column). With this constant the inequality is an identity-level
-        consequence of t = R0^-1 epsilon + m_D, so a violation can only
-        mean the pipeline broke, never that the candidate was unlucky.
-        The candidate's breakdown, as evaluate returned it, must be clean;
-        no counter moves.
-        """
-        if breakdown.penalized:
-            raise ValueError(
-                f"candidate was penalized ({breakdown.penalty_reason.value}); "
-                "no bound is defined"
-            )
-        bound = self._bound(breakdown.epsilon_l1)
-        return StabilityBoundReport(
-            gamma_r0=self._gamma_r0,
-            bound=bound,
-            t_l1=breakdown.t_l1,
-            satisfied=bool(breakdown.t_l1 <= bound),
-        )

@@ -10,8 +10,9 @@ precision; the factored form keeps every root exact and simulates through a
 cascade of second-order sections. Continuous TFs carry an optional dead
 time, discrete ones an integer sample delay. Only what the tuning pipeline
 needs is provided: bilinear discretization, difference-equation simulation,
-inversion, pole-based stability checks, and one state space of the
-unity-feedback loop that serves both its simulation and its poles.
+inversion, one stability rule for every pole set (STABLE_RADIUS), and one
+state space of the unity-feedback loop that serves both its simulation
+and its poles.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import signal as _sig
@@ -31,7 +32,7 @@ __all__ = [
     "DiscreteTf",
     "DiscreteZpk",
     "Signal",
-    "BiboStability",
+    "STABLE_RADIUS",
     "SampleTimeError",
     "NonInvertibleError",
     "DiscretizationError",
@@ -40,8 +41,9 @@ __all__ = [
     "simulate",
     "impulse_response",
     "invert",
+    "same_sample_time",
     "poles",
-    "is_bibo_stable",
+    "is_stable",
     "loop_poles",
     "co_simulate",
 ]
@@ -69,7 +71,8 @@ class AlgebraicLoopError(ValueError):
     """A feedback interconnection has no well-posed sample-by-sample solution."""
 
 
-def _same_ts(a: float, b: float) -> bool:
+def same_sample_time(a: float, b: float) -> bool:
+    """The one sample-time rule: equal within 1e-12 relative."""
     return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
@@ -181,17 +184,6 @@ class DiscreteTf:
         object.__setattr__(self, "den", _unchecked(Polynomial, coeffs=den))
         object.__setattr__(self, "delay_samples", int(self.delay_samples))
 
-    @property
-    def order(self) -> int:
-        return self.den.degree
-
-    @property
-    def feedthrough(self) -> float:
-        """Direct input-to-output gain at the current sample (0 if delayed)."""
-        if self.delay_samples > 0 or self.num.degree < self.den.degree:
-            return 0.0
-        return self.num.coeffs[0]
-
 
 def _sorted_roots(r: np.ndarray) -> np.ndarray:
     order = np.lexsort((np.angle(r), -np.abs(r)))
@@ -203,10 +195,10 @@ _first = operator.itemgetter(0)
 
 
 def _split_conjugates(roots: Sequence[complex]):
-    """Split roots into (reals desc, upper-half pair members), or None.
+    """Split roots into (reals desc, upper-half pair members).
 
-    Works on plain Python numbers. Returns None unless every complex root
-    has its exact conjugate present, which is how they arrive from
+    Works on plain Python numbers. Raises ValueError unless every complex
+    root has its exact conjugate present, which is how they arrive from
     real-matrix eigenvalues.
     """
     real, upper, mirrored = [], [], []
@@ -220,7 +212,7 @@ def _split_conjugates(roots: Sequence[complex]):
     upper.sort(key=_by_parts)
     mirrored.sort(key=_by_parts)
     if upper != mirrored:
-        return None
+        raise ValueError("sections for a factored system need conjugate-paired roots")
     real.sort(reverse=True)
     return real, upper
 
@@ -245,21 +237,15 @@ def _quadratic_groups(real: list, cplx: list):
 def _fast_sos(zeros: Sequence[complex], poles: Sequence[complex], gain: float):
     """Second-order sections from conjugate-paired root data.
 
-    Handles any relative degree: pole sections left without a zero group
-    get delayed numerators ((0, 0, 1) for a quadratic, (0, 1, 0) for a
-    bare linear tail), which keeps the cascade aligned with the z-domain
-    transfer function including its implicit delay. Returns None when
-    some complex root lacks its exact conjugate; the caller then decides
-    on a fallback.
+    Handles any relative degree of a proper system with at least one
+    pole: pole sections left without a zero group get delayed numerators
+    ((0, 0, 1) for a quadratic, (0, 1, 0) for a bare linear tail), which
+    keeps the cascade aligned with the z-domain transfer function
+    including its implicit delay. Raises ValueError when some complex
+    root lacks its exact conjugate.
     """
-    if not poles or len(zeros) > len(poles):
-        return None
-    zsplit = _split_conjugates(zeros)
-    psplit = _split_conjugates(poles)
-    if zsplit is None or psplit is None:
-        return None
-    z_groups, z_tail = _quadratic_groups(*zsplit)
-    p_groups, p_tail = _quadratic_groups(*psplit)
+    z_groups, z_tail = _quadratic_groups(*_split_conjugates(zeros))
+    p_groups, p_tail = _quadratic_groups(*_split_conjugates(poles))
     z_groups.sort(key=_first)
     p_groups.sort(key=_first)
     spare = len(p_groups) - len(z_groups)
@@ -294,7 +280,9 @@ class DiscreteZpk:
     roots or on second-order sections built from them, never on expanded
     high-order coefficient vectors. ``realization`` is the read-only
     (A, B, C, D) the roots were computed from, when the builder had one;
-    it takes no part in equality, hashing or repr.
+    it takes no part in equality, hashing or repr. ``realized`` (whether
+    there is one) does, so a system built from roots alone never equals a
+    realized one and is never served a loop cached for it.
     """
 
     zeros: tuple
@@ -302,6 +290,7 @@ class DiscreteZpk:
     gain: float
     sample_time: float
     realization: Optional[tuple] = field(default=None, compare=False, repr=False)
+    realized: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         z = np.asarray(self.zeros, dtype=complex).reshape(-1)
@@ -319,22 +308,14 @@ class DiscreteZpk:
         object.__setattr__(self, "zeros", tuple(_sorted_roots(z).tolist()))
         object.__setattr__(self, "poles", tuple(_sorted_roots(p).tolist()))
         object.__setattr__(self, "gain", gain)
-        if self.realization is not None:
+        object.__setattr__(self, "realized", self.realization is not None)
+        if self.realized:
             for arr in self.realization[:3]:
                 arr.setflags(write=False)
 
     @property
-    def order(self) -> int:
-        return len(self.poles)
-
-    @property
     def is_biproper(self) -> bool:
         return len(self.zeros) == len(self.poles)
-
-    @property
-    def feedthrough(self) -> float:
-        """Direct input-to-output gain at the current sample."""
-        return self.gain if self.is_biproper else 0.0
 
     def response_at(self, z):
         """Frequency response by stable factorwise products, no expansion."""
@@ -347,20 +328,14 @@ class DiscreteZpk:
         return out
 
     def as_sos(self) -> np.ndarray:
-        """Second-order-section matrix of the factored form (gain folded in)."""
+        """Second-order-section matrix of the factored form (gain folded in).
+
+        Raises ValueError when some complex root lacks its exact conjugate,
+        which roots computed as eigenvalues of a real matrix never do.
+        """
         if not self.poles:
             return np.array([[self.gain, 0.0, 0.0, 1.0, 0.0, 0.0]])
-        sos = _fast_sos(self.zeros, self.poles, self.gain)
-        if sos is not None:
-            return sos
-        if not self.is_biproper:
-            # the generic pairing below works in z^-1 coefficients and
-            # would silently drop the relative-degree delay
-            raise ValueError(
-                "sections for a strictly proper factored system need "
-                "conjugate-paired roots"
-            )
-        return _sig.zpk2sos(self.zeros, self.poles, self.gain, pairing="nearest")
+        return _fast_sos(self.zeros, self.poles, self.gain)
 
     def state_space(self):
         """The (A, B, C, D) the system was realized with.
@@ -397,25 +372,14 @@ class Signal:
     def l1(self) -> float:
         return float(np.abs(self.samples).sum())
 
-    def _binary(self, other: "Signal", op) -> "Signal":
+    def __add__(self, other: "Signal") -> "Signal":
         if not isinstance(other, Signal):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError("signal lengths differ")
-        if not _same_ts(self.sample_time, other.sample_time):
+        if not same_sample_time(self.sample_time, other.sample_time):
             raise SampleTimeError("signal sample times differ")
-        return Signal(op(self.samples, other.samples), self.sample_time)
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-
-class BiboStability(NamedTuple):
-    stable: bool
-    margin: float
+        return Signal(self.samples + other.samples, self.sample_time)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +455,7 @@ def simulate(g, u: Signal) -> Signal:
     systems run their second-order-section cascade. Non-finite output
     values are returned as-is; callers decide how to react to divergence.
     """
-    if not _same_ts(g.sample_time, u.sample_time):
+    if not same_sample_time(g.sample_time, u.sample_time):
         raise SampleTimeError("system and input sample times differ")
     if isinstance(g, DiscreteZpk):
         return Signal(_sig.sosfilt(g.as_sos(), u.samples), g.sample_time)
@@ -527,7 +491,7 @@ def invert(g):
             raise NonInvertibleError("non-invertible controller")
         return _unchecked(
             DiscreteZpk, zeros=g.poles, poles=g.zeros, gain=1.0 / g.gain,
-            sample_time=g.sample_time, realization=None,
+            sample_time=g.sample_time, realization=None, realized=False,
         )
     num = g.num.coeffs
     if g.delay_samples != 0 or len(num) != len(g.den.coeffs) or abs(num[0]) < _FEEDTHROUGH_TOL:
@@ -539,29 +503,15 @@ def invert(g):
 # poles and stability
 
 
-def poles(g) -> np.ndarray:
-    """Pole locations, largest magnitude first.
-
-    Polynomial systems go through companion-matrix eigenvalues; factored
-    systems already hold their poles exactly.
-    """
-    if isinstance(g, DiscreteZpk):
-        return np.asarray(g.poles, dtype=complex)
-    den = g.den.as_array()
-    if den.size <= 1:
-        return np.zeros(0, dtype=complex)
-    return _sorted_roots(np.roots(den))
+#: a pole set is stable iff every magnitude lies below this; the margin
+#: keeps a mode on the unit circle that the eigensolver puts a few ulp
+#: inside it (a cancelled z = -1 mode, say) from counting as stable
+STABLE_RADIUS = 1.0 - 1e-9
 
 
-def is_bibo_stable(g, tol: float = 0.0) -> BiboStability:
-    """Pole-radius stability test: stable iff max |pole| < 1 - tol."""
-    p = poles(g)
-    max_mag = float(np.max(np.abs(p))) if p.size else 0.0
-    return BiboStability(stable=max_mag < 1.0 - tol, margin=1.0 - max_mag)
-
-
-# ---------------------------------------------------------------------------
-# closed loop
+def is_stable(roots) -> bool:
+    """The one stability rule: every pole magnitude below STABLE_RADIUS."""
+    return all(abs(p) < STABLE_RADIUS for p in roots)
 
 
 def _block_state_space(g):
@@ -595,6 +545,22 @@ def _block_state_space(g):
     return Ad, Bd, Cd, 0.0
 
 
+def poles(g) -> np.ndarray:
+    """Pole locations, largest magnitude first.
+
+    The eigenvalues of the block's own state matrix, the one every loop
+    is built from: for a polynomial system the companion matrix of its
+    monic denominator, plus a pole at 0 per delay sample. A factored
+    system built from roots alone has no state space and raises
+    ValueError.
+    """
+    return _sorted_roots(np.linalg.eigvals(_block_state_space(g)[0]))
+
+
+# ---------------------------------------------------------------------------
+# closed loop
+
+
 @functools.lru_cache(maxsize=1)
 def _loop_state_space(p, c):
     """(A, B, C_y, D_y, C_u, D_u) of the unity-feedback loop r -> (y, u).
@@ -605,7 +571,7 @@ def _loop_state_space(p, c):
     vanishes raises AlgebraicLoopError. The last pair's loop is cached,
     read-only, so loop_poles and co_simulate on one pair build it once.
     """
-    if not _same_ts(p.sample_time, c.sample_time):
+    if not same_sample_time(p.sample_time, c.sample_time):
         raise SampleTimeError("plant and controller sample times differ")
     Ap, Bp, Cp, Dp = _block_state_space(p)
     Ac, Bc, Cc, Dc = _block_state_space(c)
@@ -645,7 +611,7 @@ def co_simulate(p: DiscreteTf, c, r: Signal):
     vanishes raises AlgebraicLoopError. The controller may be polynomial
     or factored.
     """
-    if not _same_ts(p.sample_time, r.sample_time):
+    if not same_sample_time(p.sample_time, r.sample_time):
         raise SampleTimeError("reference sample time differs from the loop")
     A, B, C_y, D_y, C_u, D_u = _loop_state_space(p, c)
     rs = r.samples

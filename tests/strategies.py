@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 from hypothesis import strategies as st
-from scipy import signal as _sig
 
 from fritpid.lti_core import (
     ContinuousTf,
@@ -199,17 +198,16 @@ def _reference_fast_sos(zeros: np.ndarray, poles: np.ndarray, gain: float):
 
 
 def reference_as_sos(g: DiscreteZpk) -> np.ndarray:
-    """Section matrix of a factored system, built on numpy root arrays."""
+    """Section matrix of a factored system, built on numpy root arrays.
+
+    Raises ValueError for unpaired complex roots, as the builder does.
+    """
     if not g.poles:
         return np.array([[g.gain, 0.0, 0.0, 1.0, 0.0, 0.0]])
-    z = np.asarray(g.zeros)
-    p = np.asarray(g.poles)
-    sos = _reference_fast_sos(z, p, g.gain)
-    if sos is not None:
-        return sos
-    if z.size < p.size:
-        raise ValueError("strictly proper system with unpaired complex roots")
-    return _sig.zpk2sos(z, p, g.gain, pairing="nearest")
+    sos = _reference_fast_sos(np.asarray(g.zeros), np.asarray(g.poles), g.gain)
+    if sos is None:
+        raise ValueError("unpaired complex roots")
+    return sos
 
 
 def reference_zpk_invert(g: DiscreteZpk) -> DiscreteZpk:
@@ -321,7 +319,7 @@ def conjugate_root_sets(draw, max_order=9):
 
     Real roots and conjugate pairs in any mix, odd and even counts, any
     relative degree. One biproper draw in eight drops the conjugate of
-    a complex zero, which sends the section builder to its fallback.
+    a complex zero, which the section builder must reject.
     """
     n_poles = draw(st.integers(min_value=1, max_value=max_order))
     p_pairs = draw(st.integers(min_value=0, max_value=n_poles // 2))

@@ -161,20 +161,16 @@ class TestDataCollection:
 
 
 class TestValidate:
-    def test_report_flag_must_mirror_the_poles(self):
+    def test_stable_is_the_verdict_of_the_poles(self):
+        # the rule's margin: 1e-10 inside the circle is not stable, 1e-8 is
         from fritpid.benchlab import StepTraces
         from fritpid.lti_core import Signal
 
         s = Signal(np.zeros(3), 0.1)
         traces = StepTraces(r=s, y_model=s, y_closed_loop=s, u=s)
-        with pytest.raises(ValueError, match="mirror"):
-            ValidationReport(
-                closed_loop_poles=(0.5 + 0j,),
-                stable=False,
-                tracking_error_l1=0.0,
-                max_abs_input=0.0,
-                step_traces=traces,
-            )
+        for margin, stable in ((1e-10, False), (1e-8, True)):
+            rep = ValidationReport((0.5 + 0j, complex(1.0 - margin)), 0.0, 0.0, traces)
+            assert rep.stable is stable
 
     def test_max_pole_magnitude_of_a_static_loop_is_zero(self):
         from fritpid.benchlab import StepTraces
@@ -182,8 +178,9 @@ class TestValidate:
 
         s = Signal(np.zeros(3), 0.1)
         traces = StepTraces(r=s, y_model=s, y_closed_loop=s, u=s)
-        rep = ValidationReport((), True, 0.0, 0.0, traces)
+        rep = ValidationReport((), 0.0, 0.0, traces)
         assert rep.max_pole_magnitude == 0.0
+        assert rep.stable
 
     def test_example2_optimum_keeps_a_mode_on_the_unit_circle(self):
         # the controller's Tustin differentiator pole at z = -1 cancels the
@@ -253,7 +250,7 @@ class TestTuneCase:
 
     def test_evaluation_accounting_covers_the_whole_campaign(self):
         # one call for j_theta0, the seed sweeps, then the breakdown at the
-        # winner; the bound report evaluates outside the counters
+        # winner, which carries its bound
         res = self.tune_smoke()
         swept = sum(r.evaluations for r in res.seed_results)
         assert res.evaluations == 1 + swept + 1
@@ -262,8 +259,8 @@ class TestTuneCase:
 
     def test_bound_report_is_satisfied_at_the_winner(self):
         res = self.tune_smoke()
-        assert res.bound_report.satisfied
-        assert res.bound_report.t_l1 <= res.bound_report.bound
+        assert res.breakdown_star.bound_satisfied
+        assert res.breakdown_star.t_l1 <= res.breakdown_star.bound
 
     def test_tuning_is_deterministic(self):
         a = self.tune_smoke()

@@ -342,6 +342,18 @@ class TestTune:
         assert code == EXIT_USAGE
         assert "sample time" in capsys.readouterr().err
 
+    def test_unstable_reference_model_is_a_config_error(self, repro_dir, tmp_path, capsys):
+        src = repro_dir / "example3_io"
+        cfg = read_json(src / "config.json")
+        cfg["reference_model"].update(num=[1.0], den=[1.0, -1.0], delay_samples=0)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = main(["tune", "--config", str(bad),
+                     "--data", str(src / "initial_data.csv"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert "BIBO stable" in capsys.readouterr().err
+
     def test_a_box_of_penalized_candidates_is_a_numeric_error(
         self, repro_dir, tmp_path, capsys
     ):

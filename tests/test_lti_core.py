@@ -7,11 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fritpid.benchlab import builtin_case, discretized_plant
 from fritpid.folib import (
     ControllerKind,
     ControllerTemplate,
     FopidParams,
     OustaloupConfig,
+    realize,
     realize_fopid,
 )
 from fritpid.lti_core import (
@@ -26,7 +28,7 @@ from fritpid.lti_core import (
     co_simulate,
     impulse_response,
     invert,
-    is_bibo_stable,
+    is_stable,
     loop_poles,
     poles,
     simulate,
@@ -261,6 +263,15 @@ class TestFeedback:
         # a constant needs no realization: its state space is empty
         assert loop_poles(p, DiscreteZpk((), (), 0.5, TS)).size == 2
 
+    def test_roots_only_copy_is_never_served_the_cached_loop(self):
+        case = builtin_case("example3_fo")
+        p = discretized_plant(case)
+        c = realize(case.theta0, case.template)
+        assert loop_poles(p, c).size == 8
+        for gain in (c.gain, c.gain + 1e-7):
+            with pytest.raises(ValueError, match="roots alone"):
+                loop_poles(p, DiscreteZpk(c.zeros, c.poles, gain, c.sample_time))
+
     def test_ill_posed_loop_is_rejected(self):
         p = DiscreteTf([1.0], [1.0], TS)
         c = DiscreteTf([-1.0], [1.0], TS)
@@ -288,8 +299,9 @@ class TestInvert:
     @settings(max_examples=60)
     def test_inverse_recovers_the_input(self, g, u):
         # zeros inside the unit disk keep the inverse stable, so the
-        # round-trip error stays at rounding level instead of growing
-        assume(abs(g.feedthrough) > 1e-3)
+        # round-trip error stays at rounding level instead of growing;
+        # the numerator's lead is the feedthrough of a biproper TF
+        assume(abs(g.num.coeffs[0]) > 1e-3)
         y = simulate(g, u)
         assume(np.max(np.abs(y.samples)) < 1e9)
         back = simulate(invert(g), y)
@@ -321,20 +333,21 @@ class TestPolesAndStability:
     @given(stable_discrete_tfs(sample_time=TS, margin=0.05))
     @settings(max_examples=60)
     def test_constructed_stable_systems_report_stable(self, g):
-        verdict = is_bibo_stable(g)
-        assert verdict.stable
-        assert verdict.margin >= 0.05 - 1e-12
+        p = poles(g)
+        assert is_stable(p)
+        assert 1.0 - np.max(np.abs(p)) >= 0.05 - 1e-12
 
     def test_unstable_pole_reports_unstable(self):
-        g = DiscreteTf([1.0], np.poly([1.1, 0.3]), TS)
-        verdict = is_bibo_stable(g)
-        assert not verdict.stable
-        assert verdict.margin == pytest.approx(-0.1, abs=1e-12)
+        p = poles(DiscreteTf([1.0], np.poly([1.1, 0.3]), TS))
+        assert not is_stable(p)
+        assert 1.0 - np.max(np.abs(p)) == pytest.approx(-0.1, abs=1e-12)
 
-    def test_tolerance_shrinks_the_disk(self):
-        g = DiscreteTf([1.0], [1.0, -0.98], TS)
-        assert is_bibo_stable(g).stable
-        assert not is_bibo_stable(g, tol=0.05).stable
+    def test_poles_are_the_block_state_matrix_eigenvalues(self):
+        # a delay sample is a pole at 0, as in every loop built from g
+        g = DiscreteTf([1.0], [1.0, -0.5], TS, delay_samples=2)
+        np.testing.assert_array_equal(poles(g), [0.5, 0.0, 0.0])
+        with pytest.raises(ValueError, match="roots alone"):
+            poles(DiscreteZpk((0.5,), (0.2,), 1.0, TS))
 
 
 class TestDiscreteZpk:
@@ -349,7 +362,7 @@ class TestDiscreteZpk:
         # lower-triangular state matrix, and the realization is read-only
         g = realize_fopid(FopidParams(0.8, 1.2, 0.6, 0.4, 1.3), FOPID_T)
         a, b, c, d = g.state_space()
-        assert a.shape == (g.order, g.order)
+        assert a.shape == (len(g.poles), len(g.poles))
         assert np.all(np.triu(a, 1) == 0.0)
         assert sorted(np.diag(a)) == sorted(p.real for p in g.poles)
         assert np.all(b == 1.0)
@@ -437,7 +450,8 @@ class TestDiscreteZpk:
     @example(((0.2 + 0.7j, 0.4 - 0.7j, 0.4), (0.9, 0.8, -0.5), 2.0))
     def test_sections_and_inverse_match_the_reference_bit_for_bit(self, roots):
         # the builder groups plain Python numbers and the inverse swaps
-        # the sorted roots without sorting again; neither may move a bit
+        # the sorted roots without sorting again; neither may move a bit.
+        # Unpaired complex roots (the last example) have no sections.
         zeros, poles, gain = roots
         g = DiscreteZpk(zeros, poles, gain, TS)
         try:
