@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every built-in benchmark end to end and collect the artifacts.
 
-Each case is tuned over the full seed list (override with --seeds), its
+Each case is tuned over the default seeds 1..5 (override with --seeds), its
 artifact set lands under --out-dir/<case>/, and the two controller
 families on the shared oscillatory plant are ranked in comparison.json.
 """
@@ -17,14 +17,13 @@ from fritpid.cli import main as cli_main
 
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default="1..5", help='seed list or range (default "1..5")')
+    parser.add_argument("--seeds", help='seed list or range (default: the tuner\'s 1..5)')
     parser.add_argument("--out-dir", default="runs", help="artifact root (default: runs)")
     args = parser.parse_args(argv)
 
+    seeds = [] if args.seeds is None else ["--seeds", args.seeds]
     for name in CASE_NAMES:
-        code = cli_main(
-            ["reproduce", name, "--seeds", args.seeds, "--out-dir", args.out_dir]
-        )
+        code = cli_main(["reproduce", name, *seeds, "--out-dir", args.out_dir])
         if code != 0:
             return code
         print()

@@ -1,10 +1,10 @@
 """Run configuration, benchmark cases, the tuning core, and grading.
 
 A run config holds the controller template, the search box, the
-reference model, and optionally theta0, a plant and a horizon. ``tune``
-is the one tuning flow: the command-line tuner calls it on a recorded
-experiment, and ``tune_case`` calls it on a built-in case's record and
-then grades the winner with ``validate``.
+reference model, the swarm settings and seeds, and optionally theta0, a
+plant and a horizon. ``tune`` is the one tuning flow: the command-line
+tuner calls it on a recorded experiment, and ``tune_case`` calls it on a
+built-in case's record and then grades the winner with ``validate``.
 
 Three built-in plants exercise the tuner: a fourth-order lag, the same
 lag with a 5 s dead time, and an oscillatory discrete plant tuned with
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .lti_core import (
     simulate,
     tustin,
 )
-from .swarm_opt import Bounds, PsoConfig, minimize
+from .swarm_opt import Bounds, OptimResult, PsoConfig, minimize
 
 __all__ = [
     "RunConfig",
@@ -48,7 +48,6 @@ __all__ = [
     "ReferenceTargets",
     "ValidationReport",
     "StepTraces",
-    "SeedResult",
     "TuningResult",
     "CaseResult",
     "CASE_NAMES",
@@ -79,10 +78,11 @@ class RunConfig:
 
     ``reference_model`` and ``plant`` may be continuous (discretized with
     the template's sample time) or already discrete. ``theta0``, when
-    given, is scored and injected into every swarm; ``plant`` and
-    ``sim_time`` are needed only to collect data or to validate. A given
-    ``sim_time`` must be positive, and a discrete block must run at the
-    template's sample time.
+    given, is scored and injected into every swarm, and each of the
+    ``seeds`` runs one swarm with the ``pso`` settings; ``plant`` and
+    ``sim_time`` are needed only to collect data or to validate. There
+    must be at least one seed, a given ``sim_time`` must be positive, and
+    a discrete block must run at the template's sample time.
     """
 
     template: ControllerTemplate
@@ -92,9 +92,13 @@ class RunConfig:
     plant: Optional[PlantLike] = None
     sim_time: Optional[float] = None
     pso: PsoConfig = PsoConfig()
-    seeds: Optional[Tuple[int, ...]] = None
+    seeds: Tuple[int, ...] = DEFAULT_SEEDS
 
     def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("at least one seed is required")
+        for seed in self.seeds:
+            replace(self.pso, seed=seed)  # each seed must make a valid swarm config
         kind, dim = self.template.kind.value, self.template.theta_dim
         if self.bounds.dim != dim:
             raise ValueError(
@@ -193,19 +197,6 @@ class ValidationReport:
 
 
 @dataclass(frozen=True, eq=False)
-class SeedResult:
-    """Outcome of one seeded swarm run, with why it stopped (stall or cap)."""
-
-    seed: int
-    best_theta: np.ndarray
-    best_value: float
-    evaluations: int
-    trace: Tuple[Tuple[int, float], ...]
-    iterations: int
-    stop_reason: str
-
-
-@dataclass(frozen=True, eq=False)
 class TuningResult:
     """Outcome of tuning over a list of seeds, with the campaign's counters.
 
@@ -215,7 +206,7 @@ class TuningResult:
     """
 
     j_theta0: Optional[float]
-    seed_results: Tuple[SeedResult, ...]
+    seed_results: Tuple[OptimResult, ...]
     best_seed: int
     theta_star: np.ndarray
     j_star: float
@@ -399,39 +390,22 @@ def validate(config: RunConfig, theta) -> ValidationReport:
     )
 
 
-def tune(
-    evaluator: LossEvaluator,
-    bounds: Bounds,
-    seeds: Sequence[int],
-    pso: PsoConfig,
-    theta0=None,
-) -> TuningResult:
-    """Run one swarm per seed against a shared evaluator, keep the best.
+def tune(evaluator: LossEvaluator, config: RunConfig) -> TuningResult:
+    """Run one swarm per seed of the config against a shared evaluator.
 
-    J(theta0) is scored first when theta0 is given, and theta0 is
+    J(theta0) is scored first when the config has a theta0, and theta0 is
     injected into every swarm, so no seed can end up worse than it. Ties
     on the best value go to the lowest seed, which keeps the choice
     reproducible. The evaluator's counters cover the whole run.
 
-    Raises ValueError when no seed is given or the winner is penalized.
+    Raises ValueError when the winner is penalized.
     """
-    if not seeds:
-        raise ValueError("at least one seed is required")
+    theta0 = config.theta0
     j_theta0 = None if theta0 is None else float(evaluator(theta0))
-    results = []
-    for seed in seeds:
-        run = minimize(evaluator, bounds, replace(pso, seed=int(seed)), x0=theta0)
-        results.append(
-            SeedResult(
-                seed=int(seed),
-                best_theta=run.best_theta,
-                best_value=float(run.best_value),
-                evaluations=run.evaluations,
-                trace=tuple((int(i), float(v)) for i, v in run.trace),
-                iterations=run.iterations,
-                stop_reason=run.stop_reason,
-            )
-        )
+    results = tuple(
+        minimize(evaluator, config.bounds, replace(config.pso, seed=seed), x0=theta0)
+        for seed in config.seeds
+    )
     best = min(results, key=lambda r: (r.best_value, r.seed))
     breakdown = evaluator.evaluate(best.best_theta)
     if breakdown.penalized:
@@ -441,7 +415,7 @@ def tune(
         )
     return TuningResult(
         j_theta0=j_theta0,
-        seed_results=tuple(results),
+        seed_results=results,
         best_seed=best.seed,
         theta_star=best.best_theta,
         j_star=best.best_value,
@@ -455,11 +429,10 @@ def tune(
     )
 
 
-def tune_case(case: BenchmarkCase, seeds: Sequence[int] = DEFAULT_SEEDS) -> CaseResult:
-    """Collect a case's record, tune it over several seeds, grade the winner."""
+def tune_case(case: BenchmarkCase) -> CaseResult:
+    """Collect a case's record, tune it over the case's seeds, grade the winner."""
     data = collect_data(case)
-    evaluator = make_evaluator(case, data)
-    tuned = tune(evaluator, case.bounds, seeds, case.pso, case.theta0)
+    tuned = tune(make_evaluator(case, data), case)
     return CaseResult(
         **vars(tuned), case=case, data=data, validation=validate(case, tuned.theta_star)
     )

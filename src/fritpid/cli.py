@@ -31,7 +31,7 @@ The config schema, shared by ``tune`` and ``validate``::
                           "discretization": "tustin" for a continuous one},
       "bounds":          {"lower": [...], "upper": [...]},
       "theta0":          [...],            # optional swarm warm start
-      "seeds":           [1, 2, 3],        # optional
+      "seeds":           [1, 2, 3],        # optional, default 1..5
       "pso":             {...},            # optional PsoConfig overrides
       "plant":           {...},            # validate only, same shape as
                                            # reference_model
@@ -53,7 +53,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -128,6 +127,13 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _integer(value, what: str) -> int:
+    """An integer config value; a float is taken only when it is whole."""
+    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise CliError(f"config: {what} must be an integer, got {value!r}", EXIT_USAGE)
+    return int(value)
+
+
 def _parse_tf(node: dict, sample_time: float, what: str) -> DiscreteTf:
     """Transfer-function block: discrete as given, continuous via Tustin."""
     if not isinstance(node, dict):
@@ -137,7 +143,8 @@ def _parse_tf(node: dict, sample_time: float, what: str) -> DiscreteTf:
     try:
         if "sample_time" in node:
             ts = float(node["sample_time"])
-            return DiscreteTf(num, den, ts, delay_samples=int(node.get("delay_samples", 0)))
+            delay = _integer(node.get("delay_samples", 0), f"{what} delay_samples")
+            return DiscreteTf(num, den, ts, delay_samples=delay)
         method = str(node.get("discretization", "tustin")).lower()
         if method != "tustin":
             raise CliError(
@@ -171,8 +178,10 @@ def _parse_pso(node: dict) -> PsoConfig:
         default = getattr(defaults, key)
         if isinstance(default, tuple):
             kwargs[key] = tuple(float(x) for x in node[key])
+        elif isinstance(default, int):
+            kwargs[key] = _integer(node[key], f"pso {key}")
         else:
-            kwargs[key] = type(default)(node[key])
+            kwargs[key] = float(node[key])
     try:
         return replace(PsoConfig(), **kwargs)
     except ValueError as exc:
@@ -207,7 +216,7 @@ def load_run_config(path) -> RunConfig:
             kind,
             sample_time,
             OustaloupConfig(
-                order=int(oust.get("order", 5)),
+                order=_integer(oust.get("order", 5), "oustaloup order"),
                 w_b=float(oust.get("w_b", 1e-6)),
                 w_h=float(oust.get("w_h", 1e3)),
             ),
@@ -217,9 +226,6 @@ def load_run_config(path) -> RunConfig:
             [float(x) for x in _require(box, "lower", "bounds")],
             [float(x) for x in _require(box, "upper", "bounds")],
         )
-        seeds = raw.get("seeds")
-        if seeds is not None:
-            seeds = tuple(int(s) for s in seeds)
         theta0 = raw.get("theta0")
         if theta0 is not None:
             theta0 = np.asarray([float(x) for x in theta0])
@@ -233,7 +239,7 @@ def load_run_config(path) -> RunConfig:
             plant=_parse_tf(raw["plant"], sample_time, "plant") if "plant" in raw else None,
             sim_time=float(raw["sim_time"]) if "sim_time" in raw else None,
             pso=_parse_pso(raw.get("pso", {})),
-            seeds=seeds,
+            seeds=tuple(_integer(s, "seed") for s in raw.get("seeds", DEFAULT_SEEDS)),
         )
     except CliError:
         raise
@@ -249,8 +255,8 @@ def load_data_record(path, sample_time: float) -> ExperimentRecord:
     """Read a recorded experiment from CSV with columns k, r0, u0, y0.
 
     The index column must count contiguously from zero; every value must
-    be a finite number. A zero leading reference sample is rejected here
-    because the whole method divides by it.
+    be a finite number. A record the method cannot use, such as one whose
+    reference starts at zero, is a violated data assumption.
     """
     r0, u0, y0 = [], [], []
     try:
@@ -296,13 +302,14 @@ def load_data_record(path, sample_time: float) -> ExperimentRecord:
         raise CliError(f"cannot read data file: {exc}", EXIT_DATA) from exc
     if not r0:
         raise CliError("data file has no samples", EXIT_DATA)
-    if r0[0] == 0.0:
-        raise CliError("reference head must be nonzero", EXIT_ASSUMPTION)
-    return ExperimentRecord(
-        r0=Signal(np.asarray(r0), sample_time),
-        u0=Signal(np.asarray(u0), sample_time),
-        y0=Signal(np.asarray(y0), sample_time),
-    )
+    try:
+        return ExperimentRecord(
+            r0=Signal(np.asarray(r0), sample_time),
+            u0=Signal(np.asarray(u0), sample_time),
+            y0=Signal(np.asarray(y0), sample_time),
+        )
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_ASSUMPTION) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,7 @@ def _tf_payload(g: DiscreteTf) -> dict:
     }
 
 
-def _config_payload(config: RunConfig, seeds: Tuple[int, ...]) -> dict:
+def _config_payload(config: RunConfig) -> dict:
     """The config as ``tune`` and ``validate`` read it back.
 
     A benchmark case's plant grades its tuning and stays out of the export.
@@ -374,7 +381,7 @@ def _config_payload(config: RunConfig, seeds: Tuple[int, ...]) -> dict:
             "upper": [float(x) for x in config.bounds.upper],
         },
         "pso": {key: getattr(config.pso, key) for key in _PSO_KEYS},
-        "seeds": list(seeds),
+        "seeds": list(config.seeds),
     }
     if config.theta0 is not None:
         out["theta0"] = [float(x) for x in config.theta0]
@@ -436,25 +443,18 @@ def _validation_payload(report: ValidationReport) -> dict:
 
 
 def _controller_payload(c) -> dict:
-    """Realized controller in factored and expanded form.
+    """Realized controller: zeros, poles and gain, plus num and den for a tf.
 
-    The factored triple is authoritative; the expanded coefficient
-    vectors are a convenience and lose accuracy once dozens of sections
-    are multiplied out.
+    A factored controller has no expanded coefficients here: multiplied
+    out over dozens of roots they no longer describe it.
     """
     if isinstance(c, DiscreteZpk):
-        zeros = np.asarray(c.zeros, dtype=complex)
-        poles = np.asarray(c.poles, dtype=complex)
-        num = c.gain * np.real(np.poly(zeros)) if zeros.size else np.array([c.gain])
-        den = np.real(np.poly(poles)) if poles.size else np.array([1.0])
         return {
             "form": "zpk",
             "sample_time": float(c.sample_time),
-            "zeros": [[z.real, z.imag] for z in zeros],
-            "poles": [[p.real, p.imag] for p in poles],
+            "zeros": [[z.real, z.imag] for z in np.asarray(c.zeros, dtype=complex)],
+            "poles": [[p.real, p.imag] for p in np.asarray(c.poles, dtype=complex)],
             "gain": float(c.gain),
-            "num": [float(x) for x in num],
-            "den": [float(x) for x in den],
         }
     num = c.num.as_array()
     den = c.den.as_array()
@@ -531,30 +531,16 @@ def _parse_seed_list(text: str) -> Tuple[int, ...]:
         ) from None
 
 
-def _resolve_seeds(flag_value: Optional[str], config_seeds) -> Tuple[int, ...]:
-    if flag_value:
-        return _parse_seed_list(flag_value)
-    if config_seeds:
-        return tuple(int(s) for s in config_seeds)
-    env = os.environ.get("FRIT_SEED")
-    if env:
-        try:
-            return (int(env),)
-        except ValueError:
-            raise CliError(f"FRIT_SEED must be an integer, got {env!r}", EXIT_USAGE) from None
-    return DEFAULT_SEEDS
-
-
-def _pso_with_overrides(base: PsoConfig, args: argparse.Namespace) -> PsoConfig:
-    kwargs = {}
-    if getattr(args, "swarm_size", None) is not None:
-        kwargs["swarm_size"] = args.swarm_size
-    if getattr(args, "iterations", None) is not None:
-        kwargs["max_iterations"] = args.iterations
-    if not kwargs:
-        return base
+def _with_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """The config with --seeds, --swarm-size and --iterations applied."""
+    seeds = config.seeds if args.seeds is None else _parse_seed_list(args.seeds)
+    pso = {"swarm_size": args.swarm_size, "max_iterations": args.iterations}
     try:
-        return replace(base, **kwargs)
+        return replace(
+            config,
+            seeds=seeds,
+            pso=replace(config.pso, **{k: v for k, v in pso.items() if v is not None}),
+        )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
 
@@ -584,20 +570,12 @@ def _comparison_payload(fo_summary: dict, io_summary: dict) -> dict:
 _SIBLING = {"example3_fo": "example3_io", "example3_io": "example3_fo"}
 
 
-def cmd_reproduce(
-    example: str,
-    seeds: Tuple[int, ...],
-    pso: PsoConfig,
-    out_dir: Path,
-) -> int:
+def cmd_reproduce(case: BenchmarkCase, out_dir: Path) -> int:
     """Tune one built-in benchmark and write its artifact set."""
-    try:
-        case = replace(builtin_case(example), pso=pso)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0]), EXIT_USAGE) from None
+    example = case.name
     targets = reference_targets(example)
-    print(f"{example}: tuning with seeds {list(seeds)} ...")
-    result = tune_case(case, seeds=seeds)
+    print(f"{example}: tuning with seeds {list(case.seeds)} ...")
+    result = tune_case(case)
 
     reproduced = bool(
         abs(result.j_theta0 - targets.j_theta0)
@@ -627,7 +605,7 @@ def cmd_reproduce(
     case_dir = out_dir / example
     case_dir.mkdir(parents=True, exist_ok=True)
     _write_json(case_dir / "summary.json", summary)
-    _write_json(case_dir / "config.json", _config_payload(case, seeds))
+    _write_json(case_dir / "config.json", _config_payload(case))
     _write_trace_csv(case_dir / "trace.csv", result.seed_results)
     _write_step_csv(case_dir / "step_response.csv", result.validation)
     _write_data_csv(case_dir / "initial_data.csv", result.data)
@@ -657,25 +635,20 @@ def cmd_reproduce(
     return EXIT_OK
 
 
-def cmd_tune(
-    config: RunConfig,
-    data: ExperimentRecord,
-    seeds: Tuple[int, ...],
-    out_dir: Path,
-) -> int:
+def cmd_tune(config: RunConfig, data: ExperimentRecord, out_dir: Path) -> int:
     """Tune from a recorded experiment; no plant model is involved."""
     try:
         evaluator = make_evaluator(config, data)
     except ValueError as exc:
         raise CliError(f"config: {exc}", EXIT_USAGE) from exc
-    print(f"tuning over {len(data)} samples with seeds {list(seeds)} ...")
+    print(f"tuning over {len(data)} samples with seeds {list(config.seeds)} ...")
     try:
-        result = tune(evaluator, config.bounds, seeds, config.pso, config.theta0)
+        result = tune(evaluator, config)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_NUMERIC) from exc
 
     summary = {
-        "config": _config_payload(config, seeds),
+        "config": _config_payload(config),
         "tuning": _tuning_payload(result),
         "controller": _controller_payload(realize(result.theta_star, config.template)),
     }
@@ -787,17 +760,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_reproduce(args: argparse.Namespace) -> int:
-    seeds = _resolve_seeds(args.seeds, None)
-    pso = _pso_with_overrides(PsoConfig(), args)
-    return cmd_reproduce(args.example, seeds, pso, Path(args.out_dir))
+    try:
+        case = builtin_case(args.example)
+    except KeyError as exc:
+        raise CliError(str(exc.args[0]), EXIT_USAGE) from None
+    return cmd_reproduce(_with_flags(case, args), Path(args.out_dir))
 
 
 def _run_tune(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config)
-    seeds = _resolve_seeds(args.seeds, config.seeds)
-    config = replace(config, pso=_pso_with_overrides(config.pso, args))
+    config = _with_flags(load_run_config(args.config), args)
     data = load_data_record(args.data, config.sample_time)
-    return cmd_tune(config, data, seeds, Path(args.out_dir))
+    return cmd_tune(config, data, Path(args.out_dir))
 
 
 def _run_validate(args: argparse.Namespace) -> int:

@@ -106,8 +106,8 @@ class ExperimentRecord:
                 raise SampleTimeError("experiment signals have mixed sample times")
         if not np.all(np.isfinite(self.r0.samples)):
             raise ValueError("reference signal must be finite")
-        if self.r0.samples[0] == 0.0:
-            raise ValueError("reference head must be nonzero")
+        if not abs(self.r0.samples[0]) >= _HEAD_TOL:
+            raise ValueError("reference head is numerically zero")
 
     @property
     def sample_time(self) -> float:

@@ -87,13 +87,15 @@ class Bounds:
 
 @dataclass(frozen=True, eq=False)
 class OptimResult:
-    """Best point found, its value, the per-iteration best trace, the
-    total number of objective evaluations, the iterations run, and why
-    the search stopped: ``"stall"`` or ``"cap"`` (max_iterations)."""
+    """The swarm's seed, the best point found, its value, the
+    per-iteration best trace, the total number of objective evaluations,
+    the iterations run, and why the search stopped: ``"stall"`` or
+    ``"cap"`` (max_iterations)."""
 
+    seed: int
     best_theta: np.ndarray
     best_value: float
-    trace: List[Tuple[int, float]]
+    trace: Tuple[Tuple[int, float], ...]
     evaluations: int
     iterations: int
     stop_reason: str
@@ -195,9 +197,10 @@ def minimize(
             break
 
     return OptimResult(
+        seed=cfg.seed,
         best_theta=gbest,
         best_value=gbest_value,
-        trace=trace,
+        trace=tuple(trace),
         evaluations=evaluations,
         iterations=iteration,
         stop_reason="stall" if stall >= cfg.stall_iterations else "cap",

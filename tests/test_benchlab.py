@@ -15,6 +15,7 @@ from fritpid.benchlab import (
     discretized_reference_model,
     make_evaluator,
     reference_targets,
+    tune,
     tune_case,
     unit_step,
     validate,
@@ -233,7 +234,7 @@ class TestValidate:
 
 class TestTuneCase:
     def tune_smoke(self, name="example3_fo", seeds=(0, 1)):
-        return tune_case(replace(builtin_case(name), pso=SMOKE_PSO), seeds=seeds)
+        return tune_case(replace(builtin_case(name), pso=SMOKE_PSO, seeds=seeds))
 
     def test_result_is_never_worse_than_the_start(self):
         res = self.tune_smoke()
@@ -273,4 +274,10 @@ class TestTuneCase:
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError, match="seed"):
-            tune_case(builtin_case("example3_fo"), seeds=())
+            replace(builtin_case("example3_fo"), seeds=())
+
+    def test_seed_results_follow_the_config_seeds_in_order(self):
+        case = replace(builtin_case("example3_io"), pso=SMOKE_PSO)
+        res = tune(make_evaluator(case, collect_data(case)), replace(case, seeds=(4, 2)))
+        assert tuple(r.seed for r in res.seed_results) == (4, 2)
+        assert res.best_seed in (4, 2)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: parsing, artifacts, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from fritpid.cli import (
     _cell,
     _jsonable,
     _parse_seed_list,
-    _resolve_seeds,
+    _with_flags,
     load_data_record,
     load_run_config,
     main,
@@ -60,25 +61,23 @@ class TestSeedParsing:
             _parse_seed_list(bad)
         assert err.value.exit_code == EXIT_USAGE
 
-    def test_flag_beats_config(self):
-        assert _resolve_seeds("3", (2, 9)) == (3,)
+    def test_flag_beats_config(self, tmp_path):
+        cfg = load_run_config(write_config(tmp_path / "c.json", seeds=[2, 9]))
+        flags = argparse.Namespace(seeds="3", swarm_size=None, iterations=None)
+        assert _with_flags(cfg, flags).seeds == (3,)
 
-    def test_config_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("FRIT_SEED", "11")
-        assert _resolve_seeds(None, (2, 9)) == (2, 9)
+    def test_default_seed_set(self, tmp_path):
+        assert load_run_config(write_config(tmp_path / "c.json")).seeds == DEFAULT_SEEDS
 
-    def test_environment_beats_default(self, monkeypatch):
-        monkeypatch.setenv("FRIT_SEED", "11")
-        assert _resolve_seeds(None, None) == (11,)
-
-    def test_default_seed_set(self, monkeypatch):
-        monkeypatch.delenv("FRIT_SEED", raising=False)
-        assert _resolve_seeds(None, None) == DEFAULT_SEEDS
-
-    def test_junk_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv("FRIT_SEED", "many")
-        with pytest.raises(CliError):
-            _resolve_seeds(None, None)
+    @pytest.mark.parametrize("flag", ["-1..2", ""])
+    def test_invalid_seed_flag_is_a_usage_error(self, tmp_path, flag):
+        # a negative seed used to reach the swarm and exit as a numeric
+        # failure; an empty flag used to fall back to the config's seeds
+        cfg = load_run_config(write_config(tmp_path / "c.json"))
+        flags = argparse.Namespace(seeds=flag, swarm_size=None, iterations=None)
+        with pytest.raises(CliError) as err:
+            _with_flags(cfg, flags)
+        assert err.value.exit_code == EXIT_USAGE
 
 
 class TestJsonAndCsvCells:
@@ -130,7 +129,8 @@ class TestLoadRunConfig:
         cfg = load_run_config(write_config(tmp_path / "c.json"))
         assert cfg.template.theta_dim == 3
         assert cfg.bounds.dim == 3
-        assert cfg.seeds is None and cfg.theta0 is None and cfg.plant is None
+        assert cfg.seeds == DEFAULT_SEEDS
+        assert cfg.theta0 is None and cfg.plant is None
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CliError) as err:
@@ -161,6 +161,33 @@ class TestLoadRunConfig:
         with pytest.raises(CliError) as err:
             load_run_config(p)
         assert err.value.exit_code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seeds": []},
+            {"seeds": [1.7]},
+            {"seeds": [-1]},
+            {"pso": {"swarm_size": 8.9}},
+            {"pso": {"max_iterations": "12"}},
+            {"controller": {"kind": "iopid", "oustaloup": {"order": 4.5}}},
+            {"reference_model": {"num": [0.5], "den": [1.0, -0.5],
+                                 "sample_time": 0.05, "delay_samples": 1.5}},
+        ],
+        ids=["no-seeds", "fractional-seed", "negative-seed", "fractional-swarm",
+             "string-iterations", "fractional-order", "fractional-delay"],
+    )
+    def test_malformed_values_are_rejected_not_rewritten(self, tmp_path, overrides):
+        with pytest.raises(CliError) as err:
+            load_run_config(write_config(tmp_path / "c.json", **overrides))
+        assert err.value.exit_code == EXIT_USAGE
+
+    def test_whole_floats_are_taken_as_integers(self, tmp_path):
+        cfg = load_run_config(
+            write_config(tmp_path / "c.json", seeds=[3.0], pso={"swarm_size": 8.0})
+        )
+        assert cfg.seeds == (3,) and cfg.pso.swarm_size == 8
+        assert isinstance(cfg.seeds[0], int) and isinstance(cfg.pso.swarm_size, int)
 
     def test_bounds_must_match_the_controller_dimension(self, tmp_path):
         p = write_config(
@@ -217,7 +244,7 @@ class TestLoadDataRecord:
 
     def test_zero_reference_head_is_an_assumption_error(self, tmp_path):
         p = self.write_rows(tmp_path / "d.csv", ["0,0.0,0.5,0.25", "1,1.0,0.5,0.25"])
-        with pytest.raises(CliError) as err:
+        with pytest.raises(CliError, match="reference head is numerically zero") as err:
             load_data_record(p, 0.05)
         assert err.value.exit_code == EXIT_ASSUMPTION
 
@@ -330,6 +357,31 @@ class TestTune:
         tuned = read_json(tmp_path / "summary.json")
         assert [s["seed"] for s in tuned["tuning"]["seeds"]] == [2]
 
+    def test_seed_flag_beats_config_seeds(self, repro_dir, tmp_path):
+        src = repro_dir / "example3_io"
+        assert read_json(src / "config.json")["seeds"] == [2]
+        assert main(["tune",
+                     "--config", str(src / "config.json"),
+                     "--data", str(src / "initial_data.csv"),
+                     "--seeds", "4,3",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        tuned = read_json(tmp_path / "summary.json")
+        assert [s["seed"] for s in tuned["tuning"]["seeds"]] == [4, 3]
+        assert tuned["config"]["seeds"] == [4, 3]
+
+    def test_empty_config_seed_list_is_a_usage_error(self, repro_dir, tmp_path, capsys):
+        src = repro_dir / "example3_io"
+        cfg = read_json(src / "config.json")
+        cfg["seeds"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = main(["tune", "--config", str(bad),
+                     "--data", str(src / "initial_data.csv"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sample_time_mismatch_is_a_config_error(self, repro_dir, tmp_path, capsys):
         src = repro_dir / "example3_io"
         cfg = read_json(src / "config.json")
@@ -372,18 +424,25 @@ class TestTune:
         assert "never found an evaluable candidate" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_zero_head_data_is_an_assumption_error(self, repro_dir, tmp_path, capsys):
+    def tune_with_head(self, repro_dir, tmp_path, head):
         src = repro_dir / "example3_io"
         rows = (src / "initial_data.csv").read_text().splitlines()
         parts = rows[1].split(",")
-        parts[1] = "0.0"
+        parts[1] = head
         rows[1] = ",".join(parts)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(rows) + "\n")
-        code = main(["tune", "--config", str(src / "config.json"),
+        return main(["tune", "--config", str(src / "config.json"),
                      "--data", str(bad), "--out-dir", str(tmp_path)])
-        assert code == EXIT_ASSUMPTION
-        assert "head" in capsys.readouterr().err
+
+    def test_zero_head_data_is_an_assumption_error(self, repro_dir, tmp_path, capsys):
+        assert self.tune_with_head(repro_dir, tmp_path, "0.0") == EXIT_ASSUMPTION
+        assert "reference head is numerically zero" in capsys.readouterr().err
+
+    def test_tiny_head_data_is_the_same_assumption_error(self, repro_dir, tmp_path, capsys):
+        # the record holds its head to the Toeplitz solver's own tolerance
+        assert self.tune_with_head(repro_dir, tmp_path, "1e-13") == EXIT_ASSUMPTION
+        assert "reference head is numerically zero" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
