@@ -407,6 +407,7 @@ def _tuning_payload(result: TuningResult) -> dict:
                 "evaluations": r.evaluations,
                 "iterations": r.iterations,
                 "stop": r.stop_reason,
+                "inertia": r.inertia,
             }
             for r in result.seed_results
         ],

@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 from scipy import signal as _sig
+from scipy.linalg import lapack as _lapack
 
 from .lti_core import ContinuousTf, DiscreteTf, DiscreteZpk, DiscretizationError
 
@@ -256,7 +257,12 @@ def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
     A[i, i] = poles
     A[sizes[0]:, : sizes[0]] = 0.0
     C = np.concatenate([b[2] * b[1] for b in branches])
-    zeros = np.linalg.eigvals(A - C / feedthrough)
+    # LAPACK directly: numpy's eigvals wrapper costs a fifth of the call
+    # on a matrix built finite here, and returns the same bits
+    wr, wi, _, _, info = _lapack.dgeev(A - C / feedthrough, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    zeros = wr + 1j * wi if wi.any() else wr
     return DiscreteZpk(zeros, poles, feedthrough, ts, realization=(A, np.ones(n), C, feedthrough))
 
 

@@ -18,12 +18,13 @@ surrounding optimizer only ever sees finite numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import signal as _sig
+from scipy.linalg.blas import dtrsv as _dtrsv
 
 from .folib import ControllerTemplate, realize
 from .lti_core import (
@@ -61,7 +62,8 @@ _HEAD_TOL = 1e-12
 #: samples beyond this magnitude count as numerical blow-up even when finite
 _OVERFLOW_LIMIT = 1e30
 
-#: diagonal block length of the Toeplitz solve (64 and 256 measured slower)
+#: diagonal block length of the Toeplitz solve; 64 and 256 measured slower
+#: at N = 1001 (BENCH_20261019_blas_block_solve.json)
 _BLOCK = 128
 
 
@@ -171,15 +173,14 @@ def toeplitz_solve(rt: Signal, y0: Signal) -> Signal:
 
         t_k = (y0_k - sum_{tau=1..k} rt_tau * t_{k-tau}) / rt_0
 
-    which is an all-pole difference equation driven by y0. It runs as a
-    blocked forward substitution over blocks of _BLOCK samples: each
-    diagonal block is that all-pole filter with a _BLOCK-long denominator,
-    and one direct convolution, of which only the fully overlapping part
-    is computed, then removes the block's history from the rest of the
-    right-hand side. That is about N^2 / 2 multiply-adds, mostly in
-    vectorized convolutions, against N^2 for one all-pole filter with a
-    length-N denominator. A system of at most _BLOCK samples is solved by
-    that one filter call.
+    solved here as a blocked forward substitution over blocks of _BLOCK
+    samples. Every diagonal block is the same lower-triangular Toeplitz
+    matrix, built once per call and solved by BLAS dtrsv; one direct
+    convolution, of which only the fully overlapping part is computed,
+    then removes the block's history from the rest of the right-hand
+    side. That is about N^2 / 2 multiply-adds, all of them in BLAS or
+    vectorized convolutions. A system of at most _BLOCK samples is one
+    dtrsv call.
     """
     if len(rt) != len(y0):
         raise ValueError("signal lengths differ")
@@ -188,29 +189,55 @@ def toeplitz_solve(rt: Signal, y0: Signal) -> Signal:
         raise FictitiousHeadZeroError("fictitious reference head is numerically zero")
     col = rt.samples
     n = col.size
+    b = min(_BLOCK, n)
+    # read with leading dimension b, col repeated with period b + 1 puts
+    # col[i - j] at (i, j) on and below the diagonal; dtrsv never reads
+    # the upper triangle, so whatever lands there is left uninitialized
+    tiles = np.empty((b, b + 1))
+    tiles[:, :b] = col[:b]
+    block = tiles.reshape(-1)[: b * b].reshape((b, b), order="F")
     rhs = y0.samples.copy()
     t = np.empty(n)
-    # a blown-up solution is the caller's to detect, as with one filter call,
-    # so overflow while removing a block's history must not warn
+    # a blown-up solution is the caller's to detect, so overflow while
+    # removing a block's history must not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            t[lo:hi] = _sig.lfilter([1.0], col[: hi - lo], rhs[lo:hi])
+        for lo in range(0, n, b):
+            hi = min(lo + b, n)
+            m = hi - lo
+            t[lo:hi] = _dtrsv(block[:m, :m], rhs[lo:hi], lower=1)
             if hi < n:
                 rhs[hi:] -= np.convolve(col[1 : n - lo], t[lo:hi], mode="valid")
     return Signal(t, y0.sample_time)
 
 
+@functools.lru_cache(maxsize=1)
+def _increments(r0: Signal) -> np.ndarray:
+    # r0[0], r0[1] - r0[0], ..., without trailing zeros but at least one
+    # sample; Signal hashes by identity and its samples are read-only, so
+    # the last record's increments serve every candidate scored on it
+    d = np.diff(r0.samples, prepend=0.0)
+    nonzero = np.flatnonzero(d)
+    d = d[: nonzero[-1] + 1 if nonzero.size else 1]
+    d.setflags(write=False)
+    return d
+
+
 def reconstruct_output(r0: Signal, t: Signal) -> Signal:
     """Response of the recovered closed loop t to the recorded reference.
 
-    Causal convolution of r0 with t, truncated to the common horizon
-    (the lower-triangular Toeplitz product R0 t).
+    The lower-triangular Toeplitz product R0 t, that is the causal
+    convolution of r0 with t truncated to the common horizon. It is
+    formed as R0 = S D, with S the running sum and D the Toeplitz matrix
+    of r0's increments, trailing zeros trimmed: R0 t is the running sum
+    of the truncated convolution of the increments with t. For a step
+    reference the increments are the single sample r0[0], so the product
+    is one scaling and one cumulative sum.
     """
     if len(r0) != len(t):
         raise ValueError("signal lengths differ")
-    y = np.convolve(r0.samples, t.samples)[: len(r0)]
-    return Signal(y, r0.sample_time)
+    d = _increments(r0)
+    dt = d[0] * t.samples if d.size == 1 else np.convolve(d, t.samples)[: len(t)]
+    return Signal(dt.cumsum(), r0.sample_time)
 
 
 class LossEvaluator:

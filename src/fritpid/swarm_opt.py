@@ -89,8 +89,8 @@ class Bounds:
 class OptimResult:
     """The swarm's seed, the best point found, its value, the
     per-iteration best trace, the total number of objective evaluations,
-    the iterations run, and why the search stopped: ``"stall"`` or
-    ``"cap"`` (max_iterations)."""
+    the iterations run, why the search stopped: ``"stall"`` or ``"cap"``
+    (max_iterations), and the inertia it ended with."""
 
     seed: int
     best_theta: np.ndarray
@@ -99,6 +99,7 @@ class OptimResult:
     evaluations: int
     iterations: int
     stop_reason: str
+    inertia: float
 
 
 def _evaluate_swarm(objective, positions: np.ndarray) -> np.ndarray:
@@ -204,4 +205,5 @@ def minimize(
         evaluations=evaluations,
         iterations=iteration,
         stop_reason="stall" if stall >= cfg.stall_iterations else "cap",
+        inertia=float(w),
     )

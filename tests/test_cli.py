@@ -285,6 +285,7 @@ class TestReproduce:
         # the smoke swarm runs 12 iterations unless it stalls first
         seed = tuning["seeds"][0]
         assert (seed["iterations"], seed["stop"]) == (12, "cap")
+        assert 0.4 <= seed["inertia"] <= 0.9
         assert acc["closed_loop_stable"] is s["validation"]["stable"]
 
     def test_acceptance_reports_an_unstable_loop_without_failing_on_it(self, tmp_path):

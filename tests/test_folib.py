@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from scipy import signal as _sig
 
+from fritpid import folib
 from fritpid.benchlab import builtin_case, collect_data, discretized_plant
 from fritpid.folib import (
     ControllerKind,
@@ -321,6 +322,15 @@ class TestRealizeFopid:
     def test_wrong_template_kind_rejected(self):
         with pytest.raises(ValueError):
             realize_fopid(FopidParams(1.0, 0.0, 1.0, 0.0, 1.0), IOPID_T)
+
+    def test_unconverged_zeros_raise_like_numpy(self, monkeypatch):
+        # LAPACK reports a failed QR iteration through info > 0
+        def unconverged(a, compute_vl, compute_vr):
+            n = len(a)
+            return np.zeros(n), np.zeros(n), None, None, n
+        monkeypatch.setattr(folib._lapack, "dgeev", unconverged)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            realize_fopid(FopidParams(0.8, 1.2, 0.6, 0.4, 1.3), FOPID_T)
 
     @given(theta=fopid_thetas())
     @settings(max_examples=50, deadline=None)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
-from scipy import signal as sig
+from scipy.linalg import blas
 
 from fritpid.folib import ControllerKind, ControllerTemplate, realize, realize_fopid, FopidParams
 from fritpid.l1_idfrit import (
@@ -125,19 +125,37 @@ class TestToeplitzSolve:
         col = impulse_response(DiscreteTf([1.0, 0.4], [1.0, -0.5], TS), n - 1).samples
         return col + 1e-3 * rng.standard_normal(n), rng.standard_normal(n)
 
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 1001])
-    def test_blocks_match_the_dense_triangular_solve(self, n):
-        col, y = self._minimum_phase_column(n, seed=n)
+    @staticmethod
+    def _growing_column(n, seed):
+        # zero of r~ outside the unit circle: the inverse column, and with
+        # it the solution, grows as 1.01^k (about 2e4 at k = 1000)
+        rng = np.random.default_rng(seed)
+        col = impulse_response(DiscreteTf([1.0, -1.01], [1.0, -0.5], TS), n - 1).samples
+        return col, rng.standard_normal(n)
+
+    @staticmethod
+    def _assert_matches_dense(col, y):
+        n = col.size
         t = toeplitz_solve(Signal(col, TS), Signal(y, TS)).samples
         dense = sla.solve_triangular(sla.toeplitz(col, np.zeros(n)), y, lower=True)
         scale = max(np.max(np.abs(dense)), 1.0)
         assert np.max(np.abs(t - dense)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("n", [1, 81, 127, 128, 129, 257, 1001])
+    def test_blocks_match_the_dense_triangular_solve(self, n):
+        self._assert_matches_dense(*self._minimum_phase_column(n, seed=n))
+
+    @pytest.mark.parametrize("n", [81, 257, 1001])
+    def test_blocks_match_the_dense_solve_on_a_growing_inverse(self, n):
+        col, y = self._growing_column(n, seed=n)
+        self._assert_matches_dense(col, y)
+
     @pytest.mark.parametrize("n", [1, 50, _BLOCK - 1, _BLOCK])
-    def test_one_block_is_the_all_pole_filter_bit_for_bit(self, n):
+    def test_one_block_is_the_triangular_blas_solve_bit_for_bit(self, n):
         col, y = self._minimum_phase_column(n, seed=n)
         t = toeplitz_solve(Signal(col, TS), Signal(y, TS)).samples
-        np.testing.assert_array_equal(t, sig.lfilter([1.0], col, y))
+        dense = np.asfortranarray(sla.toeplitz(col, np.zeros(n)))
+        np.testing.assert_array_equal(t, blas.dtrsv(dense, y, lower=1))
 
     def test_overflow_across_a_block_boundary_does_not_warn(self):
         # t_128 = y_128 - rt_128 t_0 = 2e308 overflows; like the all-pole
@@ -192,6 +210,22 @@ class TestReconstructOutput:
         got = reconstruct_output(r, t).samples
         want = np.convolve(r.samples, t.samples)[:n]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * (1 + np.max(np.abs(want))))
+
+    @pytest.mark.parametrize(
+        "r0",
+        [
+            np.ones(N),
+            np.r_[np.ones(N - 1), 2.0],
+            TS * np.arange(1, N + 1),
+            np.zeros(N),
+        ],
+        ids=["step", "jump_at_last_sample", "ramp", "zero"],
+    )
+    def test_is_the_dense_toeplitz_product(self, r0):
+        t = np.random.default_rng(3).standard_normal(N)
+        got = reconstruct_output(Signal(r0, TS), Signal(t, TS)).samples
+        want = sla.toeplitz(r0, np.zeros(N)) @ t
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -141,12 +141,16 @@ class TestMinimize:
         assert len(res.trace) == 1 + 7
         assert res.best_value == 1.0
         assert (res.iterations, res.stop_reason) == (7, "stall")
+        # halved after the sixth and seventh stalled iterations, floored at 0.4
+        assert res.inertia == 0.4
 
     def test_iteration_cap_wins_over_a_patient_stall(self):
         cfg = PsoConfig(swarm_size=6, max_iterations=3, seed=0, stall_iterations=100)
         res = minimize(lambda x: 1.0, BOX3, cfg)
         assert len(res.trace) == 1 + 3
         assert (res.iterations, res.stop_reason) == (3, "cap")
+        # too few stalled iterations to leave the upper end
+        assert res.inertia == 0.9
 
     @given(seed=st.integers(min_value=0, max_value=50))
     @settings(max_examples=20, deadline=None)
