@@ -17,7 +17,7 @@ grades the tuned controller. The tuning path itself never touches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -97,8 +97,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        for seed in self.seeds:
-            replace(self.pso, seed=seed)  # each seed must make a valid swarm config
+        if any(seed < 0 or int(seed) != seed for seed in self.seeds):
+            raise ValueError(f"seeds must be non-negative integers, got {list(self.seeds)}")
         kind, dim = self.template.kind.value, self.template.theta_dim
         if self.bounds.dim != dim:
             raise ValueError(
@@ -213,10 +213,16 @@ class TuningResult:
     breakdown_star: LossBreakdown
     gamma_r0: float
     evaluations: int
-    penalized_evaluations: int
     penalty_counts: dict
-    bound_checks: int
     bound_violations: int
+
+    @property
+    def penalized_evaluations(self) -> int:
+        return sum(self.penalty_counts.values())
+
+    @property
+    def bound_checks(self) -> int:
+        return self.evaluations - self.penalized_evaluations
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,7 +409,7 @@ def tune(evaluator: LossEvaluator, config: RunConfig) -> TuningResult:
     theta0 = config.theta0
     j_theta0 = None if theta0 is None else float(evaluator(theta0))
     results = tuple(
-        minimize(evaluator, config.bounds, replace(config.pso, seed=seed), x0=theta0)
+        minimize(evaluator, config.bounds, config.pso, seed, x0=theta0)
         for seed in config.seeds
     )
     best = min(results, key=lambda r: (r.best_value, r.seed))
@@ -422,9 +428,7 @@ def tune(evaluator: LossEvaluator, config: RunConfig) -> TuningResult:
         breakdown_star=breakdown,
         gamma_r0=evaluator.gamma_r0,
         evaluations=evaluator.evaluations,
-        penalized_evaluations=evaluator.penalties,
         penalty_counts=dict(evaluator.penalty_counts),
-        bound_checks=evaluator.bound_checks,
         bound_violations=evaluator.bound_violations,
     )
 

@@ -38,6 +38,10 @@ The config schema, shared by ``tune`` and ``validate``::
       "sim_time":        100.0             # validate horizon, seconds
     }
 
+An unknown key in any object of the config is rejected (exit 2); keys
+left out of ``oustaloup`` and ``pso`` take the ``OustaloupConfig`` and
+``PsoConfig`` defaults.
+
 ``reproduce`` writes such a config next to its results, and feeding that
 config together with the exported ``initial_data.csv`` back through
 ``tune`` reproduces the tuning section of the summary bit for bit: both
@@ -54,7 +58,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -81,7 +85,6 @@ from .lti_core import (
     ContinuousTf,
     DiscreteTf,
     DiscreteZpk,
-    DiscretizationError,
     Signal,
     tustin,
 )
@@ -120,11 +123,30 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # config parsing
 
+_CONFIG_KEYS = (
+    "controller", "sample_time", "reference_model", "bounds", "theta0",
+    "seeds", "pso", "plant", "sim_time",
+)
+_TF_KEYS = ("num", "den", "sample_time", "delay_samples", "discretization", "dead_time")
+
 
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise CliError(f"config: {where} is missing the key {key!r}", EXIT_USAGE)
     return mapping[key]
+
+
+def _object(node, known, what: str) -> dict:
+    """A config object, checked to hold only keys among ``known``."""
+    if not isinstance(node, dict):
+        raise CliError(f"config: {what} must be an object", EXIT_USAGE)
+    unknown = set(node) - set(known)
+    if unknown:
+        raise CliError(
+            f"config: unknown {what} keys {sorted(unknown)}; valid keys: {', '.join(known)}",
+            EXIT_USAGE,
+        )
+    return node
 
 
 def _integer(value, what: str) -> int:
@@ -136,8 +158,7 @@ def _integer(value, what: str) -> int:
 
 def _parse_tf(node: dict, sample_time: float, what: str) -> DiscreteTf:
     """Transfer-function block: discrete as given, continuous via Tustin."""
-    if not isinstance(node, dict):
-        raise CliError(f"config: {what} must be an object", EXIT_USAGE)
+    _object(node, _TF_KEYS, what)
     num = [float(x) for x in _require(node, "num", what)]
     den = [float(x) for x in _require(node, "den", what)]
     try:
@@ -153,39 +174,27 @@ def _parse_tf(node: dict, sample_time: float, what: str) -> DiscreteTf:
             )
         g = ContinuousTf(num, den, dead_time=float(node.get("dead_time", 0.0)))
         return tustin(g, sample_time)
-    except CliError:
-        raise
-    except (ValueError, DiscretizationError) as exc:
+    except ValueError as exc:
         raise CliError(f"config: invalid {what}: {exc}", EXIT_USAGE) from exc
 
 
-#: swarm settings a config may override; the seed comes from the seed list
-_PSO_KEYS = tuple(f.name for f in fields(PsoConfig) if f.name != "seed")
-
-
-def _parse_pso(node: dict) -> PsoConfig:
-    unknown = set(node) - set(_PSO_KEYS)
-    if unknown:
-        raise CliError(
-            f"config: unknown pso keys {sorted(unknown)}; valid keys: "
-            f"{', '.join(_PSO_KEYS)}",
-            EXIT_USAGE,
-        )
-    # each value takes the type of its default: int, float, or a float pair
-    defaults = PsoConfig()
+def _parse_settings(node, cls, what: str):
+    """A settings block over the dataclass ``cls``: each value takes the
+    type of its default, int (a whole float is taken), float or a float pair."""
+    defaults = cls()
     kwargs = {}
-    for key in node:
+    for key, value in _object(node, [f.name for f in fields(cls)], what).items():
         default = getattr(defaults, key)
         if isinstance(default, tuple):
-            kwargs[key] = tuple(float(x) for x in node[key])
+            kwargs[key] = tuple(float(x) for x in value)
         elif isinstance(default, int):
-            kwargs[key] = _integer(node[key], f"pso {key}")
+            kwargs[key] = _integer(value, f"{what} {key}")
         else:
-            kwargs[key] = float(node[key])
+            kwargs[key] = float(value)
     try:
-        return replace(PsoConfig(), **kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise CliError(f"config: invalid pso settings: {exc}", EXIT_USAGE) from exc
+        raise CliError(f"config: invalid {what} settings: {exc}", EXIT_USAGE) from exc
 
 
 def load_run_config(path) -> RunConfig:
@@ -198,10 +207,9 @@ def load_run_config(path) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"config is not valid JSON: {exc}", EXIT_USAGE) from exc
-    if not isinstance(raw, dict):
-        raise CliError("config must be a JSON object", EXIT_USAGE)
+    _object(raw, _CONFIG_KEYS, "top-level")
     sample_time = float(_require(raw, "sample_time", "config"))
-    ctrl = _require(raw, "controller", "config")
+    ctrl = _object(_require(raw, "controller", "config"), ("kind", "oustaloup"), "controller")
     try:
         kind = ControllerKind(str(_require(ctrl, "kind", "controller")).lower())
     except ValueError:
@@ -210,22 +218,14 @@ def load_run_config(path) -> RunConfig:
             "valid kinds: fopid, iopid",
             EXIT_USAGE,
         ) from None
-    oust = ctrl.get("oustaloup", {})
     try:
         template = ControllerTemplate(
             kind,
             sample_time,
-            OustaloupConfig(
-                order=_integer(oust.get("order", 5), "oustaloup order"),
-                w_b=float(oust.get("w_b", 1e-6)),
-                w_h=float(oust.get("w_h", 1e3)),
-            ),
+            _parse_settings(ctrl.get("oustaloup", {}), OustaloupConfig, "oustaloup"),
         )
-        box = _require(raw, "bounds", "config")
-        bounds = Bounds(
-            [float(x) for x in _require(box, "lower", "bounds")],
-            [float(x) for x in _require(box, "upper", "bounds")],
-        )
+        box = _object(_require(raw, "bounds", "config"), ("lower", "upper"), "bounds")
+        bounds = Bounds(_require(box, "lower", "bounds"), _require(box, "upper", "bounds"))
         theta0 = raw.get("theta0")
         if theta0 is not None:
             theta0 = np.asarray([float(x) for x in theta0])
@@ -238,11 +238,9 @@ def load_run_config(path) -> RunConfig:
             theta0=theta0,
             plant=_parse_tf(raw["plant"], sample_time, "plant") if "plant" in raw else None,
             sim_time=float(raw["sim_time"]) if "sim_time" in raw else None,
-            pso=_parse_pso(raw.get("pso", {})),
+            pso=_parse_settings(raw.get("pso", {}), PsoConfig, "pso"),
             seeds=tuple(_integer(s, "seed") for s in raw.get("seeds", DEFAULT_SEEDS)),
         )
-    except CliError:
-        raise
     except (TypeError, ValueError) as exc:
         raise CliError(f"config: {exc}", EXIT_USAGE) from exc
 
@@ -258,7 +256,7 @@ def load_data_record(path, sample_time: float) -> ExperimentRecord:
     be a finite number. A record the method cannot use, such as one whose
     reference starts at zero, is a violated data assumption.
     """
-    r0, u0, y0 = [], [], []
+    rows = []
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -286,7 +284,7 @@ def load_data_record(path, sample_time: float) -> ExperimentRecord:
                     raise CliError(
                         f"data row {lineno}: unparsable number", EXIT_DATA
                     ) from None
-                if k != len(r0):
+                if k != len(rows):
                     raise CliError(
                         f"data row {lineno}: sample index {k} is not contiguous",
                         EXIT_DATA,
@@ -295,18 +293,17 @@ def load_data_record(path, sample_time: float) -> ExperimentRecord:
                     raise CliError(
                         f"data row {lineno}: non-finite value", EXIT_DATA
                     )
-                r0.append(vals[0])
-                u0.append(vals[1])
-                y0.append(vals[2])
+                rows.append(vals)
     except OSError as exc:
         raise CliError(f"cannot read data file: {exc}", EXIT_DATA) from exc
-    if not r0:
+    if not rows:
         raise CliError("data file has no samples", EXIT_DATA)
+    r0, u0, y0 = np.array(rows).T
     try:
         return ExperimentRecord(
-            r0=Signal(np.asarray(r0), sample_time),
-            u0=Signal(np.asarray(u0), sample_time),
-            y0=Signal(np.asarray(y0), sample_time),
+            r0=Signal(r0, sample_time),
+            u0=Signal(u0, sample_time),
+            y0=Signal(y0, sample_time),
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_ASSUMPTION) from exc
@@ -317,6 +314,8 @@ def load_data_record(path, sample_time: float) -> ExperimentRecord:
 
 
 def _jsonable(obj):
+    """JSON form of a record: arrays and tuples as lists, numpy scalars as
+    Python numbers, complex as [re, im], and non-finite floats as null."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -332,7 +331,7 @@ def _jsonable(obj):
         # strict JSON has no NaN/Infinity literals
         return value if math.isfinite(value) else None
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
     return obj
 
 
@@ -346,20 +345,21 @@ def _cell(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """One CSV column per entry of ``columns``, its key the header cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
+        writer.writerow(columns)
+        for row in zip(*columns.values()):
             writer.writerow([_cell(v) for v in row])
 
 
 def _tf_payload(g: DiscreteTf) -> dict:
     return {
-        "num": [float(x) for x in g.num.as_array()],
-        "den": [float(x) for x in g.den.as_array()],
-        "sample_time": float(g.sample_time),
-        "delay_samples": int(g.delay_samples),
+        "num": g.num.coeffs,
+        "den": g.den.coeffs,
+        "sample_time": g.sample_time,
+        "delay_samples": g.delay_samples,
     }
 
 
@@ -368,23 +368,19 @@ def _config_payload(config: RunConfig) -> dict:
 
     A benchmark case's plant grades its tuning and stays out of the export.
     """
-    oust = config.template.oustaloup
     out = {
         "controller": {
             "kind": config.template.kind.value,
-            "oustaloup": {"order": oust.order, "w_b": oust.w_b, "w_h": oust.w_h},
+            "oustaloup": asdict(config.template.oustaloup),
         },
         "sample_time": config.sample_time,
         "reference_model": _tf_payload(discretized_reference_model(config)),
-        "bounds": {
-            "lower": [float(x) for x in config.bounds.lower],
-            "upper": [float(x) for x in config.bounds.upper],
-        },
-        "pso": {key: getattr(config.pso, key) for key in _PSO_KEYS},
-        "seeds": list(config.seeds),
+        "bounds": {"lower": config.bounds.lower, "upper": config.bounds.upper},
+        "pso": asdict(config.pso),
+        "seeds": config.seeds,
     }
     if config.theta0 is not None:
-        out["theta0"] = [float(x) for x in config.theta0]
+        out["theta0"] = config.theta0
     if config.sim_time is not None:
         out["sim_time"] = config.sim_time
     if config.plant is not None and not isinstance(config, BenchmarkCase):
@@ -396,14 +392,14 @@ def _tuning_payload(result: TuningResult) -> dict:
     breakdown = result.breakdown_star
     return {
         "j_theta0": result.j_theta0,
-        "best_seed": int(result.best_seed),
-        "theta_star": [float(x) for x in result.theta_star],
-        "j_star": float(result.j_star),
+        "best_seed": result.best_seed,
+        "theta_star": result.theta_star,
+        "j_star": result.j_star,
         "seeds": [
             {
                 "seed": r.seed,
-                "best_j": float(r.best_value),
-                "best_theta": [float(x) for x in r.best_theta],
+                "best_j": r.best_value,
+                "best_theta": r.best_theta,
                 "evaluations": r.evaluations,
                 "iterations": r.iterations,
                 "stop": r.stop_reason,
@@ -424,11 +420,11 @@ def _tuning_payload(result: TuningResult) -> dict:
             "t_l1": breakdown.t_l1,
             "satisfied": breakdown.bound_satisfied,
         },
-        "evaluations": int(result.evaluations),
-        "penalized_evaluations": int(result.penalized_evaluations),
-        "penalty_counts": {r.value: int(n) for r, n in result.penalty_counts.items()},
-        "bound_checks": int(result.bound_checks),
-        "bound_violations": int(result.bound_violations),
+        "evaluations": result.evaluations,
+        "penalized_evaluations": result.penalized_evaluations,
+        "penalty_counts": {r.value: n for r, n in result.penalty_counts.items()},
+        "bound_checks": result.bound_checks,
+        "bound_violations": result.bound_violations,
     }
 
 
@@ -436,7 +432,7 @@ def _validation_payload(report: ValidationReport) -> dict:
     return {
         "stable": report.stable,
         "max_pole_magnitude": report.max_pole_magnitude,
-        "closed_loop_poles": [[p.real, p.imag] for p in report.closed_loop_poles],
+        "closed_loop_poles": report.closed_loop_poles,
         "tracking_error_l1": report.tracking_error_l1,
         "max_abs_input": report.max_abs_input,
         "input_l1": report.step_traces.u.l1(),
@@ -452,58 +448,35 @@ def _controller_payload(c) -> dict:
     if isinstance(c, DiscreteZpk):
         return {
             "form": "zpk",
-            "sample_time": float(c.sample_time),
-            "zeros": [[z.real, z.imag] for z in np.asarray(c.zeros, dtype=complex)],
-            "poles": [[p.real, p.imag] for p in np.asarray(c.poles, dtype=complex)],
-            "gain": float(c.gain),
+            "sample_time": c.sample_time,
+            "zeros": c.zeros,
+            "poles": c.poles,
+            "gain": c.gain,
         }
-    num = c.num.as_array()
-    den = c.den.as_array()
+    # complex dtype, so that real roots are written as pairs too
     return {
         "form": "tf",
-        "sample_time": float(c.sample_time),
-        "zeros": [[z.real, z.imag] for z in np.roots(num)],
-        "poles": [[p.real, p.imag] for p in np.roots(den)],
-        "gain": float(num[0] / den[0]),
-        "num": [float(x) for x in num],
-        "den": [float(x) for x in den],
-        "delay_samples": int(c.delay_samples),
+        "zeros": np.roots(c.num.coeffs).astype(complex),
+        "poles": np.roots(c.den.coeffs).astype(complex),
+        "gain": c.num.coeffs[0] / c.den.coeffs[0],
+        **_tf_payload(c),
     }
 
 
-def _write_trace_csv(path: Path, seed_results) -> None:
-    seeds_col, iters_col, best_col = [], [], []
-    for r in seed_results:
-        for iteration, best_j in r.trace:
-            seeds_col.append(r.seed)
-            iters_col.append(iteration)
-            best_col.append(best_j)
-    _write_csv(path, ["seed", "iteration", "best_j"], [seeds_col, iters_col, best_col])
+def _trace_columns(seed_results) -> dict:
+    rows = [(r.seed, iteration, best_j) for r in seed_results for iteration, best_j in r.trace]
+    return dict(zip(("seed", "iteration", "best_j"), zip(*rows)))
 
 
-def _write_step_csv(path: Path, report: ValidationReport) -> None:
+def _step_columns(report: ValidationReport) -> dict:
     traces = report.step_traces
-    n = len(traces.r.samples)
-    _write_csv(
-        path,
-        ["k", "r", "y_model", "y_tuned", "u"],
-        [
-            range(n),
-            traces.r.samples,
-            traces.y_model.samples,
-            traces.y_closed_loop.samples,
-            traces.u.samples,
-        ],
-    )
-
-
-def _write_data_csv(path: Path, data: ExperimentRecord) -> None:
-    n = len(data)
-    _write_csv(
-        path,
-        ["k", "r0", "u0", "y0"],
-        [range(n), data.r0.samples, data.u0.samples, data.y0.samples],
-    )
+    return {
+        "k": range(len(traces.r.samples)),
+        "r": traces.r.samples,
+        "y_model": traces.y_model.samples,
+        "y_tuned": traces.y_closed_loop.samples,
+        "u": traces.u.samples,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +529,7 @@ def _comparison_payload(fo_summary: dict, io_summary: dict) -> dict:
     return {
         "j_fo": j_fo,
         "j_io": j_io,
-        "fo_beats_io": bool(j_fo < j_io),
+        "fo_beats_io": j_fo < j_io,
         "tracking_error_fo": fo_summary["validation"]["tracking_error_l1"],
         "tracking_error_io": io_summary["validation"]["tracking_error_l1"],
         "max_input_fo": fo_summary["validation"]["max_abs_input"],
@@ -578,11 +551,11 @@ def cmd_reproduce(case: BenchmarkCase, out_dir: Path) -> int:
     print(f"{example}: tuning with seeds {list(case.seeds)} ...")
     result = tune_case(case)
 
-    reproduced = bool(
+    reproduced = (
         abs(result.j_theta0 - targets.j_theta0)
         <= targets.j_theta0_rtol * abs(targets.j_theta0)
     )
-    within_band = bool(targets.j_star_min <= result.j_star <= targets.j_star_max)
+    within_band = targets.j_star_min <= result.j_star <= targets.j_star_max
     acceptance = {
         "j_theta0_reproduced": reproduced,
         "j_star_within_band": within_band,
@@ -594,7 +567,7 @@ def cmd_reproduce(case: BenchmarkCase, out_dir: Path) -> int:
         "targets": {
             "j_theta0": targets.j_theta0,
             "j_star": targets.j_star,
-            "theta_star": list(targets.theta_star),
+            "theta_star": targets.theta_star,
             "j_star_band": [targets.j_star_min, targets.j_star_max],
         },
         "tuning": _tuning_payload(result),
@@ -607,9 +580,18 @@ def cmd_reproduce(case: BenchmarkCase, out_dir: Path) -> int:
     case_dir.mkdir(parents=True, exist_ok=True)
     _write_json(case_dir / "summary.json", summary)
     _write_json(case_dir / "config.json", _config_payload(case))
-    _write_trace_csv(case_dir / "trace.csv", result.seed_results)
-    _write_step_csv(case_dir / "step_response.csv", result.validation)
-    _write_data_csv(case_dir / "initial_data.csv", result.data)
+    _write_csv(case_dir / "trace.csv", _trace_columns(result.seed_results))
+    _write_csv(case_dir / "step_response.csv", _step_columns(result.validation))
+    data = result.data
+    _write_csv(
+        case_dir / "initial_data.csv",
+        {
+            "k": range(len(data)),
+            "r0": data.r0.samples,
+            "u0": data.u0.samples,
+            "y0": data.y0.samples,
+        },
+    )
 
     sibling = _SIBLING.get(example)
     if sibling is not None:
@@ -655,7 +637,7 @@ def cmd_tune(config: RunConfig, data: ExperimentRecord, out_dir: Path) -> int:
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "summary.json", summary)
-    _write_trace_csv(out_dir / "trace.csv", result.seed_results)
+    _write_csv(out_dir / "trace.csv", _trace_columns(result.seed_results))
 
     theta_text = ", ".join(format(float(x), ".6g") for x in result.theta_star)
     print(f"J* = {result.j_star:.6g} at theta* = [{theta_text}] (seed {result.best_seed})")
@@ -686,17 +668,17 @@ def cmd_validate(config: RunConfig, theta: np.ndarray, out_dir: Path) -> int:
         )
     try:
         report = validate(config, theta)
-    except (DiscretizationError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"cannot realize theta: {exc}", EXIT_NUMERIC) from exc
 
     payload = {
-        "theta": [float(x) for x in theta],
+        "theta": theta,
         "validation": _validation_payload(report),
         "controller": _controller_payload(realize(theta, config.template)),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "validation.json", payload)
-    _write_step_csv(out_dir / "step_response.csv", report)
+    _write_csv(out_dir / "step_response.csv", _step_columns(report))
 
     print(
         f"stable: {report.stable} "
@@ -724,23 +706,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    swarm = argparse.ArgumentParser(add_help=False)
+    swarm.add_argument("--seeds", help='seed list "1,2,3" or range "1..5"')
+    swarm.add_argument("--swarm-size", type=int, help="particles per swarm")
+    swarm.add_argument("--iterations", type=int, help="swarm iteration cap")
+
     rep = sub.add_parser(
         "reproduce",
+        parents=[swarm],
         help="run a built-in benchmark end to end and write its artifacts",
     )
     rep.add_argument("example", help=f"one of: {', '.join(CASE_NAMES)}")
-    rep.add_argument("--seeds", help='seed list "1,2,3" or range "1..5"')
-    rep.add_argument("--swarm-size", type=int, help="particles per swarm")
-    rep.add_argument("--iterations", type=int, help="swarm iteration cap")
     rep.add_argument("--out-dir", default="runs", help="artifact root (default: runs)")
     rep.set_defaults(func=_run_reproduce)
 
-    tune = sub.add_parser("tune", help="tune from a recorded experiment CSV")
+    tune = sub.add_parser("tune", parents=[swarm], help="tune from a recorded experiment CSV")
     tune.add_argument("--config", required=True, help="JSON run configuration")
     tune.add_argument("--data", required=True, help="CSV with columns k,r0,u0,y0")
-    tune.add_argument("--seeds", help='seed list "1,2,3" or range "1..5"')
-    tune.add_argument("--swarm-size", type=int, help="particles per swarm")
-    tune.add_argument("--iterations", type=int, help="swarm iteration cap")
     tune.add_argument(
         "--out-dir", default="runs/tune", help="artifact directory (default: runs/tune)"
     )

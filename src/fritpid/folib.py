@@ -2,7 +2,9 @@
 
 s**alpha is approximated on a finite frequency band by the Oustaloup
 recursive filter (geometrically spaced zero/pole pairs). Controller
-templates map a parameter vector theta to a ready-to-run discrete TF.
+templates map a parameter vector theta, [kfp, kfi, lam, kfd, mu] or
+[kp, ki, kd], to a ready-to-run discrete TF; the realizers take theta
+itself and check its size and finiteness once.
 
 The integer-order form has a closed-form bilinear image over z**2 - 1,
 staying polynomial throughout. The fractional form cannot: its
@@ -30,8 +32,6 @@ from scipy.linalg import lapack as _lapack
 from .lti_core import ContinuousTf, DiscreteTf, DiscreteZpk, DiscretizationError
 
 __all__ = [
-    "FopidParams",
-    "IopidParams",
     "OustaloupConfig",
     "ControllerKind",
     "ControllerTemplate",
@@ -40,55 +40,6 @@ __all__ = [
     "realize_iopid",
     "realize",
 ]
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class FopidParams:
-    """Fractional PID gains and orders, vector order [kfp, kfi, lam, kfd, mu]."""
-
-    kfp: float
-    kfi: float
-    lam: float
-    kfd: float
-    mu: float
-
-    def __post_init__(self):
-        for name in ("kfp", "kfi", "lam", "kfd", "mu"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-
-    @classmethod
-    def from_theta(cls, theta) -> "FopidParams":
-        arr = np.asarray(theta, dtype=float).reshape(-1)
-        if arr.size != 5:
-            raise ValueError(f"fractional PID expects 5 parameters, got {arr.size}")
-        return cls(*arr)
-
-
-@dataclass(frozen=True)
-class IopidParams:
-    """Integer-order PID gains, vector order [kp, ki, kd]."""
-
-    kp: float
-    ki: float
-    kd: float
-
-    def __post_init__(self):
-        for name in ("kp", "ki", "kd"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-
-    @classmethod
-    def from_theta(cls, theta) -> "IopidParams":
-        arr = np.asarray(theta, dtype=float).reshape(-1)
-        if arr.size != 3:
-            raise ValueError(f"integer PID expects 3 parameters, got {arr.size}")
-        return cls(*arr)
 
 
 @dataclass(frozen=True)
@@ -165,7 +116,9 @@ def oustaloup(alpha: float, cfg: OustaloupConfig) -> ContinuousTf:
     alpha = 0 returns unity and negative alpha returns the reciprocal of
     the positive case.
     """
-    alpha = _require_finite("alpha", alpha)
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha < 0.0:
         pos = oustaloup(-alpha, cfg)
         return ContinuousTf(pos.den, pos.num)
@@ -214,7 +167,20 @@ def _branch(gain: float, power: float, cfg: OustaloupConfig, ts: float):
     return pd, pd - zd, k
 
 
-def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
+def _parameters(theta, t: ControllerTemplate, kind: ControllerKind) -> list:
+    """theta as Python floats: with a numpy scalar, ``w_h ** a`` in
+    ``_staircase`` rounds differently in the last bit, and J moves."""
+    if t.kind is not kind:
+        raise ValueError(f"template kind must be {kind.name}")
+    values = np.asarray(theta, dtype=float).reshape(-1).tolist()
+    if len(values) != t.theta_dim:
+        raise ValueError(f"expected {t.theta_dim} parameters, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"parameters must be finite, got {values}")
+    return values
+
+
+def realize_fopid(theta, t: ControllerTemplate) -> DiscreteZpk:
     """Factored discrete realization of kfp + kfi*s**(-lam) + kfd*s**mu.
 
     Terms whose gain is exactly zero are dropped before anything is built,
@@ -229,22 +195,21 @@ def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
     pole alone on its diagonal, B all ones, C the gain-scaled chain rows
     and D the feedthrough.
     """
-    if t.kind is not ControllerKind.FOPID:
-        raise ValueError("template kind must be FOPID")
+    kfp, kfi, lam, kfd, mu = _parameters(theta, t, ControllerKind.FOPID)
     ts = t.sample_time
     branches = [
         _branch(gain, power, t.oustaloup, ts)
-        for gain, power in ((p.kfi, -p.lam), (p.kfd, p.mu))
+        for gain, power in ((kfi, -lam), (kfd, mu))
         if gain != 0.0
     ]
-    if not branches and p.kfp == 0.0:
+    if not branches and kfp == 0.0:
         return DiscreteZpk((), (), 0.0, ts)
-    feedthrough = p.kfp + sum(b[2] for b in branches)
+    feedthrough = kfp + sum(b[2] for b in branches)
     sizes = [b[0].size for b in branches]
     n = sum(sizes)
     if n == 0:
         return DiscreteZpk((), (), feedthrough, ts)
-    scale = abs(p.kfp) + sum(abs(b[2]) for b in branches)
+    scale = abs(kfp) + sum(abs(b[2]) for b in branches)
     if abs(feedthrough) <= 1e-12 * scale:
         raise DiscretizationError("realization has no usable feedthrough")
     poles = np.concatenate([b[0] for b in branches])
@@ -266,7 +231,7 @@ def realize_fopid(p: FopidParams, t: ControllerTemplate) -> DiscreteZpk:
     return DiscreteZpk(zeros, poles, feedthrough, ts, realization=(A, np.ones(n), C, feedthrough))
 
 
-def realize_iopid(p: IopidParams, t: ControllerTemplate) -> DiscreteTf:
+def realize_iopid(theta, t: ControllerTemplate) -> DiscreteTf:
     """Tustin image of kp + ki/s + kd*s, in closed form.
 
     With a = ki*ts/2 and d = 2*kd/ts, kp + a(z + 1)/(z - 1) + d(z - 1)/(z + 1)
@@ -274,15 +239,14 @@ def realize_iopid(p: IopidParams, t: ControllerTemplate) -> DiscreteTf:
     whose gain is exactly zero is dropped with its pole, so no cancelled
     factor is ever left in the realization.
     """
-    if t.kind is not ControllerKind.IOPID:
-        raise ValueError("template kind must be IOPID")
+    kp, ki, kd = _parameters(theta, t, ControllerKind.IOPID)
     ts = t.sample_time
-    kp, a, d = p.kp, p.ki * ts / 2.0, 2.0 * p.kd / ts
-    if p.ki == 0.0 and p.kd == 0.0:
+    a, d = ki * ts / 2.0, 2.0 * kd / ts
+    if ki == 0.0 and kd == 0.0:
         return DiscreteTf([kp], [1.0], ts)
-    if p.kd == 0.0:
+    if kd == 0.0:
         return DiscreteTf([kp + a, a - kp], [1.0, -1.0], ts)
-    if p.ki == 0.0:
+    if ki == 0.0:
         return DiscreteTf([kp + d, kp - d], [1.0, 1.0], ts)
     return DiscreteTf([kp + a + d, 2.0 * (a - d), a + d - kp], [1.0, 0.0, -1.0], ts)
 
@@ -294,5 +258,5 @@ def realize(theta, t: ControllerTemplate):
     polynomial DiscreteTf; both run everywhere the pipeline needs them.
     """
     if t.kind is ControllerKind.FOPID:
-        return realize_fopid(FopidParams.from_theta(theta), t)
-    return realize_iopid(IopidParams.from_theta(theta), t)
+        return realize_fopid(theta, t)
+    return realize_iopid(theta, t)

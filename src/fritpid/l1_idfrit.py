@@ -246,9 +246,9 @@ class LossEvaluator:
     Precomputes the matching target R0 m_D and the Toeplitz-inverse
     operator norm gamma_R0, then maps parameter vectors to LossBreakdowns.
     Instances are also callable as plain scalar objectives, which is the
-    form the swarm optimizer consumes. Simple counters keep track of how
-    often candidates were penalized, by reason, and whether any
-    non-penalized candidate ever violated the stability bound.
+    form the swarm optimizer consumes. Counters record how many candidates
+    were evaluated, how many were penalized, by reason, and how many clean
+    ones violated the stability bound; the totals are derived from them.
 
     The bound ||t||_1 <= gamma_R0 * ||epsilon||_1 + ||m_D||_1 takes as
     gamma_R0 the l1 norm of the generating column of the inverse of the
@@ -286,10 +286,17 @@ class LossEvaluator:
         pulse[0] = 1.0
         self._gamma_r0 = toeplitz_solve(data.r0, Signal(pulse, ts)).l1()
         self.evaluations = 0
-        self.penalties = 0
         self.penalty_counts = {r: 0 for r in PenaltyReason if r is not PenaltyReason.NONE}
-        self.bound_checks = 0
         self.bound_violations = 0
+
+    @property
+    def penalties(self) -> int:
+        return sum(self.penalty_counts.values())
+
+    @property
+    def bound_checks(self) -> int:
+        """Every clean evaluation checks the stability bound."""
+        return self.evaluations - self.penalties
 
     @property
     def gamma_r0(self) -> float:
@@ -301,33 +308,26 @@ class LossEvaluator:
         return self._y_ref
 
     def evaluate(self, theta) -> LossBreakdown:
-        """Full pipeline for one candidate; never raises for in-box theta."""
+        """Full pipeline for one candidate, counted once it has a breakdown;
+        never raises for in-box theta, only for one of the wrong size."""
+        breakdown = self._pipeline(theta)
         self.evaluations += 1
-        breakdown = self._pipeline(self._as_theta(theta))
         if breakdown.penalized:
-            self.penalties += 1
             self.penalty_counts[breakdown.penalty_reason] += 1
-        else:
-            self.bound_checks += 1
-            if not breakdown.bound_satisfied:
-                self.bound_violations += 1
+        elif not breakdown.bound_satisfied:
+            self.bound_violations += 1
         return breakdown
 
-    def _as_theta(self, theta) -> np.ndarray:
-        arr = np.asarray(theta, dtype=float).reshape(-1)
-        if arr.size != self.template.theta_dim:
-            raise ValueError(
-                f"expected {self.template.theta_dim} parameters, got {arr.size}"
-            )
-        return arr
-
-    def _pipeline(self, arr: np.ndarray) -> LossBreakdown:
-        if not np.isfinite(arr).all():
-            return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
+    def _pipeline(self, theta) -> LossBreakdown:
         try:
-            c = realize(arr, self.template)
+            c = realize(theta, self.template)
         except DiscretizationError:
             return _PENALIZED[PenaltyReason.NON_INVERTIBLE_CONTROLLER]
+        except ValueError:
+            # of the right size, theta or its realization was not finite
+            if np.size(theta) != self.template.theta_dim:
+                raise
+            return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         try:
             rt = fictitious_reference(c, self.data)
         except NonInvertibleError:

@@ -33,7 +33,6 @@ class PsoConfig:
     inertia_range: Tuple[float, float] = (0.4, 0.9)
     cognitive_coeff: float = 1.49
     social_coeff: float = 1.49
-    seed: int = 0
     stall_iterations: int = 40
     tolerance: float = 1e-8
 
@@ -47,8 +46,6 @@ class PsoConfig:
             raise ValueError("inertia_range must be ordered (low, high)")
         if self.cognitive_coeff <= 0.0 or self.social_coeff <= 0.0:
             raise ValueError("acceleration coefficients must be > 0")
-        if self.seed < 0 or int(self.seed) != self.seed:
-            raise ValueError("seed must be a non-negative integer")
         if self.stall_iterations < 1:
             raise ValueError("stall_iterations must be >= 1")
         if self.tolerance < 0.0:
@@ -111,10 +108,11 @@ def _evaluate_swarm(objective, positions: np.ndarray) -> np.ndarray:
 def minimize(
     objective: Callable[[np.ndarray], float],
     bounds: Bounds,
-    cfg: PsoConfig = PsoConfig(),
+    cfg: PsoConfig,
+    seed: int,
     x0: Optional[Sequence[float]] = None,
 ) -> OptimResult:
-    """Minimize a total objective over a box with seeded global-best PSO.
+    """Minimize a total objective over a box with global-best PSO seeded by ``seed``.
 
     When ``x0`` is given it replaces the first random particle (clipped
     into the box), which guarantees the result is never worse than the
@@ -127,12 +125,14 @@ def minimize(
     ``inertia_range``: it doubles after fresh improvement and halves
     once improvement has stalled for more than five iterations.
     """
+    if seed < 0 or int(seed) != seed:
+        raise ValueError("seed must be a non-negative integer")
     dim = bounds.dim
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         if x0.size != dim:
             raise ValueError(f"x0 has dimension {x0.size}, bounds have {dim}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     lo, hi = bounds.lower, bounds.upper
     span = hi - lo
     s = cfg.swarm_size
@@ -198,7 +198,7 @@ def minimize(
             break
 
     return OptimResult(
-        seed=cfg.seed,
+        seed=seed,
         best_theta=gbest,
         best_value=gbest_value,
         trace=tuple(trace),

@@ -16,6 +16,7 @@ from fritpid.cli import (
     EXIT_USAGE,
     CliError,
     _cell,
+    _config_payload,
     _jsonable,
     _parse_seed_list,
     _with_flags,
@@ -173,9 +174,12 @@ class TestLoadRunConfig:
             {"controller": {"kind": "iopid", "oustaloup": {"order": 4.5}}},
             {"reference_model": {"num": [0.5], "den": [1.0, -0.5],
                                  "sample_time": 0.05, "delay_samples": 1.5}},
+            {"controller": {"kind": "iopid", "oustaloup": {"w_hh": 100.0}}},
+            {"seed": [7]},
         ],
         ids=["no-seeds", "fractional-seed", "negative-seed", "fractional-swarm",
-             "string-iterations", "fractional-order", "fractional-delay"],
+             "string-iterations", "fractional-order", "fractional-delay",
+             "unknown-oustaloup-key", "unknown-top-level-key"],
     )
     def test_malformed_values_are_rejected_not_rewritten(self, tmp_path, overrides):
         with pytest.raises(CliError) as err:
@@ -329,6 +333,11 @@ class TestReproduce:
             assert (tmp_path / "example3_io" / name).read_bytes() == (
                 repro_dir / "example3_io" / name
             ).read_bytes(), name
+
+    @pytest.mark.parametrize("name", ["example3_io", "example3_fo"])
+    def test_exported_config_reads_back_to_the_same_document(self, repro_dir, name):
+        path = repro_dir / name / "config.json"
+        assert _jsonable(_config_payload(load_run_config(path))) == read_json(path)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
 from scipy.linalg import blas
 
-from fritpid.folib import ControllerKind, ControllerTemplate, realize, realize_fopid, FopidParams
+from fritpid.folib import ControllerKind, ControllerTemplate, realize, realize_fopid
 from fritpid.l1_idfrit import (
     PENALTY,
     ExperimentRecord,
@@ -300,7 +300,7 @@ class TestPenalties:
         assert b.penalty_reason is PenaltyReason.NON_INVERTIBLE_CONTROLLER
 
     def test_cancelled_fractional_feedthrough_is_non_invertible(self):
-        branch = realize_fopid(FopidParams(0.0, 1.0, 0.5, 0.0, 1.0), FOPID_T)
+        branch = realize_fopid([0.0, 1.0, 0.5, 0.0, 1.0], FOPID_T)
         rec = closed_loop_record(PLANT, THETA0)
         ev = LossEvaluator(FOPID_T, rec, MD)
         b = ev.evaluate([-branch.gain, 1.0, 0.5, 0.0, 1.0])
@@ -340,6 +340,15 @@ class TestPenalties:
     def test_wrong_dimension_raises_instead_of_penalizing(self):
         with pytest.raises(ValueError, match="expected 3 parameters"):
             self.make_evaluator().evaluate([1.0, 2.0])
+
+    def test_a_refused_theta_is_not_counted(self):
+        # only an evaluation that produced a breakdown counts, so every
+        # evaluation is either a penalty or a bound check
+        ev = self.make_evaluator()
+        for theta in ([1.0, 2.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError):
+                ev.evaluate(theta)
+        assert (ev.evaluations, ev.penalties, ev.bound_checks) == (0, 0, 0)
 
 
 class TestLossBreakdown:

@@ -11,7 +11,6 @@ from fritpid.benchlab import builtin_case, discretized_plant
 from fritpid.folib import (
     ControllerKind,
     ControllerTemplate,
-    FopidParams,
     OustaloupConfig,
     realize,
     realize_fopid,
@@ -206,7 +205,7 @@ class TestFeedback:
     @settings(max_examples=20)
     def test_factored_controller_loop_matches_the_closed_form(self, r):
         p = DiscreteTf([0.2, 0.1], [1.0, -1.2, 0.35], TS, delay_samples=2)
-        c = realize_fopid(FopidParams(0.8, 1.2, 0.6, 0.4, 1.3), ORDER1_T)
+        c = realize_fopid([0.8, 1.2, 0.6, 0.4, 1.3], ORDER1_T)
         expanded = DiscreteTf(
             c.gain * np.real(np.poly(c.zeros)), np.real(np.poly(c.poles)), TS
         )
@@ -360,7 +359,7 @@ class TestDiscreteZpk:
     def test_state_space_eigenvalues_are_the_poles(self):
         # one state per pole; every pole sits alone on the diagonal of the
         # lower-triangular state matrix, and the realization is read-only
-        g = realize_fopid(FopidParams(0.8, 1.2, 0.6, 0.4, 1.3), FOPID_T)
+        g = realize_fopid([0.8, 1.2, 0.6, 0.4, 1.3], FOPID_T)
         a, b, c, d = g.state_space()
         assert a.shape == (len(g.poles), len(g.poles))
         assert np.all(np.triu(a, 1) == 0.0)
@@ -404,7 +403,7 @@ class TestDiscreteZpk:
     @given(theta=fopid_thetas())
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_realized_fopid_state_space_matches_the_response(self, template, theta):
-        g = realize_fopid(FopidParams.from_theta(theta), template)
+        g = realize_fopid(theta, template)
         a, b, c, d = g.state_space()
         # off the real axis and away from z = 1, where the slow poles and
         # zeros nearly cancel and the product over computed zeros is itself

@@ -56,8 +56,8 @@ class TestPsoConfig:
             {"inertia_range": (0.9, 0.4)},
             {"cognitive_coeff": 0.0},
             {"social_coeff": -1.0},
-            {"seed": -1},
-            {"seed": 1.5},
+            {"cognitive_coeff": -1.0},
+            {"social_coeff": 0.0},
             {"stall_iterations": 0},
             {"tolerance": -1e-9},
         ],
@@ -69,9 +69,9 @@ class TestPsoConfig:
 
 class TestMinimize:
     def test_same_seed_reproduces_bit_for_bit(self):
-        cfg = PsoConfig(swarm_size=12, max_iterations=30, seed=5)
-        a = minimize(sphere([1.0, -2.0, 0.5]), BOX3, cfg)
-        b = minimize(sphere([1.0, -2.0, 0.5]), BOX3, cfg)
+        cfg = PsoConfig(swarm_size=12, max_iterations=30)
+        a = minimize(sphere([1.0, -2.0, 0.5]), BOX3, cfg, 5)
+        b = minimize(sphere([1.0, -2.0, 0.5]), BOX3, cfg, 5)
         assert np.array_equal(a.best_theta, b.best_theta)
         assert a.best_value == b.best_value
         assert a.trace == b.trace
@@ -79,12 +79,12 @@ class TestMinimize:
 
     def test_different_seeds_explore_differently(self):
         f = sphere([1.0, -2.0, 0.5])
-        a = minimize(f, BOX3, PsoConfig(swarm_size=12, max_iterations=5, seed=0))
-        b = minimize(f, BOX3, PsoConfig(swarm_size=12, max_iterations=5, seed=1))
+        a = minimize(f, BOX3, PsoConfig(swarm_size=12, max_iterations=5), 0)
+        b = minimize(f, BOX3, PsoConfig(swarm_size=12, max_iterations=5), 1)
         assert a.trace[0] != b.trace[0]
 
     def test_converges_on_a_smooth_bowl(self):
-        res = minimize(sphere([1.0, -2.0, 0.5]), BOX3, PsoConfig(seed=3))
+        res = minimize(sphere([1.0, -2.0, 0.5]), BOX3, PsoConfig(), 3)
         assert res.best_value <= 1e-6
         np.testing.assert_allclose(res.best_theta, [1.0, -2.0, 0.5], atol=1e-2)
 
@@ -96,7 +96,7 @@ class TestMinimize:
         def needle(x):
             return 0.0 if np.array_equal(x, x0) else 10.0 + float(np.sum(np.square(x)))
 
-        res = minimize(needle, BOX3, PsoConfig(swarm_size=8, max_iterations=10, seed=0), x0=x0)
+        res = minimize(needle, BOX3, PsoConfig(swarm_size=8, max_iterations=10), 0, x0=x0)
         assert res.best_value == 0.0
         np.testing.assert_array_equal(res.best_theta, x0)
 
@@ -107,12 +107,17 @@ class TestMinimize:
             seen.append(np.array(x))
             return float(np.sum(np.square(x)))
 
-        minimize(spy, BOX3, PsoConfig(swarm_size=4, max_iterations=1, seed=0), x0=[9.0, -9.0, 0.0])
+        minimize(spy, BOX3, PsoConfig(swarm_size=4, max_iterations=1), 0, x0=[9.0, -9.0, 0.0])
         np.testing.assert_array_equal(seen[0], [5.0, -5.0, 0.0])
 
     def test_wrong_start_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            minimize(sphere([0, 0, 0]), BOX3, PsoConfig(), x0=[1.0, 2.0])
+            minimize(sphere([0, 0, 0]), BOX3, PsoConfig(), 0, x0=[1.0, 2.0])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_invalid_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            minimize(sphere([0, 0, 0]), BOX3, PsoConfig(), seed)
 
     def test_every_evaluated_point_stays_in_the_box(self):
         seen = []
@@ -121,13 +126,13 @@ class TestMinimize:
             seen.append(np.array(x))
             return float(np.sum(np.square(x - 1.0)))
 
-        minimize(spy, BOX3, PsoConfig(swarm_size=10, max_iterations=25, seed=2))
+        minimize(spy, BOX3, PsoConfig(swarm_size=10, max_iterations=25), 2)
         stacked = np.stack(seen)
         assert np.all(stacked >= BOX3.lower) and np.all(stacked <= BOX3.upper)
 
     def test_trace_is_monotone_and_complete(self):
-        cfg = PsoConfig(swarm_size=10, max_iterations=40, seed=1)
-        res = minimize(sphere([0.5, 0.5, 0.5]), BOX3, cfg)
+        cfg = PsoConfig(swarm_size=10, max_iterations=40)
+        res = minimize(sphere([0.5, 0.5, 0.5]), BOX3, cfg, 1)
         iterations = [i for i, _ in res.trace]
         values = [v for _, v in res.trace]
         assert iterations == list(range(len(res.trace)))
@@ -136,8 +141,8 @@ class TestMinimize:
         assert res.evaluations == cfg.swarm_size * len(res.trace)
 
     def test_stall_counter_stops_a_flat_search(self):
-        cfg = PsoConfig(swarm_size=6, max_iterations=500, seed=0, stall_iterations=7)
-        res = minimize(lambda x: 1.0, BOX3, cfg)
+        cfg = PsoConfig(swarm_size=6, max_iterations=500, stall_iterations=7)
+        res = minimize(lambda x: 1.0, BOX3, cfg, 0)
         assert len(res.trace) == 1 + 7
         assert res.best_value == 1.0
         assert (res.iterations, res.stop_reason) == (7, "stall")
@@ -145,8 +150,8 @@ class TestMinimize:
         assert res.inertia == 0.4
 
     def test_iteration_cap_wins_over_a_patient_stall(self):
-        cfg = PsoConfig(swarm_size=6, max_iterations=3, seed=0, stall_iterations=100)
-        res = minimize(lambda x: 1.0, BOX3, cfg)
+        cfg = PsoConfig(swarm_size=6, max_iterations=3, stall_iterations=100)
+        res = minimize(lambda x: 1.0, BOX3, cfg, 0)
         assert len(res.trace) == 1 + 3
         assert (res.iterations, res.stop_reason) == (3, "cap")
         # too few stalled iterations to leave the upper end
@@ -163,6 +168,6 @@ class TestMinimize:
             return v
 
         res = minimize(
-            tracking, BOX3, PsoConfig(swarm_size=5, max_iterations=8, seed=seed)
+            tracking, BOX3, PsoConfig(swarm_size=5, max_iterations=8), seed
         )
         assert res.best_value == best_seen[0]
