@@ -81,8 +81,9 @@ class RunConfig:
     given, is scored and injected into every swarm, and each of the
     ``seeds`` runs one swarm with the ``pso`` settings; ``plant`` and
     ``sim_time`` are needed only to collect data or to validate. There
-    must be at least one seed, a given ``sim_time`` must be positive, and
-    a discrete block must run at the template's sample time.
+    must be at least one seed, a given ``theta0`` must be finite, a given
+    ``sim_time`` must be positive, and a discrete block must run at the
+    template's sample time.
     """
 
     template: ControllerTemplate
@@ -110,6 +111,8 @@ class RunConfig:
                 raise ValueError(
                     f"theta0 has dimension {theta0.size}, a {kind} controller needs {dim}"
                 )
+            if not np.isfinite(theta0).all():
+                raise ValueError(f"theta0 must be finite, got {theta0.tolist()}")
             theta0.setflags(write=False)
             object.__setattr__(self, "theta0", theta0)
         if self.sim_time is not None and not self.sim_time > 0.0:

@@ -30,7 +30,7 @@ The config schema, shared by ``tune`` and ``validate``::
                           for a discrete model, or optional "dead_time" /
                           "discretization": "tustin" for a continuous one},
       "bounds":          {"lower": [...], "upper": [...]},
-      "theta0":          [...],            # optional swarm warm start
+      "theta0":          [...],            # optional swarm warm start, finite
       "seeds":           [1, 2, 3],        # optional, default 1..5
       "pso":             {...},            # optional PsoConfig overrides
       "plant":           {...},            # validate only, same shape as

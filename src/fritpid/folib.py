@@ -36,6 +36,8 @@ __all__ = [
     "ControllerKind",
     "ControllerTemplate",
     "oustaloup",
+    "fopid_roots",
+    "iopid_coeffs",
     "realize_fopid",
     "realize_iopid",
     "realize",
@@ -180,6 +182,54 @@ def _parameters(theta, t: ControllerTemplate, kind: ControllerKind) -> list:
     return values
 
 
+def fopid_roots(theta, t: ControllerTemplate) -> tuple:
+    """(zeros, poles, gain, realization) of kfp + kfi*s**(-lam) + kfd*s**mu.
+
+    The parts ``realize_fopid`` wraps, for callers that need no
+    DiscreteZpk: zeros and poles as lists of plain numbers in no
+    particular order, the realization (A, B, C, D) or None for a
+    constant. Raises DiscretizationError for a realization without a
+    usable feedthrough and ValueError for one that is not finite.
+    """
+    kfp, kfi, lam, kfd, mu = _parameters(theta, t, ControllerKind.FOPID)
+    ts = t.sample_time
+    branches = [
+        _branch(gain, power, t.oustaloup, ts)
+        for gain, power in ((kfi, -lam), (kfd, mu))
+        if gain != 0.0
+    ]
+    feedthrough = kfp + sum(b[2] for b in branches)
+    sizes = [b[0].size for b in branches]
+    n = sum(sizes)
+    if n == 0:
+        zeros = poles = np.zeros(0)
+        realization = None
+    else:
+        scale = abs(kfp) + sum(abs(b[2]) for b in branches)
+        if abs(feedthrough) <= 1e-12 * scale:
+            raise DiscretizationError("realization has no usable feedthrough")
+        poles = np.concatenate([b[0] for b in branches])
+        chain = np.concatenate([b[1] for b in branches])
+        # block-diagonal over the branches: A[i, j] = chain[j] below the
+        # diagonal of a block, the poles on it; every state takes the unit
+        # input (B = 1)
+        i = np.arange(n)
+        A = np.where(i < i[:, None], chain, 0.0)
+        A[i, i] = poles
+        A[sizes[0]:, : sizes[0]] = 0.0
+        C = np.concatenate([b[2] * b[1] for b in branches])
+        # LAPACK directly: numpy's eigvals wrapper costs a fifth of the call
+        # on a matrix built finite here, and returns the same bits
+        wr, wi, _, _, info = _lapack.dgeev(A - C / feedthrough, compute_vl=0, compute_vr=0)
+        if info != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        zeros = wr + 1j * wi if wi.any() else wr
+        realization = (A, np.ones(n), C, feedthrough)
+    if not (math.isfinite(feedthrough) and np.isfinite(zeros).all() and np.isfinite(poles).all()):
+        raise ValueError("realization must be finite")
+    return zeros.tolist(), poles.tolist(), feedthrough, realization
+
+
 def realize_fopid(theta, t: ControllerTemplate) -> DiscreteZpk:
     """Factored discrete realization of kfp + kfi*s**(-lam) + kfd*s**mu.
 
@@ -195,60 +245,35 @@ def realize_fopid(theta, t: ControllerTemplate) -> DiscreteZpk:
     pole alone on its diagonal, B all ones, C the gain-scaled chain rows
     and D the feedthrough.
     """
-    kfp, kfi, lam, kfd, mu = _parameters(theta, t, ControllerKind.FOPID)
-    ts = t.sample_time
-    branches = [
-        _branch(gain, power, t.oustaloup, ts)
-        for gain, power in ((kfi, -lam), (kfd, mu))
-        if gain != 0.0
-    ]
-    if not branches and kfp == 0.0:
-        return DiscreteZpk((), (), 0.0, ts)
-    feedthrough = kfp + sum(b[2] for b in branches)
-    sizes = [b[0].size for b in branches]
-    n = sum(sizes)
-    if n == 0:
-        return DiscreteZpk((), (), feedthrough, ts)
-    scale = abs(kfp) + sum(abs(b[2]) for b in branches)
-    if abs(feedthrough) <= 1e-12 * scale:
-        raise DiscretizationError("realization has no usable feedthrough")
-    poles = np.concatenate([b[0] for b in branches])
-    chain = np.concatenate([b[1] for b in branches])
-    # block-diagonal over the branches: A[i, j] = chain[j] below the
-    # diagonal of a block, the poles on it; every state takes the unit
-    # input (B = 1)
-    i = np.arange(n)
-    A = np.where(i < i[:, None], chain, 0.0)
-    A[i, i] = poles
-    A[sizes[0]:, : sizes[0]] = 0.0
-    C = np.concatenate([b[2] * b[1] for b in branches])
-    # LAPACK directly: numpy's eigvals wrapper costs a fifth of the call
-    # on a matrix built finite here, and returns the same bits
-    wr, wi, _, _, info = _lapack.dgeev(A - C / feedthrough, compute_vl=0, compute_vr=0)
-    if info != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    zeros = wr + 1j * wi if wi.any() else wr
-    return DiscreteZpk(zeros, poles, feedthrough, ts, realization=(A, np.ones(n), C, feedthrough))
+    zeros, poles, gain, realization = fopid_roots(theta, t)
+    return DiscreteZpk(zeros, poles, gain, t.sample_time, realization=realization)
 
 
-def realize_iopid(theta, t: ControllerTemplate) -> DiscreteTf:
-    """Tustin image of kp + ki/s + kd*s, in closed form.
+def iopid_coeffs(theta, t: ControllerTemplate) -> tuple:
+    """(num, den) of the Tustin image of kp + ki/s + kd*s, in closed form.
 
     With a = ki*ts/2 and d = 2*kd/ts, kp + a(z + 1)/(z - 1) + d(z - 1)/(z + 1)
     is [(kp + a + d)z**2 + 2(a - d)z + (a + d - kp)] / (z**2 - 1). A term
     whose gain is exactly zero is dropped with its pole, so no cancelled
-    factor is ever left in the realization.
+    factor is ever left in the realization. Coefficients come highest
+    power first, den monic; num keeps a leading zero, which DiscreteTf
+    strips.
     """
     kp, ki, kd = _parameters(theta, t, ControllerKind.IOPID)
     ts = t.sample_time
     a, d = ki * ts / 2.0, 2.0 * kd / ts
     if ki == 0.0 and kd == 0.0:
-        return DiscreteTf([kp], [1.0], ts)
+        return [kp], [1.0]
     if kd == 0.0:
-        return DiscreteTf([kp + a, a - kp], [1.0, -1.0], ts)
+        return [kp + a, a - kp], [1.0, -1.0]
     if ki == 0.0:
-        return DiscreteTf([kp + d, kp - d], [1.0, 1.0], ts)
-    return DiscreteTf([kp + a + d, 2.0 * (a - d), a + d - kp], [1.0, 0.0, -1.0], ts)
+        return [kp + d, kp - d], [1.0, 1.0]
+    return [kp + a + d, 2.0 * (a - d), a + d - kp], [1.0, 0.0, -1.0]
+
+
+def realize_iopid(theta, t: ControllerTemplate) -> DiscreteTf:
+    """Closed-form Tustin image of kp + ki/s + kd*s (see ``iopid_coeffs``)."""
+    return DiscreteTf(*iopid_coeffs(theta, t), t.sample_time)
 
 
 def realize(theta, t: ControllerTemplate):

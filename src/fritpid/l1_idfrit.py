@@ -26,14 +26,22 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.blas import dtrsv as _dtrsv
 
-from .folib import ControllerTemplate, realize
+from .folib import ControllerKind, ControllerTemplate, fopid_roots, iopid_coeffs
+
+# the loss path builds no controller object, but perfbench/tracer.py wraps
+# realize by this module's name
+from .folib import realize  # noqa: F401
 from .lti_core import (
     DiscreteTf,
     DiscretizationError,
     NonInvertibleError,
     SampleTimeError,
     Signal,
+    filter_tf,
+    filter_zpk,
     impulse_response,
+    inverse_coeffs,
+    inverse_roots,
     invert,
     is_stable,
     poles,
@@ -207,7 +215,7 @@ def toeplitz_solve(rt: Signal, y0: Signal) -> Signal:
             t[lo:hi] = _dtrsv(block[:m, :m], rhs[lo:hi], lower=1)
             if hi < n:
                 rhs[hi:] -= np.convolve(col[1 : n - lo], t[lo:hi], mode="valid")
-    return Signal(t, y0.sample_time)
+    return Signal.adopt(t, y0.sample_time)
 
 
 @functools.lru_cache(maxsize=1)
@@ -237,7 +245,7 @@ def reconstruct_output(r0: Signal, t: Signal) -> Signal:
         raise ValueError("signal lengths differ")
     d = _increments(r0)
     dt = d[0] * t.samples if d.size == 1 else np.convolve(d, t.samples)[: len(t)]
-    return Signal(dt.cumsum(), r0.sample_time)
+    return Signal.adopt(dt.cumsum(), r0.sample_time)
 
 
 class LossEvaluator:
@@ -260,6 +268,11 @@ class LossEvaluator:
     broke, never that the candidate was unlucky. The reference model
     must be stable by ``lti_core.is_stable``, the rule every pole set is
     judged by.
+
+    Candidates are scored on arrays, from C's raw parts through the
+    inverse's filter, with no controller object; every value is the one
+    ``fictitious_reference(realize(theta), data)`` and the solve give,
+    bit for bit.
     """
 
     def __init__(
@@ -278,6 +291,7 @@ class LossEvaluator:
         self.template = template
         self.data = data
         self.md = md
+        self._factored = template.kind is ControllerKind.FOPID
         n = len(data)
         m_d = impulse_response(md, n - 1)
         self._m_d_l1 = m_d.l1()
@@ -319,8 +333,12 @@ class LossEvaluator:
         return breakdown
 
     def _pipeline(self, theta) -> LossBreakdown:
+        data = self.data
         try:
-            c = realize(theta, self.template)
+            if self._factored:
+                c = fopid_roots(theta, self.template)
+            else:
+                c = iopid_coeffs(theta, self.template)
         except DiscretizationError:
             return _PENALIZED[PenaltyReason.NON_INVERTIBLE_CONTROLLER]
         except ValueError:
@@ -329,18 +347,22 @@ class LossEvaluator:
                 raise
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         try:
-            rt = fictitious_reference(c, self.data)
+            if self._factored:
+                rt = filter_zpk(*inverse_roots(*c[:3]), data.u0.samples)
+            else:
+                rt = filter_tf(*inverse_coeffs(*c), data.u0.samples)
         except NonInvertibleError:
             return _PENALIZED[PenaltyReason.NON_INVERTIBLE_CONTROLLER]
-        if not _well_scaled(rt.samples):
+        rt += data.y0.samples
+        if not _well_scaled(rt):
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         try:
-            t = toeplitz_solve(rt, self.data.y0)
+            t = toeplitz_solve(Signal.adopt(rt, data.sample_time), data.y0)
         except FictitiousHeadZeroError:
             return _PENALIZED[PenaltyReason.FICTITIOUS_HEAD_ZERO]
         if not _well_scaled(t.samples):
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
-        y = reconstruct_output(self.data.r0, t).samples
+        y = reconstruct_output(data.r0, t).samples
         if not _well_scaled(y):
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         j = float(np.abs(y - self._y_ref.samples).sum())

@@ -41,6 +41,10 @@ __all__ = [
     "simulate",
     "impulse_response",
     "invert",
+    "inverse_roots",
+    "inverse_coeffs",
+    "filter_zpk",
+    "filter_tf",
     "same_sample_time",
     "poles",
     "is_stable",
@@ -89,6 +93,15 @@ def _strip(vals: list) -> tuple:
     while k < len(vals) - 1 and vals[k] == 0.0:
         k += 1
     return tuple(vals[k:])
+
+
+def _monic(num: tuple, den: tuple) -> tuple:
+    """(num, den) rescaled so that den leads with exactly one; den[0] != 0."""
+    lead = den[0]
+    if lead == 1.0:
+        return num, den
+    k = 1.0 / lead
+    return _strip([k * c for c in num]), (1.0,) + tuple(k * c for c in den[1:])
 
 
 def _coerce_coeffs(coeffs) -> tuple:
@@ -166,14 +179,9 @@ class DiscreteTf:
     def __post_init__(self):
         num = _coerce_coeffs(self.num)
         den = _coerce_coeffs(self.den)
-        lead = den[0]
-        if lead == 0.0:  # only the zero polynomial keeps a zero lead
+        if den[0] == 0.0:  # only the zero polynomial keeps a zero lead
             raise ValueError("denominator must not be identically zero")
-        if lead != 1.0:
-            # rescaling must leave the lead exactly one
-            k = 1.0 / lead
-            num = _strip([k * c for c in num])
-            den = (1.0,) + tuple(k * c for c in den[1:])
+        num, den = _monic(num, den)
         if len(num) > len(den):
             raise ValueError("improper discrete transfer function")
         if not (self.sample_time > 0.0):
@@ -235,15 +243,19 @@ def _quadratic_groups(real: list, cplx: list):
 
 
 def _fast_sos(zeros: Sequence[complex], poles: Sequence[complex], gain: float):
-    """Second-order sections from conjugate-paired root data.
+    """Second-order sections from conjugate-paired root data (gain folded in).
 
-    Handles any relative degree of a proper system with at least one
-    pole: pole sections left without a zero group get delayed numerators
-    ((0, 0, 1) for a quadratic, (0, 1, 0) for a bare linear tail), which
-    keeps the cascade aligned with the z-domain transfer function
-    including its implicit delay. Raises ValueError when some complex
-    root lacks its exact conjugate.
+    The sections depend on the roots' values, not on their order, apart
+    from the sign of a zero coefficient when both 0.0 and -0.0 are roots.
+    Handles any relative degree of a proper system: pole sections left
+    without a zero group get delayed numerators ((0, 0, 1) for a
+    quadratic, (0, 1, 0) for a bare linear tail), which keeps the cascade
+    aligned with the z-domain transfer function including its implicit
+    delay, and a system without poles is the one constant section.
+    Raises ValueError when some complex root lacks its exact conjugate.
     """
+    if not poles:
+        return np.array([[gain, 0.0, 0.0, 1.0, 0.0, 0.0]])
     z_groups, z_tail = _quadratic_groups(*_split_conjugates(zeros))
     p_groups, p_tail = _quadratic_groups(*_split_conjugates(poles))
     z_groups.sort(key=_first)
@@ -333,8 +345,6 @@ class DiscreteZpk:
         Raises ValueError when some complex root lacks its exact conjugate,
         which roots computed as eigenvalues of a real matrix never do.
         """
-        if not self.poles:
-            return np.array([[self.gain, 0.0, 0.0, 1.0, 0.0, 0.0]])
         return _fast_sos(self.zeros, self.poles, self.gain)
 
     def state_space(self):
@@ -366,6 +376,17 @@ class Signal:
         if not (self.sample_time > 0.0):
             raise ValueError("sample time must be > 0")
 
+    @classmethod
+    def adopt(cls, samples: np.ndarray, sample_time: float) -> "Signal":
+        """Signal that takes a freshly computed 1-D float array as is.
+
+        Skips the defensive copy: the array is made read-only, so nothing
+        may hold a writable view of it, and ``sample_time`` comes from a
+        signal or system that already passed the checks.
+        """
+        samples.setflags(write=False)
+        return _unchecked(cls, samples=samples, sample_time=sample_time)
+
     def __len__(self) -> int:
         return self.samples.size
 
@@ -379,7 +400,7 @@ class Signal:
             raise ValueError("signal lengths differ")
         if not same_sample_time(self.sample_time, other.sample_time):
             raise SampleTimeError("signal sample times differ")
-        return Signal(self.samples + other.samples, self.sample_time)
+        return Signal.adopt(self.samples + other.samples, self.sample_time)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +461,20 @@ def tustin(g: ContinuousTf, sample_time: float) -> DiscreteTf:
 # simulation
 
 
-def _filter_coeffs(g: DiscreteTf) -> tuple:
-    a = g.den.as_array()
-    b = g.num.as_array()
-    if b.size < a.size:
-        b = np.concatenate([np.zeros(a.size - b.size), b])
-    return b, a
+def filter_zpk(zeros, poles, gain: float, u: np.ndarray) -> np.ndarray:
+    """Zero-initial-condition response of a factored system to samples u.
+
+    Runs the section cascade of the root data; roots given as plain
+    Python numbers build the sections fastest.
+    """
+    return _sig.sosfilt(_fast_sos(zeros, poles, gain), u)
+
+
+def filter_tf(num, den, u: np.ndarray) -> np.ndarray:
+    """Zero-initial-condition response of delay-free num/den (den monic)
+    to samples u; a shorter num is a delayed one."""
+    b = (0.0,) * (len(den) - len(num)) + tuple(num)
+    return _sig.lfilter(b, den, u)
 
 
 def simulate(g, u: Signal) -> Signal:
@@ -458,16 +487,15 @@ def simulate(g, u: Signal) -> Signal:
     if not same_sample_time(g.sample_time, u.sample_time):
         raise SampleTimeError("system and input sample times differ")
     if isinstance(g, DiscreteZpk):
-        return Signal(_sig.sosfilt(g.as_sos(), u.samples), g.sample_time)
-    b, a = _filter_coeffs(g)
-    y = _sig.lfilter(b, a, u.samples)
+        return Signal.adopt(filter_zpk(g.zeros, g.poles, g.gain, u.samples), g.sample_time)
+    y = filter_tf(g.num.coeffs, g.den.coeffs, u.samples)
     d = g.delay_samples
     if d > 0:
         if d >= y.size:
             y = np.zeros(y.size)
         else:
             y = np.concatenate([np.zeros(d), y[:-d]])
-    return Signal(y, g.sample_time)
+    return Signal.adopt(y, g.sample_time)
 
 
 def impulse_response(g: DiscreteTf, n: int) -> Signal:
@@ -479,6 +507,29 @@ def impulse_response(g: DiscreteTf, n: int) -> Signal:
     return simulate(g, Signal(delta, g.sample_time))
 
 
+def inverse_roots(zeros, poles, gain: float) -> tuple:
+    """(zeros, poles, gain) of the exact inverse of a factored system.
+
+    Raises NonInvertibleError unless the system is biproper with
+    |gain| >= _FEEDTHROUGH_TOL.
+    """
+    if len(zeros) != len(poles) or abs(gain) < _FEEDTHROUGH_TOL:
+        raise NonInvertibleError("non-invertible controller")
+    return poles, zeros, 1.0 / gain
+
+
+def inverse_coeffs(num, den) -> tuple:
+    """(num, den) of the exact inverse of delay-free num/den, den monic.
+
+    Raises NonInvertibleError unless num has den's length and
+    |num[0]| >= _FEEDTHROUGH_TOL; a leading zero, which DiscreteTf would
+    strip, fails that too.
+    """
+    if len(num) != len(den) or abs(num[0]) < _FEEDTHROUGH_TOL:
+        raise NonInvertibleError("non-invertible controller")
+    return _monic(tuple(den), tuple(num))
+
+
 def invert(g):
     """Exact inverse of a biproper, delay-free discrete TF.
 
@@ -487,16 +538,14 @@ def invert(g):
     expanded coefficients.
     """
     if isinstance(g, DiscreteZpk):
-        if not g.is_biproper or abs(g.gain) < _FEEDTHROUGH_TOL:
-            raise NonInvertibleError("non-invertible controller")
+        zeros, poles, gain = inverse_roots(g.zeros, g.poles, g.gain)
         return _unchecked(
-            DiscreteZpk, zeros=g.poles, poles=g.zeros, gain=1.0 / g.gain,
+            DiscreteZpk, zeros=zeros, poles=poles, gain=gain,
             sample_time=g.sample_time, realization=None, realized=False,
         )
-    num = g.num.coeffs
-    if g.delay_samples != 0 or len(num) != len(g.den.coeffs) or abs(num[0]) < _FEEDTHROUGH_TOL:
+    if g.delay_samples != 0:
         raise NonInvertibleError("non-invertible controller")
-    return DiscreteTf(g.den, g.num, g.sample_time)
+    return DiscreteTf(*inverse_coeffs(g.num.coeffs, g.den.coeffs), g.sample_time)
 
 
 # ---------------------------------------------------------------------------

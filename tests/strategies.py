@@ -5,12 +5,24 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from fritpid.folib import realize
+from fritpid.l1_idfrit import (
+    PENALTY,
+    FictitiousHeadZeroError,
+    LossBreakdown,
+    PenaltyReason,
+    fictitious_reference,
+    reconstruct_output,
+    toeplitz_solve,
+)
 from fritpid.lti_core import (
     ContinuousTf,
     DiscreteTf,
     DiscreteZpk,
     DiscretizationError,
+    NonInvertibleError,
     Signal,
+    impulse_response,
     tustin,
 )
 
@@ -331,3 +343,47 @@ def conjugate_root_sets(draw, max_order=9):
         zeros[-1] = zeros[-1].real + 0.5
     gain = draw(st.one_of(bounded_floats(0.1, 5.0), bounded_floats(-5.0, -0.1)))
     return tuple(zeros), tuple(poles), gain
+
+
+# ---------------------------------------------------------------------------
+# the loss pipeline on controller objects, as LossEvaluator ran it before it
+# scored candidates on arrays, kept to pin the array path bit for bit
+
+
+def _penalized(reason: PenaltyReason) -> LossBreakdown:
+    return LossBreakdown(j=PENALTY, t_l1=math.nan, bound=math.nan, penalty_reason=reason)
+
+
+def reference_breakdown(evaluator, theta) -> LossBreakdown:
+    """realize, fictitious_reference, toeplitz_solve and reconstruct_output,
+    with the evaluator's penalty rules, on the evaluator's record."""
+    data = evaluator.data
+    try:
+        c = realize(theta, evaluator.template)
+    except DiscretizationError:
+        return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER)
+    except ValueError:
+        return _penalized(PenaltyReason.NONFINITE_SIGNAL)
+    try:
+        rt = fictitious_reference(c, data)
+    except NonInvertibleError:
+        return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER)
+    if not np.abs(rt.samples).max() <= 1e30:
+        return _penalized(PenaltyReason.NONFINITE_SIGNAL)
+    try:
+        t = toeplitz_solve(rt, data.y0)
+    except FictitiousHeadZeroError:
+        return _penalized(PenaltyReason.FICTITIOUS_HEAD_ZERO)
+    if not np.abs(t.samples).max() <= 1e30:
+        return _penalized(PenaltyReason.NONFINITE_SIGNAL)
+    y = reconstruct_output(data.r0, t).samples
+    if not np.abs(y).max() <= 1e30:
+        return _penalized(PenaltyReason.NONFINITE_SIGNAL)
+    j = float(np.abs(y - evaluator.target.samples).sum())
+    m_d_l1 = impulse_response(evaluator.md, len(data) - 1).l1()
+    return LossBreakdown(
+        j=j,
+        t_l1=t.l1(),
+        bound=evaluator.gamma_r0 * j + m_d_l1,
+        penalty_reason=PenaltyReason.NONE,
+    )

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
@@ -390,6 +391,22 @@ class TestTune:
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_USAGE
         assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nonfinite_theta0_is_a_config_error(self, repro_dir, tmp_path, capsys):
+        # json reads the NaN literal; unchecked, the NaN start point took
+        # over the swarm and the run ended as a numeric error (exit 5)
+        src = repro_dir / "example3_io"
+        cfg = read_json(src / "config.json")
+        cfg["theta0"] = [math.nan, 0.5, 0.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = main(["tune", "--config", str(bad),
+                     "--data", str(src / "initial_data.csv"),
+                     "--seeds", "1",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert "theta0 must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_sample_time_mismatch_is_a_config_error(self, repro_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the fictitious-reference l1 matching pipeline."""
 
+import itertools
 import math
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
 from scipy.linalg import blas
 
-from fritpid.folib import ControllerKind, ControllerTemplate, realize, realize_fopid
+from fritpid.folib import ControllerKind, ControllerTemplate, iopid_coeffs, realize, realize_fopid
 from fritpid.l1_idfrit import (
     PENALTY,
     ExperimentRecord,
@@ -32,7 +33,7 @@ from fritpid.lti_core import (
     simulate,
 )
 
-from .strategies import bounded_floats, signals, stable_discrete_tfs
+from .strategies import bounded_floats, reference_breakdown, signals, stable_discrete_tfs
 
 TS = 0.1
 N = 200
@@ -413,6 +414,75 @@ class TestStabilityBound:
         assert ev.gamma_r0 == pytest.approx(gamma, rel=1e-12)
         assert b.bound == pytest.approx(gamma * epsilon_l1 + m_d.l1(), rel=1e-12)
         assert b.t_l1 == pytest.approx(t.l1(), rel=1e-12)
+
+def _bits(b: LossBreakdown):
+    return b.penalty_reason, np.array([b.j, b.t_l1, b.bound]).tobytes()
+
+
+# a = ki*ts/2 = 0.25 and d = 2*kd/ts = 1 exactly at ts = 0.1, so kp = -1.25
+# puts the IOPID numerator's lead (kp + a) + d at exactly zero
+_IOPID_ARRAY_THETAS = [
+    # the four zero-gain patterns of (ki, kd), with kp = 0 as well
+    *([kp, ki, kd] for kp in (0.3, 0.0) for ki in (0.0, 0.1) for kd in (0.0, 0.05)),
+    [-1.25, 5.0, 0.05],
+    [-1.25 + 4e-13, 5.0, 0.05],
+    [-0.25, 5.0, 0.0],
+    *itertools.product((0.0, 5.0), repeat=3),
+    [1.0, -100.0, 0.0],
+    [-5.0, 50.0, -3.0],
+    [1e200, 1e200, 1e200],
+    [1e308, 1e308, 1e308],
+    [np.nan, 0.5, 0.0],
+]
+
+_FOPID_ARRAY_THETAS = [
+    [1.0, 0.0, 0.5, 0.0, 0.5],
+    [1.0, 0.5, 0.7, 0.0, 1.2],
+    [1.0, 0.0, 0.7, 0.5, 1.2],
+    [1.0, 0.5, 0.7, 0.5, 1.2],
+    [0.0, 0.0, 1.0, 0.0, 1.0],
+    [0.0, 1.0, 0.5, 0.0, 1.0],
+    [0.0, 1.0, 0.5, 1.0, 0.5],
+    [1.0, 0.5, 0.0, 0.0, 1.0],
+    [1.0, 0.5, 1.0, 0.3, 1.0],
+    [1.0, 0.5, 1.5, 0.3, 2.0],
+    [1e-13, 0.0, 1.0, 0.0, 1.0],
+    *itertools.product((0.0, 5.0), (0.0, 5.0), (0.0, 2.0), (0.0, 5.0), (0.0, 2.0)),
+    [-3.0, 7.0, 2.5, -2.0, 2.5],
+    [1.0, 1.0, 20.5, 0.0, 1.0],
+    [1e300, 1e300, 0.5, 1e300, 0.5],
+    [1.0, 1e308, 0.5, 1e308, 0.5],
+    [1.0, np.inf, 0.5, 0.0, 1.0],
+]
+
+
+class TestArrayPath:
+    """The evaluator scores candidates on arrays; every breakdown must be the
+    one the object pipeline (realize, fictitious_reference, toeplitz_solve,
+    reconstruct_output) gives, bit for bit."""
+
+    def test_the_iopid_lead_cases_are_exact(self):
+        assert iopid_coeffs([-1.25, 5.0, 0.05], IOPID_T)[0][0] == 0.0
+        assert 0.0 < abs(iopid_coeffs([-1.25 + 4e-13, 5.0, 0.05], IOPID_T)[0][0]) < 1e-12
+
+    @pytest.mark.parametrize("template,thetas", [
+        (IOPID_T, _IOPID_ARRAY_THETAS), (FOPID_T, _FOPID_ARRAY_THETAS),
+    ], ids=["iopid", "fopid"])
+    def test_every_breakdown_is_the_object_pipelines(self, template, thetas):
+        rec = closed_loop_record(PLANT, THETA0)
+        ev = LossEvaluator(template, rec, MD)
+        if template is FOPID_T:
+            # kfp = -(branch gain) cancels the feedthrough
+            branch = realize_fopid([0.0, 1.0, 0.5, 0.0, 1.0], FOPID_T)
+            thetas = thetas + [[-branch.gain, 1.0, 0.5, 0.0, 1.0]]
+        reasons = set()
+        for values in thetas:
+            theta = np.asarray(values, dtype=float)
+            got = ev.evaluate(theta)
+            assert _bits(got) == _bits(reference_breakdown(ev, theta)), theta
+            reasons.add(got.penalty_reason)
+        assert reasons == set(PenaltyReason)
+
 
 class TestEvaluatorInit:
     def test_template_sample_time_must_match(self):
