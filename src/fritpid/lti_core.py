@@ -594,16 +594,87 @@ def _block_state_space(g):
     return Ad, Bd, Cd, 0.0
 
 
+def _taylor(c: Sequence, mu) -> list:
+    """Taylor coefficients t[j] = c^(j)(mu) / j! of c (highest power first)."""
+    a = list(c)
+    m = len(a)
+    t = []
+    for j in range(m):
+        for i in range(1, m - j):
+            a[i] += mu * a[i - 1]
+        t.append(a[m - 1 - j])
+    return t
+
+
+# rounding errors per degree within which a cluster of computed roots is
+# taken as one multiple root
+_MULTIPLE_ROOT_ULPS = 4.0
+
+
+def _merge_multiple_roots(c: Sequence, r: np.ndarray) -> np.ndarray:
+    """Computed roots r of the real polynomial c, numerically multiple
+    roots made exact.
+
+    The computed members of a k-fold root scatter by about eps**(1/k)
+    around it, a 0.95 double pole by 2e-8, while the cluster's mean stays
+    accurate. The k roots nearest to one root count as a k-fold root at
+    mu, their mean after one Newton step on c's (k-1)-th derivative, when
+    every Taylor coefficient of c at mu below order k is within
+    _MULTIPLE_ROOT_ULPS * deg(c) rounding errors of the same coefficient
+    of |c| at |mu|: c is then that close to a polynomial with the k-fold
+    root, so the scatter carries no information. Larger clusters are
+    taken first; the others keep their computed values. The mean is an
+    exact sum, so mirrored clusters stay exact conjugates.
+    """
+    n = r.size
+    if n < 2:
+        return r
+    c = [float(x) for x in c]
+    mag = [abs(x) for x in c]
+    tol = _MULTIPLE_ROOT_ULPS * n * np.finfo(float).eps
+    z = r.tolist()
+    found = []
+    for i in range(n):
+        near = sorted(range(n), key=lambda j: abs(z[j] - z[i]))
+        for k in range(n, 1, -1):
+            members = near[:k]
+            mu = complex(
+                math.fsum(complex(z[j]).real for j in members) / k,
+                math.fsum(complex(z[j]).imag for j in members) / k,
+            )
+            t = _taylor(c, mu)
+            if t[k] != 0.0:
+                mu -= t[k - 1] / (k * t[k])
+                t = _taylor(c, mu)
+            bound = _taylor(mag, abs(mu))
+            if all(abs(t[j]) <= tol * bound[j] for j in range(k)):
+                found.append((-k, i, members, mu))
+                break
+    if not found:
+        return r
+    out = r.copy()
+    taken = set()
+    for _, _, members, mu in sorted(found, key=lambda f: f[:2]):
+        if taken.isdisjoint(members):
+            taken.update(members)
+            out[members] = mu if np.iscomplexobj(out) else mu.real
+    return out
+
+
 def poles(g) -> np.ndarray:
     """Pole locations, largest magnitude first.
 
     The eigenvalues of the block's own state matrix, the one every loop
     is built from: for a polynomial system the companion matrix of its
-    monic denominator, plus a pole at 0 per delay sample. A factored
-    system built from roots alone has no state space and raises
-    ValueError.
+    monic denominator, plus a pole at 0 per delay sample, with each
+    numerically multiple root of that characteristic polynomial put at
+    its accurate location (_merge_multiple_roots). A factored system
+    built from roots alone has no state space and raises ValueError.
     """
-    return _sorted_roots(np.linalg.eigvals(_block_state_space(g)[0]))
+    r = np.linalg.eigvals(_block_state_space(g)[0])
+    if isinstance(g, DiscreteTf):
+        r = _merge_multiple_roots(g.den.coeffs + (0.0,) * g.delay_samples, r)
+    return _sorted_roots(r)
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,13 @@ class TestPolesAndStability:
 
     @given(stable_discrete_tfs(sample_time=TS, margin=0.05))
     @settings(max_examples=60)
+    # double poles at the margin: eigenvalues alone put them 1.7e-8 outside
+    @example(g=DiscreteTf([1.0], [1.0, -1.9, 0.9025], TS))
+    @example(g=DiscreteTf(
+        [1.0], [1.0, -2.3999999999999995, 1.8524999999999994, -0.4512499999999999], TS
+    ))
+    @example(g=DiscreteTf([1.0], np.real(np.poly([0.95, 0.95, 0.95, -0.95])), TS))
+    @example(g=DiscreteTf([1.0], np.real(np.poly([0.95j, -0.95j, 0.95j, -0.95j])), TS))
     def test_constructed_stable_systems_report_stable(self, g):
         p = poles(g)
         assert is_stable(p)
