@@ -25,22 +25,23 @@ The config schema, shared by ``tune`` and ``validate``::
       "controller":      {"kind": "fopid" | "iopid",
                           "oustaloup": {"order": 5, "w_b": 1e-6, "w_h": 1e3}},
       "sample_time":     0.1,
-      "reference_model": {"num": [...], "den": [...],
-                          either "sample_time" (+ optional "delay_samples")
-                          for a discrete model, or optional "dead_time" /
-                          "discretization": "tustin" for a continuous one},
+      "reference_model": {"num": [...], "den": [...], "dead_time": 0.0,
+                          "sample_time": 0.1, "delay_samples": 0},
+                                           # discrete with a sample time,
+                                           # else continuous, Tustin-mapped
       "bounds":          {"lower": [...], "upper": [...]},
       "theta0":          [...],            # optional swarm warm start, finite
       "seeds":           [1, 2, 3],        # optional, default 1..5
-      "pso":             {...},            # optional PsoConfig overrides
+      "pso":             {"swarm_size": 50, "max_iterations": 200},  # optional
       "plant":           {...},            # validate only, same shape as
                                            # reference_model
       "sim_time":        100.0             # validate horizon, seconds
     }
 
-An unknown key in any object of the config is rejected (exit 2); keys
-left out of ``oustaloup`` and ``pso`` take the ``OustaloupConfig`` and
-``PsoConfig`` defaults.
+An unknown key in any object of the config, or a number given as a
+string or as true/false, is rejected (exit 2); keys left out of
+``oustaloup`` and ``pso`` take the ``OustaloupConfig`` and ``PsoConfig``
+defaults.
 
 ``reproduce`` writes such a config next to its results, and feeding that
 config together with the exported ``initial_data.csv`` back through
@@ -127,7 +128,9 @@ _CONFIG_KEYS = (
     "controller", "sample_time", "reference_model", "bounds", "theta0",
     "seeds", "pso", "plant", "sim_time",
 )
-_TF_KEYS = ("num", "den", "sample_time", "delay_samples", "discretization", "dead_time")
+_CONTROLLER_KEYS = ("kind", "oustaloup")
+_BOUNDS_KEYS = ("lower", "upper")
+_TF_KEYS = ("num", "den", "sample_time", "delay_samples", "dead_time")
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -149,48 +152,39 @@ def _object(node, known, what: str) -> dict:
     return node
 
 
-def _integer(value, what: str) -> int:
-    """An integer config value; a float is taken only when it is whole."""
-    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise CliError(f"config: {what} must be an integer, got {value!r}", EXIT_USAGE)
-    return int(value)
+def _number(value, what: str, integer: bool = False):
+    """A JSON number, never a string or a boolean; with ``integer`` an int,
+    which a whole float also gives."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or integer and value % 1:
+        kind = "an integer" if integer else "a number"
+        raise CliError(f"config: {what} must be {kind}, got {value!r}", EXIT_USAGE)
+    return int(value) if integer else float(value)
 
 
 def _parse_tf(node: dict, sample_time: float, what: str) -> DiscreteTf:
     """Transfer-function block: discrete as given, continuous via Tustin."""
     _object(node, _TF_KEYS, what)
-    num = [float(x) for x in _require(node, "num", what)]
-    den = [float(x) for x in _require(node, "den", what)]
+    num = [_number(x, f"{what} num") for x in _require(node, "num", what)]
+    den = [_number(x, f"{what} den") for x in _require(node, "den", what)]
     try:
         if "sample_time" in node:
-            ts = float(node["sample_time"])
-            delay = _integer(node.get("delay_samples", 0), f"{what} delay_samples")
+            ts = _number(node["sample_time"], f"{what} sample_time")
+            delay = _number(node.get("delay_samples", 0), f"{what} delay_samples", integer=True)
             return DiscreteTf(num, den, ts, delay_samples=delay)
-        method = str(node.get("discretization", "tustin")).lower()
-        if method != "tustin":
-            raise CliError(
-                f"config: unsupported discretization {method!r} for {what}",
-                EXIT_USAGE,
-            )
-        g = ContinuousTf(num, den, dead_time=float(node.get("dead_time", 0.0)))
-        return tustin(g, sample_time)
+        dead_time = _number(node.get("dead_time", 0.0), f"{what} dead_time")
+        return tustin(ContinuousTf(num, den, dead_time=dead_time), sample_time)
     except ValueError as exc:
         raise CliError(f"config: invalid {what}: {exc}", EXIT_USAGE) from exc
 
 
 def _parse_settings(node, cls, what: str):
     """A settings block over the dataclass ``cls``: each value takes the
-    type of its default, int (a whole float is taken), float or a float pair."""
+    type of its default, int (a whole float is taken) or float."""
     defaults = cls()
-    kwargs = {}
-    for key, value in _object(node, [f.name for f in fields(cls)], what).items():
-        default = getattr(defaults, key)
-        if isinstance(default, tuple):
-            kwargs[key] = tuple(float(x) for x in value)
-        elif isinstance(default, int):
-            kwargs[key] = _integer(value, f"{what} {key}")
-        else:
-            kwargs[key] = float(value)
+    kwargs = {
+        key: _number(value, f"{what} {key}", integer=isinstance(getattr(defaults, key), int))
+        for key, value in _object(node, [f.name for f in fields(cls)], what).items()
+    }
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -208,8 +202,8 @@ def load_run_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise CliError(f"config is not valid JSON: {exc}", EXIT_USAGE) from exc
     _object(raw, _CONFIG_KEYS, "top-level")
-    sample_time = float(_require(raw, "sample_time", "config"))
-    ctrl = _object(_require(raw, "controller", "config"), ("kind", "oustaloup"), "controller")
+    sample_time = _number(_require(raw, "sample_time", "config"), "sample_time")
+    ctrl = _object(_require(raw, "controller", "config"), _CONTROLLER_KEYS, "controller")
     try:
         kind = ControllerKind(str(_require(ctrl, "kind", "controller")).lower())
     except ValueError:
@@ -224,11 +218,12 @@ def load_run_config(path) -> RunConfig:
             sample_time,
             _parse_settings(ctrl.get("oustaloup", {}), OustaloupConfig, "oustaloup"),
         )
-        box = _object(_require(raw, "bounds", "config"), ("lower", "upper"), "bounds")
-        bounds = Bounds(_require(box, "lower", "bounds"), _require(box, "upper", "bounds"))
+        box = _object(_require(raw, "bounds", "config"), _BOUNDS_KEYS, "bounds")
+        lo, hi = ([_number(x, "bounds") for x in _require(box, k, "bounds")] for k in _BOUNDS_KEYS)
+        bounds = Bounds(lo, hi)
         theta0 = raw.get("theta0")
         if theta0 is not None:
-            theta0 = np.asarray([float(x) for x in theta0])
+            theta0 = np.asarray([_number(x, "theta0") for x in theta0])
         return RunConfig(
             template=template,
             bounds=bounds,
@@ -237,9 +232,9 @@ def load_run_config(path) -> RunConfig:
             ),
             theta0=theta0,
             plant=_parse_tf(raw["plant"], sample_time, "plant") if "plant" in raw else None,
-            sim_time=float(raw["sim_time"]) if "sim_time" in raw else None,
+            sim_time=_number(raw["sim_time"], "sim_time") if "sim_time" in raw else None,
             pso=_parse_settings(raw.get("pso", {}), PsoConfig, "pso"),
-            seeds=tuple(_integer(s, "seed") for s in raw.get("seeds", DEFAULT_SEEDS)),
+            seeds=tuple(_number(s, "seed", integer=True) for s in raw.get("seeds", DEFAULT_SEEDS)),
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"config: {exc}", EXIT_USAGE) from exc

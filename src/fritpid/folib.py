@@ -32,6 +32,7 @@ from scipy.linalg import lapack as _lapack
 from .lti_core import ContinuousTf, DiscreteTf, DiscreteZpk, DiscretizationError
 
 __all__ = [
+    "MAX_ORDER",
     "OustaloupConfig",
     "ControllerKind",
     "ControllerTemplate",
@@ -42,6 +43,12 @@ __all__ = [
     "realize_iopid",
     "realize",
 ]
+
+
+# Largest FOPID order |lam|, |mu|: each unit of order adds a state, and the
+# zeros take a dense eigenvalue solve over all of them (under the cap at most
+# 70 states and about 1 ms; an order of 1e5 would ask for a 1e5 x 1e5 matrix).
+MAX_ORDER = 25.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ class ControllerTemplate:
 
     def __post_init__(self):
         if not isinstance(self.kind, ControllerKind):
-            object.__setattr__(self, "kind", ControllerKind(str(self.kind).lower()))
+            raise TypeError(f"kind must be a ControllerKind, got {self.kind!r}")
         if not (self.sample_time > 0.0):
             raise ValueError("sample time must be > 0")
 
@@ -179,6 +186,8 @@ def _parameters(theta, t: ControllerTemplate, kind: ControllerKind) -> list:
         raise ValueError(f"expected {t.theta_dim} parameters, got {len(values)}")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"parameters must be finite, got {values}")
+    if kind is ControllerKind.FOPID and max(abs(values[2]), abs(values[4])) > MAX_ORDER:
+        raise ValueError(f"orders lam and mu must lie within +-{MAX_ORDER:g}, got {values}")
     return values
 
 
@@ -234,7 +243,7 @@ def realize_fopid(theta, t: ControllerTemplate) -> DiscreteZpk:
     """Factored discrete realization of kfp + kfi*s**(-lam) + kfd*s**mu.
 
     Terms whose gain is exactly zero are dropped before anything is built,
-    so their order parameters are ignored and a theta of [1, 0, 1, 0, 1]
+    so their orders are only held to MAX_ORDER and a theta of [1, 0, 1, 0, 1]
     realizes the constant controller 1. Active fractional terms become
     chains of bilinearly mapped first-order sections; the parallel sum is
     assembled as a block-diagonal state space whose transmission zeros

@@ -342,7 +342,7 @@ class LossEvaluator:
         except DiscretizationError:
             return _PENALIZED[PenaltyReason.NON_INVERTIBLE_CONTROLLER]
         except ValueError:
-            # of the right size, theta or its realization was not finite
+            # of the right size, theta was out of range or its realization not finite
             if np.size(theta) != self.template.theta_dim:
                 raise
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]

@@ -11,7 +11,7 @@ regardless of how the caller schedules the work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,36 +20,28 @@ __all__ = ["PsoConfig", "Bounds", "OptimResult", "minimize"]
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm hyperparameters.
+    """Swarm size and iteration cap, the two settings a run varies.
 
-    The defaults are conventional: a 50-particle swarm, inertia adapted
-    within (0.4, 0.9), and equal cognitive and social pull of 1.49. The
-    stall counter stops the search after ``stall_iterations`` iterations
-    without a relative improvement larger than ``tolerance``.
+    The rest are fixed textbook values (Clerc and Kennedy, IEEE TEC 6(1),
+    2002): inertia adapted within (0.4, 0.9), equal cognitive and social
+    pull of 1.49, and a stall counter that stops the search after
+    ``stall_iterations`` iterations without a relative improvement larger
+    than ``tolerance``.
     """
 
     swarm_size: int = 50
     max_iterations: int = 200
-    inertia_range: Tuple[float, float] = (0.4, 0.9)
-    cognitive_coeff: float = 1.49
-    social_coeff: float = 1.49
-    stall_iterations: int = 40
-    tolerance: float = 1e-8
+    inertia_range: ClassVar[Tuple[float, float]] = (0.4, 0.9)
+    cognitive_coeff: ClassVar[float] = 1.49
+    social_coeff: ClassVar[float] = 1.49
+    stall_iterations: ClassVar[int] = 40
+    tolerance: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        lo, hi = self.inertia_range
-        if not (lo <= hi):
-            raise ValueError("inertia_range must be ordered (low, high)")
-        if self.cognitive_coeff <= 0.0 or self.social_coeff <= 0.0:
-            raise ValueError("acceleration coefficients must be > 0")
-        if self.stall_iterations < 1:
-            raise ValueError("stall_iterations must be >= 1")
-        if self.tolerance < 0.0:
-            raise ValueError("tolerance must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ from fritpid.swarm_opt import PsoConfig
 
 from .strategies import closed_form_loop
 
-SMOKE_PSO = PsoConfig(swarm_size=8, max_iterations=10, stall_iterations=10)
+SMOKE_PSO = PsoConfig(swarm_size=8, max_iterations=10)
 
 
 class TestCaseCatalog:

@@ -3,10 +3,13 @@
 import argparse
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from fritpid import cli
 from fritpid.benchlab import builtin_case, collect_data
 from fritpid.cli import (
     DEFAULT_SEEDS,
@@ -25,6 +28,8 @@ from fritpid.cli import (
     load_run_config,
     main,
 )
+from fritpid.folib import OustaloupConfig
+from fritpid.swarm_opt import PsoConfig
 
 SMOKE = ["--swarm-size", "8", "--iterations", "12"]
 
@@ -159,10 +164,25 @@ class TestLoadRunConfig:
             load_run_config(p)
 
     def test_unknown_pso_key(self, tmp_path):
-        p = write_config(tmp_path / "c.json", pso={"swarm": 8})
-        with pytest.raises(CliError) as err:
-            load_run_config(p)
-        assert err.value.exit_code == EXIT_USAGE
+        # a misspelt key, the swarm's fixed constants, which are no settings,
+        # and the one-value discretization key, which is gone
+        pso_keys = "valid keys: swarm_size, max_iterations"
+        cases = [
+            ({"pso": {key: value}}, pso_keys)
+            for key, value in (
+                ("swarm", 8), ("inertia_range", [0.4, 0.9]), ("cognitive_coeff", 1.49),
+                ("social_coeff", 1.49), ("stall_iterations", 40), ("tolerance", 1e-8),
+            )
+        ]
+        cases.append((
+            {"reference_model": {"num": [1.0], "den": [1.0, 1.0], "discretization": "tustin"}},
+            "valid keys: num, den, sample_time, delay_samples, dead_time",
+        ))
+        for overrides, valid in cases:
+            with pytest.raises(CliError) as err:
+                load_run_config(write_config(tmp_path / "c.json", **overrides))
+            assert err.value.exit_code == EXIT_USAGE
+            assert valid in str(err.value)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -177,15 +197,34 @@ class TestLoadRunConfig:
                                  "sample_time": 0.05, "delay_samples": 1.5}},
             {"controller": {"kind": "iopid", "oustaloup": {"w_hh": 100.0}}},
             {"seed": [7]},
+            {"seeds": [True, False]},
+            {"pso": {"max_iterations": True}},
+            {"sample_time": "0.05"},
+            {"theta0": ["1.0", 0.0, 0.0]},
+            {"bounds": {"lower": [False, 0.0, 0.0], "upper": [5.0, 5.0, 5.0]}},
+            {"controller": {"kind": "iopid", "oustaloup": {"w_h": "1e3"}}},
         ],
         ids=["no-seeds", "fractional-seed", "negative-seed", "fractional-swarm",
              "string-iterations", "fractional-order", "fractional-delay",
-             "unknown-oustaloup-key", "unknown-top-level-key"],
+             "unknown-oustaloup-key", "unknown-top-level-key", "boolean-seeds",
+             "boolean-iterations", "string-sample-time", "string-theta0",
+             "boolean-bound", "string-band-edge"],
     )
     def test_malformed_values_are_rejected_not_rewritten(self, tmp_path, overrides):
         with pytest.raises(CliError) as err:
             load_run_config(write_config(tmp_path / "c.json", **overrides))
         assert err.value.exit_code == EXIT_USAGE
+
+    def test_documented_schema_names_exactly_the_accepted_keys(self):
+        doc = cli.__doc__
+        schema = doc[doc.index("The config schema"):]
+        schema = schema[schema.index("{"):schema.index("\n    }\n")]
+        documented = set(re.findall(r'"(\w+)"\s*:', schema))
+        accepted = {
+            *cli._CONFIG_KEYS, *cli._CONTROLLER_KEYS, *cli._BOUNDS_KEYS, *cli._TF_KEYS,
+            *(f.name for settings in (OustaloupConfig, PsoConfig) for f in fields(settings)),
+        }
+        assert documented == accepted
 
     def test_whole_floats_are_taken_as_integers(self, tmp_path):
         cfg = load_run_config(
@@ -538,6 +577,18 @@ class TestValidate:
         assert main(["validate", "nan,0,0", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "v")]) == EXIT_NUMERIC
         assert "cannot realize theta" in capsys.readouterr().err
+
+    def test_order_beyond_the_cap_is_a_numeric_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            controller={"kind": "fopid"},
+            bounds={"lower": [0.0] * 5, "upper": [2.0] * 5},
+            plant={"num": [1.0], "den": [1.0], "sample_time": 0.05},
+            sim_time=1.0,
+        )
+        assert main(["validate", "1,1,1e5,0,1", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "v")]) == EXIT_NUMERIC
+        assert "cannot realize theta: orders lam and mu" in capsys.readouterr().err
 
     def test_out_of_bounds_theta_warns_but_runs(self, tmp_path, capsys):
         cfg = write_validate_config(tmp_path / "c.json")

@@ -10,6 +10,7 @@ from scipy import signal as _sig
 from fritpid import folib
 from fritpid.benchlab import builtin_case, collect_data, discretized_plant
 from fritpid.folib import (
+    MAX_ORDER,
     ControllerKind,
     ControllerTemplate,
     OustaloupConfig,
@@ -83,13 +84,14 @@ class TestControllerTemplate:
         assert FOPID_T.theta_dim == 5
         assert IOPID_T.theta_dim == 3
 
-    def test_kind_accepts_strings(self):
-        t = ControllerTemplate("fopid", TS)
-        assert t.kind is ControllerKind.FOPID
-        assert ControllerTemplate("IOPID", TS).kind is ControllerKind.IOPID
+    def test_kind_must_be_a_controller_kind(self):
+        # the config parser turns the config's kind string into a ControllerKind
+        for kind in ("fopid", "IOPID"):
+            with pytest.raises(TypeError, match="ControllerKind"):
+                ControllerTemplate(kind, TS)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ControllerTemplate("pidd", TS)
 
     @pytest.mark.parametrize("ts", [0.0, -0.1])
@@ -114,6 +116,16 @@ class TestParams:
                 theta[1] = bad
                 with pytest.raises(ValueError, match="finite"):
                     realize(theta, t)
+
+    def test_order_beyond_the_cap_rejected(self):
+        # rejected before anything is built: 1e5 would ask for a 1e5-state
+        # matrix; an inactive branch's order is held to the cap as well
+        for theta in ([1.0, 1.0, 1e5, 0.0, 1.0], [1.0, 1.0, 0.5, 0.0, -1e5],
+                      [1.0, 1.0, 0.5, 1.0, MAX_ORDER + 0.5]):
+            with pytest.raises(ValueError, match="within"):
+                realize(theta, FOPID_T)
+        assert MAX_ORDER >= 2.0
+        realize([1.0, 1.0, MAX_ORDER, 1.0, -MAX_ORDER], FOPID_T)
 
 
 class TestOustaloup:

@@ -450,6 +450,8 @@ _FOPID_ARRAY_THETAS = [
     *itertools.product((0.0, 5.0), (0.0, 5.0), (0.0, 2.0), (0.0, 5.0), (0.0, 2.0)),
     [-3.0, 7.0, 2.5, -2.0, 2.5],
     [1.0, 1.0, 20.5, 0.0, 1.0],
+    # past folib.MAX_ORDER: refused before anything is built, and penalized
+    [1.0, 1.0, 1e5, 0.0, 1.0],
     [1e300, 1e300, 0.5, 1e300, 0.5],
     [1.0, 1e308, 0.5, 1e308, 0.5],
     [1.0, np.inf, 0.5, 0.0, 1.0],

@@ -1,5 +1,7 @@
 """Tests for the seeded particle swarm minimizer."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,19 +49,18 @@ class TestPsoConfig:
         assert cfg.swarm_size == 50
         assert cfg.max_iterations == 200
         assert cfg.inertia_range == (0.4, 0.9)
+        # the rest are constants, not settings
+        assert [f.name for f in fields(PsoConfig)] == ["swarm_size", "max_iterations"]
+        assert cfg.cognitive_coeff == cfg.social_coeff == 1.49
+        assert (cfg.stall_iterations, cfg.tolerance) == (40, 1e-8)
+        with pytest.raises(TypeError):
+            PsoConfig(tolerance=1e-6)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"swarm_size": 1},
             {"max_iterations": 0},
-            {"inertia_range": (0.9, 0.4)},
-            {"cognitive_coeff": 0.0},
-            {"social_coeff": -1.0},
-            {"cognitive_coeff": -1.0},
-            {"social_coeff": 0.0},
-            {"stall_iterations": 0},
-            {"tolerance": -1e-9},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -141,16 +142,16 @@ class TestMinimize:
         assert res.evaluations == cfg.swarm_size * len(res.trace)
 
     def test_stall_counter_stops_a_flat_search(self):
-        cfg = PsoConfig(swarm_size=6, max_iterations=500, stall_iterations=7)
+        cfg = PsoConfig(swarm_size=6, max_iterations=500)
         res = minimize(lambda x: 1.0, BOX3, cfg, 0)
-        assert len(res.trace) == 1 + 7
+        assert len(res.trace) == 1 + 40
         assert res.best_value == 1.0
-        assert (res.iterations, res.stop_reason) == (7, "stall")
-        # halved after the sixth and seventh stalled iterations, floored at 0.4
+        assert (res.iterations, res.stop_reason) == (40, "stall")
+        # halved from the sixth stalled iteration on, floored at 0.4
         assert res.inertia == 0.4
 
     def test_iteration_cap_wins_over_a_patient_stall(self):
-        cfg = PsoConfig(swarm_size=6, max_iterations=3, stall_iterations=100)
+        cfg = PsoConfig(swarm_size=6, max_iterations=3)
         res = minimize(lambda x: 1.0, BOX3, cfg, 0)
         assert len(res.trace) == 1 + 3
         assert (res.iterations, res.stop_reason) == (3, "cap")
