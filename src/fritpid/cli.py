@@ -27,8 +27,9 @@ The config schema, shared by ``tune`` and ``validate``::
       "sample_time":     0.1,
       "reference_model": {"num": [...], "den": [...], "dead_time": 0.0,
                           "sample_time": 0.1, "delay_samples": 0},
-                                           # discrete with a sample time,
-                                           # else continuous, Tustin-mapped
+                                           # discrete with a sample time and
+                                           # delay_samples, else continuous
+                                           # with dead_time, Tustin-mapped
       "bounds":          {"lower": [...], "upper": [...]},
       "theta0":          [...],            # optional swarm warm start, finite
       "seeds":           [1, 2, 3],        # optional, default 1..5
@@ -158,7 +159,12 @@ def _number(value, what: str, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or integer and value % 1:
         kind = "an integer" if integer else "a number"
         raise CliError(f"config: {what} must be {kind}, got {value!r}", EXIT_USAGE)
-    return int(value) if integer else float(value)
+    if integer:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise CliError(f"config: {what} is too large for a float", EXIT_USAGE) from None
 
 
 def _parse_tf(node: dict, sample_time: float, what: str) -> DiscreteTf:
@@ -166,8 +172,17 @@ def _parse_tf(node: dict, sample_time: float, what: str) -> DiscreteTf:
     _object(node, _TF_KEYS, what)
     num = [_number(x, f"{what} num") for x in _require(node, "num", what)]
     den = [_number(x, f"{what} den") for x in _require(node, "den", what)]
+    discrete = "sample_time" in node
+    stray = "dead_time" if discrete else "delay_samples"
+    if stray in node:
+        kind = "continuous" if discrete else "discrete"
+        raise CliError(
+            f"config: {what} {stray} applies only to a {kind} block "
+            "(a block with a sample_time is discrete)",
+            EXIT_USAGE,
+        )
     try:
-        if "sample_time" in node:
+        if discrete:
             ts = _number(node["sample_time"], f"{what} sample_time")
             delay = _number(node.get("delay_samples", 0), f"{what} delay_samples", integer=True)
             return DiscreteTf(num, den, ts, delay_samples=delay)

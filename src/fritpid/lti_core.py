@@ -26,6 +26,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy import signal as _sig
 
+# the compiled kernels behind scipy.signal.sosfilt and lfilter: on arrays
+# built here the wrappers' argument handling costs several times the
+# filtering itself; tests/test_lti_core.py pins both to the public
+# functions bit for bit
+from scipy.signal._sigtools import _linear_filter
+from scipy.signal._sosfilt import _sosfilt
+
 __all__ = [
     "Polynomial",
     "ContinuousTf",
@@ -464,17 +471,25 @@ def tustin(g: ContinuousTf, sample_time: float) -> DiscreteTf:
 def filter_zpk(zeros, poles, gain: float, u: np.ndarray) -> np.ndarray:
     """Zero-initial-condition response of a factored system to samples u.
 
-    Runs the section cascade of the root data; roots given as plain
-    Python numbers build the sections fastest.
+    Runs the section cascade of the root data in place on one copy of u;
+    roots given as plain Python numbers build the sections fastest.
     """
-    return _sig.sosfilt(_fast_sos(zeros, poles, gain), u)
+    sos = _fast_sos(zeros, poles, gain)
+    x = np.array(u, dtype=float, ndmin=2)
+    # the kernel checks no bounds: its state needs one row per row of x
+    _sosfilt(sos, x, np.zeros((x.shape[0], sos.shape[0], 2)))
+    return x.reshape(np.shape(u))
 
 
 def filter_tf(num, den, u: np.ndarray) -> np.ndarray:
     """Zero-initial-condition response of delay-free num/den (den monic)
     to samples u; a shorter num is a delayed one."""
     b = (0.0,) * (len(den) - len(num)) + tuple(num)
-    return _sig.lfilter(b, den, u)
+    if len(den) == 1:
+        # a static gain, which lfilter convolves: its sums turn the
+        # kernel's -0.0 products into 0.0
+        return np.convolve(b, u)
+    return _linear_filter(b, den, u, -1)
 
 
 def simulate(g, u: Signal) -> Signal:

@@ -203,12 +203,13 @@ class TestLoadRunConfig:
             {"theta0": ["1.0", 0.0, 0.0]},
             {"bounds": {"lower": [False, 0.0, 0.0], "upper": [5.0, 5.0, 5.0]}},
             {"controller": {"kind": "iopid", "oustaloup": {"w_h": "1e3"}}},
+            {"sim_time": 10**400},
         ],
         ids=["no-seeds", "fractional-seed", "negative-seed", "fractional-swarm",
              "string-iterations", "fractional-order", "fractional-delay",
              "unknown-oustaloup-key", "unknown-top-level-key", "boolean-seeds",
              "boolean-iterations", "string-sample-time", "string-theta0",
-             "boolean-bound", "string-band-edge"],
+             "boolean-bound", "string-band-edge", "integer-beyond-float-range"],
     )
     def test_malformed_values_are_rejected_not_rewritten(self, tmp_path, overrides):
         with pytest.raises(CliError) as err:
@@ -232,6 +233,21 @@ class TestLoadRunConfig:
         )
         assert cfg.seeds == (3,) and cfg.pso.swarm_size == 8
         assert isinstance(cfg.seeds[0], int) and isinstance(cfg.pso.swarm_size, int)
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            ({"num": [0.5], "den": [1.0, -0.5], "sample_time": 0.05, "dead_time": 3.0},
+             "dead_time"),
+            ({"num": [1.0], "den": [1.0, 1.0], "delay_samples": 3}, "delay_samples"),
+        ],
+        ids=["dead-time-on-a-discrete-block", "delay-samples-on-a-continuous-block"],
+    )
+    def test_a_delay_key_of_the_other_block_kind_is_rejected(self, tmp_path, block, key):
+        # either delay would otherwise be dropped without a word
+        with pytest.raises(CliError, match=f"reference_model {key} applies only") as err:
+            load_run_config(write_config(tmp_path / "c.json", reference_model=block))
+        assert err.value.exit_code == EXIT_USAGE
 
     def test_bounds_must_match_the_controller_dimension(self, tmp_path):
         p = write_config(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import signal as _sig
 
 from fritpid.benchlab import builtin_case, discretized_plant
 from fritpid.folib import (
@@ -25,6 +26,8 @@ from fritpid.lti_core import (
     SampleTimeError,
     Signal,
     co_simulate,
+    filter_tf,
+    filter_zpk,
     impulse_response,
     invert,
     is_stable,
@@ -32,6 +35,7 @@ from fritpid.lti_core import (
     poles,
     simulate,
     tustin,
+    _fast_sos,
     _loop_state_space,
 )
 
@@ -180,6 +184,62 @@ class TestSimulation:
         got = simulate(g, u).samples
         scale = 1.0 + np.max(np.abs(expected))
         np.testing.assert_allclose(got, expected, atol=1e-9 * scale)
+
+
+@st.composite
+def monic_tf_coeffs(draw, max_order=4):
+    """(num, den) with den monic, from a one-coefficient den (a static
+    gain) up to order ``max_order``, num as long as den or shorter (a
+    delayed numerator)."""
+    den = (1.0,) + tuple(draw(st.lists(bounded_floats(-2.0, 2.0), max_size=max_order)))
+    num = draw(st.lists(bounded_floats(-5.0, 5.0), min_size=1, max_size=len(den)))
+    return tuple(num), den
+
+
+class TestCompiledKernels:
+    """filter_zpk and filter_tf call the compiled kernels behind scipy's
+    sosfilt and lfilter; both must give the public functions' bits, so a
+    scipy release that moves or changes a kernel fails here."""
+
+    @given(
+        st.one_of(
+            conjugate_root_sets(),
+            st.tuples(st.just(()), st.just(()), bounded_floats(-5.0, 5.0)),
+        ),
+        signals(sample_time=TS, max_len=48),
+    )
+    @settings(max_examples=200, derandomize=True)
+    @example(((), (), -2.5), Signal(np.array([0.0, 1.0, -0.0, 3.0]), TS))
+    @example(((0.5,), (0.3, -0.6, 0.55 + 0.3j, 0.55 - 0.3j), 0.7), Signal(np.ones(6), TS))
+    @example(((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5), -1.5), Signal(np.ones(6), TS))
+    @example(((), (0.9, 0.2 + 0.4j, 0.2 - 0.4j), 1.0), Signal(np.ones(6), TS))
+    def test_sections_match_sosfilt_bit_for_bit(self, roots, u):
+        try:
+            sos = _fast_sos(*roots)
+        except ValueError:
+            with pytest.raises(ValueError):
+                filter_zpk(*roots, u.samples)
+            return
+        want = _sig.sosfilt(sos, u.samples)
+        assert filter_zpk(*roots, u.samples).tobytes() == want.tobytes()
+
+    def test_each_row_of_a_2d_input_is_one_signal_as_in_sosfilt(self):
+        # the kernel trusts its state array to match the input's rows
+        u = np.arange(12.0).reshape(3, 4) - 5.0
+        roots = ((0.5,), (0.9, 0.2 + 0.4j, 0.2 - 0.4j), 1.5)
+        want = _sig.sosfilt(_fast_sos(*roots), u)
+        assert filter_zpk(*roots, u).tobytes() == want.tobytes()
+
+    @given(monic_tf_coeffs(), signals(sample_time=TS, max_len=48))
+    @settings(max_examples=200, derandomize=True)
+    @example(((-0.5,), (1.0,)), Signal(np.array([0.0, 1.0, -0.0, 3.0]), TS))
+    @example(((0.5,), (1.0, -0.5)), Signal(np.array([0.0, 1.0, -0.0, 3.0]), TS))
+    @example(((2.0, 1.0, 0.5), (1.0, 0.0, -1.0)), Signal(np.ones(6), TS))
+    def test_direct_form_matches_lfilter_bit_for_bit(self, coeffs, u):
+        num, den = coeffs
+        b = (0.0,) * (len(den) - len(num)) + num
+        want = _sig.lfilter(b, den, u.samples)
+        assert filter_tf(num, den, u.samples).tobytes() == want.tobytes()
 
 
 class TestFeedback:
