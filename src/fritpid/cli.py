@@ -40,9 +40,9 @@ The config schema, shared by ``tune`` and ``validate``::
     }
 
 An unknown key in any object of the config, or a number given as a
-string or as true/false, is rejected (exit 2); keys left out of
-``oustaloup`` and ``pso`` take the ``OustaloupConfig`` and ``PsoConfig``
-defaults.
+string, as true/false or as NaN or Infinity, is rejected (exit 2); keys
+left out of ``oustaloup`` and ``pso`` take the ``OustaloupConfig`` and
+``PsoConfig`` defaults.
 
 ``reproduce`` writes such a config next to its results, and feeding that
 config together with the exported ``initial_data.csv`` back through
@@ -154,17 +154,21 @@ def _object(node, known, what: str) -> dict:
 
 
 def _number(value, what: str, integer: bool = False):
-    """A JSON number, never a string or a boolean; with ``integer`` an int,
-    which a whole float also gives."""
+    """A finite JSON number, never a string, a boolean or the NaN and
+    Infinity literals that json reads; with ``integer`` an int, which a
+    whole float also gives."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or integer and value % 1:
         kind = "an integer" if integer else "a number"
         raise CliError(f"config: {what} must be {kind}, got {value!r}", EXIT_USAGE)
     if integer:
         return int(value)
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise CliError(f"config: {what} is too large for a float", EXIT_USAGE) from None
+    if not math.isfinite(value):
+        raise CliError(f"config: {what} must be finite, got {value!r}", EXIT_USAGE)
+    return value
 
 
 def _parse_tf(node: dict, sample_time: float, what: str) -> DiscreteTf:

@@ -3,8 +3,8 @@
 s**alpha is approximated on a finite frequency band by the Oustaloup
 recursive filter (geometrically spaced zero/pole pairs). Controller
 templates map a parameter vector theta, [kfp, kfi, lam, kfd, mu] or
-[kp, ki, kd], to a ready-to-run discrete TF; the realizers take theta
-itself and check its size and finiteness once.
+[kp, ki, kd], to a ready-to-run discrete TF; the realizer takes theta
+itself and checks its size and finiteness once.
 
 The integer-order form has a closed-form bilinear image over z**2 - 1,
 staying polynomial throughout. The fractional form cannot: its
@@ -39,8 +39,6 @@ __all__ = [
     "oustaloup",
     "fopid_roots",
     "iopid_coeffs",
-    "realize_fopid",
-    "realize_iopid",
     "realize",
 ]
 
@@ -194,7 +192,7 @@ def _parameters(theta, t: ControllerTemplate, kind: ControllerKind) -> list:
 def fopid_roots(theta, t: ControllerTemplate) -> tuple:
     """(zeros, poles, gain, realization) of kfp + kfi*s**(-lam) + kfd*s**mu.
 
-    The parts ``realize_fopid`` wraps, for callers that need no
+    The parts ``realize`` wraps, for callers that need no
     DiscreteZpk: zeros and poles as lists of plain numbers in no
     particular order, the realization (A, B, C, D) or None for a
     constant. Raises DiscretizationError for a realization without a
@@ -239,25 +237,6 @@ def fopid_roots(theta, t: ControllerTemplate) -> tuple:
     return zeros.tolist(), poles.tolist(), feedthrough, realization
 
 
-def realize_fopid(theta, t: ControllerTemplate) -> DiscreteZpk:
-    """Factored discrete realization of kfp + kfi*s**(-lam) + kfd*s**mu.
-
-    Terms whose gain is exactly zero are dropped before anything is built,
-    so their orders are only held to MAX_ORDER and a theta of [1, 0, 1, 0, 1]
-    realizes the constant controller 1. Active fractional terms become
-    chains of bilinearly mapped first-order sections; the parallel sum is
-    assembled as a block-diagonal state space whose transmission zeros
-    (eigenvalues of the inverse system) complete the factored form. The
-    result is biproper whenever any term is active, because the bilinear
-    image of each band-limited term is itself biproper, and it carries
-    that state space as its realization: A lower triangular with each
-    pole alone on its diagonal, B all ones, C the gain-scaled chain rows
-    and D the feedthrough.
-    """
-    zeros, poles, gain, realization = fopid_roots(theta, t)
-    return DiscreteZpk(zeros, poles, gain, t.sample_time, realization=realization)
-
-
 def iopid_coeffs(theta, t: ControllerTemplate) -> tuple:
     """(num, den) of the Tustin image of kp + ki/s + kd*s, in closed form.
 
@@ -280,17 +259,27 @@ def iopid_coeffs(theta, t: ControllerTemplate) -> tuple:
     return [kp + a + d, 2.0 * (a - d), a + d - kp], [1.0, 0.0, -1.0]
 
 
-def realize_iopid(theta, t: ControllerTemplate) -> DiscreteTf:
-    """Closed-form Tustin image of kp + ki/s + kd*s (see ``iopid_coeffs``)."""
-    return DiscreteTf(*iopid_coeffs(theta, t), t.sample_time)
-
-
 def realize(theta, t: ControllerTemplate):
     """Realize a parameter vector against a template, dispatching on kind.
 
-    Fractional templates produce a factored DiscreteZpk, integer ones a
-    polynomial DiscreteTf; both run everywhere the pipeline needs them.
+    An integer template gives the closed-form Tustin image of
+    kp + ki/s + kd*s (``iopid_coeffs``) as a polynomial DiscreteTf.
+
+    A fractional template gives kfp + kfi*s**(-lam) + kfd*s**mu as a
+    factored DiscreteZpk. Terms whose gain is exactly zero are dropped
+    before anything is built, so their orders are only held to MAX_ORDER
+    and a theta of [1, 0, 1, 0, 1] realizes the constant controller 1.
+    Active fractional terms become chains of bilinearly mapped
+    first-order sections; the parallel sum is assembled as a
+    block-diagonal state space whose transmission zeros (eigenvalues of
+    the inverse system) complete the factored form. The result is
+    biproper whenever any term is active, because the bilinear image of
+    each band-limited term is itself biproper, and it carries that state
+    space as its realization: A lower triangular with each pole alone on
+    its diagonal, B all ones, C the gain-scaled chain rows and D the
+    feedthrough.
     """
     if t.kind is ControllerKind.FOPID:
-        return realize_fopid(theta, t)
-    return realize_iopid(theta, t)
+        zeros, poles, gain, realization = fopid_roots(theta, t)
+        return DiscreteZpk(zeros, poles, gain, t.sample_time, realization=realization)
+    return DiscreteTf(*iopid_coeffs(theta, t), t.sample_time)

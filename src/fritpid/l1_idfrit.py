@@ -95,8 +95,8 @@ def _well_scaled(arr: np.ndarray) -> bool:
 class ExperimentRecord:
     """One recorded experiment: reference r0, input u0, output y0.
 
-    The three signals must share length and sample time. The reference
-    must be finite and start away from zero, otherwise neither the
+    The three signals must share length and sample time and be finite,
+    and the reference must start away from zero, otherwise neither the
     fictitious reference nor the stability bound is defined.
     """
 
@@ -114,8 +114,9 @@ class ExperimentRecord:
         for s in (self.u0, self.y0):
             if not same_sample_time(s.sample_time, self.r0.sample_time):
                 raise SampleTimeError("experiment signals have mixed sample times")
-        if not np.all(np.isfinite(self.r0.samples)):
-            raise ValueError("reference signal must be finite")
+        for name in ("r0", "u0", "y0"):
+            if not np.isfinite(getattr(self, name).samples).all():
+                raise ValueError(f"{name} must be finite")
         if not abs(self.r0.samples[0]) >= _HEAD_TOL:
             raise ValueError("reference head is numerically zero")
 
@@ -295,10 +296,10 @@ class LossEvaluator:
         n = len(data)
         m_d = impulse_response(md, n - 1)
         self._m_d_l1 = m_d.l1()
-        self._y_ref = reconstruct_output(data.r0, m_d)
+        self.target = reconstruct_output(data.r0, m_d)
         pulse = np.zeros(n)
         pulse[0] = 1.0
-        self._gamma_r0 = toeplitz_solve(data.r0, Signal(pulse, ts)).l1()
+        self.gamma_r0 = toeplitz_solve(data.r0, Signal(pulse, ts)).l1()
         self.evaluations = 0
         self.penalty_counts = {r: 0 for r in PenaltyReason if r is not PenaltyReason.NONE}
         self.bound_violations = 0
@@ -311,15 +312,6 @@ class LossEvaluator:
     def bound_checks(self) -> int:
         """Every clean evaluation checks the stability bound."""
         return self.evaluations - self.penalties
-
-    @property
-    def gamma_r0(self) -> float:
-        return self._gamma_r0
-
-    @property
-    def target(self) -> Signal:
-        """Reference-model response R0 m_D the loop output is matched to."""
-        return self._y_ref
 
     def evaluate(self, theta) -> LossBreakdown:
         """Full pipeline for one candidate, counted once it has a breakdown;
@@ -365,11 +357,11 @@ class LossEvaluator:
         y = reconstruct_output(data.r0, t).samples
         if not _well_scaled(y):
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
-        j = float(np.abs(y - self._y_ref.samples).sum())
+        j = float(np.abs(y - self.target.samples).sum())
         return LossBreakdown(
             j=j,
             t_l1=t.l1(),
-            bound=self._gamma_r0 * j + self._m_d_l1,
+            bound=self.gamma_r0 * j + self._m_d_l1,
             penalty_reason=PenaltyReason.NONE,
         )
 

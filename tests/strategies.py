@@ -222,6 +222,18 @@ def reference_as_sos(g: DiscreteZpk) -> np.ndarray:
     return sos
 
 
+def zpk_response(g: DiscreteZpk, z):
+    """Frequency response of a factored system by stable factorwise
+    products, with no polynomial expansion."""
+    z = np.asarray(z, dtype=complex)
+    out = np.full(z.shape, g.gain, dtype=complex)
+    for z0 in g.zeros:
+        out = out * (z - z0)
+    for p0 in g.poles:
+        out = out / (z - p0)
+    return out
+
+
 def reference_zpk_invert(g: DiscreteZpk) -> DiscreteZpk:
     """Inverse through the public constructor, which sorts the roots again."""
     return DiscreteZpk(g.poles, g.zeros, 1.0 / g.gain, g.sample_time)

@@ -204,12 +204,16 @@ class TestLoadRunConfig:
             {"bounds": {"lower": [False, 0.0, 0.0], "upper": [5.0, 5.0, 5.0]}},
             {"controller": {"kind": "iopid", "oustaloup": {"w_h": "1e3"}}},
             {"sim_time": 10**400},
+            {"sim_time": math.inf},
+            {"plant": {"num": [math.nan], "den": [1.0, -0.5], "sample_time": 0.05}},
+            {"reference_model": {"num": [math.inf], "den": [1.0, -0.5], "sample_time": 0.05}},
         ],
         ids=["no-seeds", "fractional-seed", "negative-seed", "fractional-swarm",
              "string-iterations", "fractional-order", "fractional-delay",
              "unknown-oustaloup-key", "unknown-top-level-key", "boolean-seeds",
              "boolean-iterations", "string-sample-time", "string-theta0",
-             "boolean-bound", "string-band-edge", "integer-beyond-float-range"],
+             "boolean-bound", "string-band-edge", "integer-beyond-float-range",
+             "infinite-sim-time", "nan-plant-num", "infinite-reference-num"],
     )
     def test_malformed_values_are_rejected_not_rewritten(self, tmp_path, overrides):
         with pytest.raises(CliError) as err:

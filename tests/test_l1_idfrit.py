@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
 from scipy.linalg import blas
 
-from fritpid.folib import ControllerKind, ControllerTemplate, iopid_coeffs, realize, realize_fopid
+from fritpid.folib import ControllerKind, ControllerTemplate, iopid_coeffs, realize
 from fritpid.l1_idfrit import (
     PENALTY,
     ExperimentRecord,
@@ -79,6 +79,15 @@ class TestExperimentRecord:
         bad[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             ExperimentRecord(Signal(bad, TS), step(), step())
+
+    @pytest.mark.parametrize("name", ["u0", "y0"])
+    def test_nonfinite_input_or_output_rejected(self, name):
+        # accepted, such a record penalized every candidate as nonfinite_signal
+        bad = np.ones(N)
+        bad[3] = np.nan
+        signals = {"r0": step(), "u0": step(), "y0": step(), name: Signal(bad, TS)}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ExperimentRecord(**signals)
 
     def test_zero_reference_head_rejected(self):
         bad = np.ones(N)
@@ -301,7 +310,7 @@ class TestPenalties:
         assert b.penalty_reason is PenaltyReason.NON_INVERTIBLE_CONTROLLER
 
     def test_cancelled_fractional_feedthrough_is_non_invertible(self):
-        branch = realize_fopid([0.0, 1.0, 0.5, 0.0, 1.0], FOPID_T)
+        branch = realize([0.0, 1.0, 0.5, 0.0, 1.0], FOPID_T)
         rec = closed_loop_record(PLANT, THETA0)
         ev = LossEvaluator(FOPID_T, rec, MD)
         b = ev.evaluate([-branch.gain, 1.0, 0.5, 0.0, 1.0])
@@ -475,7 +484,7 @@ class TestArrayPath:
         ev = LossEvaluator(template, rec, MD)
         if template is FOPID_T:
             # kfp = -(branch gain) cancels the feedthrough
-            branch = realize_fopid([0.0, 1.0, 0.5, 0.0, 1.0], FOPID_T)
+            branch = realize([0.0, 1.0, 0.5, 0.0, 1.0], FOPID_T)
             thetas = thetas + [[-branch.gain, 1.0, 0.5, 0.0, 1.0]]
         reasons = set()
         for values in thetas:
