@@ -22,12 +22,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .folib import (
-    ControllerKind,
-    ControllerTemplate,
-    OustaloupConfig,
-    realize,
-)
+from .folib import ControllerKind, ControllerTemplate, realize
 from .l1_idfrit import ExperimentRecord, LossBreakdown, LossEvaluator
 from .lti_core import (
     ContinuousTf,
@@ -52,6 +47,7 @@ __all__ = [
     "CaseResult",
     "CASE_NAMES",
     "DEFAULT_SEEDS",
+    "J_THETA0_RTOL",
     "builtin_case",
     "reference_targets",
     "discretized_plant",
@@ -68,6 +64,9 @@ CASE_NAMES = ("example1", "example2", "example3_io", "example3_fo")
 
 #: seeds a tuning run uses when none are asked for
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
+
+#: relative distance from the published J(theta0) that still reproduces it
+J_THETA0_RTOL = 0.01
 
 PlantLike = Union[ContinuousTf, DiscreteTf]
 
@@ -162,7 +161,6 @@ class ReferenceTargets:
     theta_star: Tuple[float, ...]
     j_star_max: float
     j_star_min: float = 0.0
-    j_theta0_rtol: float = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +273,7 @@ _TARGETS = {
 
 def _example12_case(name: str, dead_time: float) -> BenchmarkCase:
     ts = 0.1
-    template = ControllerTemplate(ControllerKind.FOPID, ts, OustaloupConfig())
+    template = ControllerTemplate(ControllerKind.FOPID, ts)
     return BenchmarkCase(
         name=name,
         plant=ContinuousTf(_EX12_PLANT_NUM, _EX12_PLANT_DEN, dead_time=dead_time),
@@ -310,7 +308,7 @@ def _example3_case(name: str, kind: ControllerKind) -> BenchmarkCase:
         sim_time=4.0,
         theta0=theta0,
         bounds=bounds,
-        template=ControllerTemplate(kind, ts, OustaloupConfig()),
+        template=ControllerTemplate(kind, ts),
     )
 
 

@@ -22,8 +22,7 @@ no timestamps, so identical runs produce identical bytes).
 The config schema, shared by ``tune`` and ``validate``::
 
     {
-      "controller":      {"kind": "fopid" | "iopid",
-                          "oustaloup": {"order": 5, "w_b": 1e-6, "w_h": 1e3}},
+      "controller":      {"kind": "fopid" | "iopid"},
       "sample_time":     0.1,
       "reference_model": {"num": [...], "den": [...], "dead_time": 0.0,
                           "sample_time": 0.1, "delay_samples": 0},
@@ -41,8 +40,9 @@ The config schema, shared by ``tune`` and ``validate``::
 
 An unknown key in any object of the config, or a number given as a
 string, as true/false or as NaN or Infinity, is rejected (exit 2); keys
-left out of ``oustaloup`` and ``pso`` take the ``OustaloupConfig`` and
-``PsoConfig`` defaults.
+left out of ``pso`` take the ``PsoConfig`` defaults. The Oustaloup ladder
+of the fractional operators is fixed (the ``folib.OUSTALOUP_*`` constants),
+so a config exported with a ``controller.oustaloup`` block is rejected too.
 
 ``reproduce`` writes such a config next to its results, and feeding that
 config together with the exported ``initial_data.csv`` back through
@@ -69,6 +69,7 @@ import numpy as np
 from .benchlab import (
     CASE_NAMES,
     DEFAULT_SEEDS,
+    J_THETA0_RTOL,
     BenchmarkCase,
     RunConfig,
     TuningResult,
@@ -81,7 +82,7 @@ from .benchlab import (
     tune_case,
     validate,
 )
-from .folib import ControllerKind, ControllerTemplate, OustaloupConfig, realize
+from .folib import ControllerKind, ControllerTemplate, realize
 from .l1_idfrit import ExperimentRecord
 from .lti_core import (
     ContinuousTf,
@@ -129,7 +130,8 @@ _CONFIG_KEYS = (
     "controller", "sample_time", "reference_model", "bounds", "theta0",
     "seeds", "pso", "plant", "sim_time",
 )
-_CONTROLLER_KEYS = ("kind", "oustaloup")
+_CONTROLLER_KEYS = ("kind",)
+_PSO_KEYS = tuple(f.name for f in fields(PsoConfig))
 _BOUNDS_KEYS = ("lower", "upper")
 _TF_KEYS = ("num", "den", "sample_time", "delay_samples", "dead_time")
 
@@ -196,20 +198,6 @@ def _parse_tf(node: dict, sample_time: float, what: str) -> DiscreteTf:
         raise CliError(f"config: invalid {what}: {exc}", EXIT_USAGE) from exc
 
 
-def _parse_settings(node, cls, what: str):
-    """A settings block over the dataclass ``cls``: each value takes the
-    type of its default, int (a whole float is taken) or float."""
-    defaults = cls()
-    kwargs = {
-        key: _number(value, f"{what} {key}", integer=isinstance(getattr(defaults, key), int))
-        for key, value in _object(node, [f.name for f in fields(cls)], what).items()
-    }
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise CliError(f"config: invalid {what} settings: {exc}", EXIT_USAGE) from exc
-
-
 def load_run_config(path) -> RunConfig:
     """Read and validate a JSON run configuration."""
     try:
@@ -232,17 +220,18 @@ def load_run_config(path) -> RunConfig:
             EXIT_USAGE,
         ) from None
     try:
-        template = ControllerTemplate(
-            kind,
-            sample_time,
-            _parse_settings(ctrl.get("oustaloup", {}), OustaloupConfig, "oustaloup"),
-        )
+        template = ControllerTemplate(kind, sample_time)
         box = _object(_require(raw, "bounds", "config"), _BOUNDS_KEYS, "bounds")
         lo, hi = ([_number(x, "bounds") for x in _require(box, k, "bounds")] for k in _BOUNDS_KEYS)
         bounds = Bounds(lo, hi)
         theta0 = raw.get("theta0")
         if theta0 is not None:
             theta0 = np.asarray([_number(x, "theta0") for x in theta0])
+        pso = _object(raw.get("pso", {}), _PSO_KEYS, "pso")
+        try:
+            pso = PsoConfig(**{k: _number(v, f"pso {k}", integer=True) for k, v in pso.items()})
+        except ValueError as exc:
+            raise CliError(f"config: invalid pso settings: {exc}", EXIT_USAGE) from exc
         return RunConfig(
             template=template,
             bounds=bounds,
@@ -252,7 +241,7 @@ def load_run_config(path) -> RunConfig:
             theta0=theta0,
             plant=_parse_tf(raw["plant"], sample_time, "plant") if "plant" in raw else None,
             sim_time=_number(raw["sim_time"], "sim_time") if "sim_time" in raw else None,
-            pso=_parse_settings(raw.get("pso", {}), PsoConfig, "pso"),
+            pso=pso,
             seeds=tuple(_number(s, "seed", integer=True) for s in raw.get("seeds", DEFAULT_SEEDS)),
         )
     except (TypeError, ValueError) as exc:
@@ -383,10 +372,7 @@ def _config_payload(config: RunConfig) -> dict:
     A benchmark case's plant grades its tuning and stays out of the export.
     """
     out = {
-        "controller": {
-            "kind": config.template.kind.value,
-            "oustaloup": asdict(config.template.oustaloup),
-        },
+        "controller": {"kind": config.template.kind.value},
         "sample_time": config.sample_time,
         "reference_model": _tf_payload(discretized_reference_model(config)),
         "bounds": {"lower": config.bounds.lower, "upper": config.bounds.upper},
@@ -565,10 +551,7 @@ def cmd_reproduce(case: BenchmarkCase, out_dir: Path) -> int:
     print(f"{example}: tuning with seeds {list(case.seeds)} ...")
     result = tune_case(case)
 
-    reproduced = (
-        abs(result.j_theta0 - targets.j_theta0)
-        <= targets.j_theta0_rtol * abs(targets.j_theta0)
-    )
+    reproduced = abs(result.j_theta0 - targets.j_theta0) <= J_THETA0_RTOL * abs(targets.j_theta0)
     within_band = targets.j_star_min <= result.j_star <= targets.j_star_max
     acceptance = {
         "j_theta0_reproduced": reproduced,

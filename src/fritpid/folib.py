@@ -22,7 +22,7 @@ closed loop built from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -33,7 +33,9 @@ from .lti_core import ContinuousTf, DiscreteTf, DiscreteZpk, DiscretizationError
 
 __all__ = [
     "MAX_ORDER",
-    "OustaloupConfig",
+    "OUSTALOUP_ORDER",
+    "OUSTALOUP_W_B",
+    "OUSTALOUP_W_H",
     "ControllerKind",
     "ControllerTemplate",
     "oustaloup",
@@ -49,28 +51,11 @@ __all__ = [
 MAX_ORDER = 25.0
 
 
-@dataclass(frozen=True)
-class OustaloupConfig:
-    """Band and order of the recursive fractional-operator approximation.
-
-    ``order`` is the filter order per operator; the filter itself carries
-    2*order + 1 zero/pole pairs spread geometrically over [w_b, w_h] rad/s.
-    """
-
-    order: int = 5
-    w_b: float = 1e-6
-    w_h: float = 1e3
-
-    def __post_init__(self):
-        if int(self.order) != self.order or self.order < 1:
-            raise ValueError("order must be an integer >= 1")
-        object.__setattr__(self, "order", int(self.order))
-        if not (0.0 < self.w_b < self.w_h):
-            raise ValueError("band edges must satisfy 0 < w_b < w_h")
-
-    @property
-    def n_sections(self) -> int:
-        return 2 * self.order + 1
+# The one Oustaloup ladder of every fractional operator: 2*order + 1
+# zero/pole pairs spread geometrically over [w_b, w_h] rad/s.
+OUSTALOUP_ORDER = 5
+OUSTALOUP_W_B = 1e-6
+OUSTALOUP_W_H = 1e3
 
 
 class ControllerKind(Enum):
@@ -84,7 +69,6 @@ class ControllerTemplate:
 
     kind: ControllerKind
     sample_time: float
-    oustaloup: OustaloupConfig = field(default_factory=OustaloupConfig)
 
     def __post_init__(self):
         if not isinstance(self.kind, ControllerKind):
@@ -97,10 +81,10 @@ class ControllerTemplate:
         return 5 if self.kind is ControllerKind.FOPID else 3
 
 
-def _staircase(a: float, cfg: OustaloupConfig):
+def _staircase(a: float):
     """Corner frequencies and gain of the fractional-part filter.
 
-    For a in (0, 1) the M = 2*order + 1 zero/pole corner pairs are
+    For a in (0, 1) the M = 2*OUSTALOUP_ORDER + 1 zero/pole corner pairs are
 
         w'_k = w_b * (w_h/w_b)**((k - 1 + (1 - a)/2) / M)   (zeros)
         w_k  = w_b * (w_h/w_b)**((k - 1 + (1 + a)/2) / M)   (poles)
@@ -108,13 +92,14 @@ def _staircase(a: float, cfg: OustaloupConfig):
     with gain w_h**a, which pins the magnitude at the band's geometric
     midpoint sqrt(w_b*w_h) to the ideal value exactly.
     """
-    m = cfg.n_sections
+    m = 2 * OUSTALOUP_ORDER + 1
+    w_b, w_h = OUSTALOUP_W_B, OUSTALOUP_W_H
     half = np.array([[(1.0 - a) / 2.0], [(1.0 + a) / 2.0]])
-    wz, wp = cfg.w_b * (cfg.w_h / cfg.w_b) ** ((np.arange(m, dtype=float) + half) / m)
-    return wz, wp, cfg.w_h ** a
+    wz, wp = w_b * (w_h / w_b) ** ((np.arange(m, dtype=float) + half) / m)
+    return wz, wp, w_h ** a
 
 
-def oustaloup(alpha: float, cfg: OustaloupConfig) -> ContinuousTf:
+def oustaloup(alpha: float) -> ContinuousTf:
     """Band-limited rational approximation of s**alpha.
 
     The exponent is split as alpha = n + a with integer n and fractional
@@ -127,7 +112,7 @@ def oustaloup(alpha: float, cfg: OustaloupConfig) -> ContinuousTf:
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha < 0.0:
-        pos = oustaloup(-alpha, cfg)
+        pos = oustaloup(-alpha)
         return ContinuousTf(pos.den, pos.num)
     n = int(math.floor(alpha))
     a = alpha - n
@@ -135,12 +120,12 @@ def oustaloup(alpha: float, cfg: OustaloupConfig) -> ContinuousTf:
     mono[0] = 1.0
     if a == 0.0:
         return ContinuousTf(mono, [1.0])
-    wz, wp, gain = _staircase(a, cfg)
+    wz, wp, gain = _staircase(a)
     num, den = _sig.zpk2tf(-wz, -wp, gain)
     return ContinuousTf(np.convolve(mono, np.atleast_1d(num)), den)
 
 
-def _branch(gain: float, power: float, cfg: OustaloupConfig, ts: float):
+def _branch(gain: float, power: float, ts: float):
     """Discrete section chain of gain * s**power: (poles, chain row, gain).
 
     The continuous roots are the integer part's n zeros at s = 0 and the
@@ -158,7 +143,7 @@ def _branch(gain: float, power: float, cfg: OustaloupConfig, ts: float):
     a = mag - n
     zeros, poles, k = np.zeros(n), np.zeros(0), 1.0
     if a > 0.0:
-        wz, wp, k = _staircase(a, cfg)
+        wz, wp, k = _staircase(a)
         zeros, poles = np.concatenate([zeros, -wz]), -wp
     if power < 0.0:
         zeros, poles, k = poles, zeros, 1.0 / k
@@ -201,7 +186,7 @@ def fopid_roots(theta, t: ControllerTemplate) -> tuple:
     kfp, kfi, lam, kfd, mu = _parameters(theta, t, ControllerKind.FOPID)
     ts = t.sample_time
     branches = [
-        _branch(gain, power, t.oustaloup, ts)
+        _branch(gain, power, ts)
         for gain, power in ((kfi, -lam), (kfd, mu))
         if gain != 0.0
     ]

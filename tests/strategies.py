@@ -239,16 +239,17 @@ def reference_zpk_invert(g: DiscreteZpk) -> DiscreteZpk:
     return DiscreteZpk(g.poles, g.zeros, 1.0 / g.gain, g.sample_time)
 
 
-def _reference_staircase(a: float, cfg):
-    m = cfg.n_sections
-    ratio = cfg.w_h / cfg.w_b
+def _reference_staircase(a: float):
+    # the ladder written out: order 5 (11 corner pairs) over [1e-6, 1e3] rad/s
+    m, w_b, w_h = 11, 1e-6, 1e3
+    ratio = w_h / w_b
     k = np.arange(1, m + 1)
-    wz = cfg.w_b * ratio ** ((k - 1.0 + (1.0 - a) / 2.0) / m)
-    wp = cfg.w_b * ratio ** ((k - 1.0 + (1.0 + a) / 2.0) / m)
-    return wz, wp, cfg.w_h ** a
+    wz = w_b * ratio ** ((k - 1.0 + (1.0 - a) / 2.0) / m)
+    wp = w_b * ratio ** ((k - 1.0 + (1.0 + a) / 2.0) / m)
+    return wz, wp, w_h ** a
 
 
-def _reference_power_roots(power: float, cfg):
+def _reference_power_roots(power: float):
     if power == 0.0:
         return np.zeros(0), np.zeros(0), 1.0
     mag = abs(power)
@@ -258,7 +259,7 @@ def _reference_power_roots(power: float, cfg):
     poles = []
     gain = 1.0
     if a > 0.0:
-        wz, wp, gain = _reference_staircase(a, cfg)
+        wz, wp, gain = _reference_staircase(a)
         zeros.extend(-wz)
         poles.extend(-wp)
     zeros = np.asarray(zeros, dtype=float)
@@ -300,7 +301,7 @@ def reference_realize_fopid(theta, t) -> DiscreteZpk:
     branches = []
     for gain, power in ((kfi, -lam), (kfd, mu)):
         if gain != 0.0:
-            z, q, k = _reference_power_roots(power, t.oustaloup)
+            z, q, k = _reference_power_roots(power)
             branches.append(_reference_bilinear_roots(z, q, gain * k, ts))
     if not branches and kfp == 0.0:
         return DiscreteZpk((), (), 0.0, ts)

@@ -16,9 +16,10 @@ from scipy import linalg as sla
 from fritpid.benchlab import CASE_NAMES, builtin_case, reference_targets, tune_case
 from fritpid.cli import main as cli_main
 from fritpid.folib import (
+    OUSTALOUP_W_B,
+    OUSTALOUP_W_H,
     ControllerKind,
     ControllerTemplate,
-    OustaloupConfig,
     oustaloup,
     realize,
 )
@@ -192,13 +193,12 @@ def test_criterion7_fractional_operator_fidelity(campaign):
     the tuned fractional loop tracks no worse than the integer one.
 
     The band is [10*w_b, w_h/10]; the fit is graded against (jw)**alpha
-    for alpha in {0.2, 0.5, 0.8, 1.3, 1.7} at the default filter order.
+    for alpha in {0.2, 0.5, 0.8, 1.3, 1.7} at the fixed filter order.
     """
-    cfg = OustaloupConfig()
-    w = np.logspace(np.log10(10.0 * cfg.w_b), np.log10(cfg.w_h / 10.0), 600)
+    w = np.logspace(np.log10(10.0 * OUSTALOUP_W_B), np.log10(OUSTALOUP_W_H / 10.0), 600)
     failures = []
     for alpha in (0.2, 0.5, 0.8, 1.3, 1.7):
-        g = oustaloup(alpha, cfg)
+        g = oustaloup(alpha)
         s = 1j * w
         h = np.polyval(g.num.as_array(), s) / np.polyval(g.den.as_array(), s)
         ideal = s**alpha
@@ -227,10 +227,9 @@ def test_diagnostic_operator_fidelity_two_guard_decades():
     margin. The shortfall is confined to the outer guard decade, where
     eleven sections over nine decades are intrinsically too sparse.
     """
-    cfg = OustaloupConfig()
-    w = np.logspace(np.log10(100.0 * cfg.w_b), np.log10(cfg.w_h / 100.0), 600)
+    w = np.logspace(np.log10(100.0 * OUSTALOUP_W_B), np.log10(OUSTALOUP_W_H / 100.0), 600)
     for alpha in (0.2, 0.5, 0.8, 1.3, 1.7):
-        g = oustaloup(alpha, cfg)
+        g = oustaloup(alpha)
         s = 1j * w
         h = np.polyval(g.num.as_array(), s) / np.polyval(g.den.as_array(), s)
         ideal = s**alpha

@@ -7,6 +7,7 @@ import pytest
 
 from fritpid.benchlab import (
     CASE_NAMES,
+    J_THETA0_RTOL,
     BenchmarkCase,
     ValidationReport,
     builtin_case,
@@ -149,7 +150,7 @@ class TestDataCollection:
         case = builtin_case(name)
         t = reference_targets(name)
         j0 = make_evaluator(case, collect_data(case))(case.theta0)
-        assert j0 == pytest.approx(t.j_theta0, rel=t.j_theta0_rtol)
+        assert j0 == pytest.approx(t.j_theta0, rel=J_THETA0_RTOL)
 
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_loss_at_theta0_equals_the_true_tracking_error(self, name):
