@@ -1,7 +1,6 @@
 """Tests for the command-line interface: parsing, artifacts, exit codes."""
 
 import argparse
-import itertools
 import json
 import math
 import re
@@ -185,13 +184,10 @@ class TestLoadRunConfig:
             assert valid in str(err.value)
 
     def test_oustaloup_block_is_rejected(self, tmp_path):
-        # the ladder is fixed: the block a config.json exported before carries,
-        # and any key or value inside one, is an unknown controller key
-        blocks = [
-            {"order": 5, "w_b": 1e-6, "w_h": 1e3}, {"order": 4.5}, {"w_hh": 100.0},
-            {"w_h": "1e3"},
-        ]
-        for kind, block in itertools.product(("fopid", "iopid"), blocks):
+        # the ladder is fixed: the block every config.json exported before
+        # carries is an unknown controller key
+        block = {"order": 5, "w_b": 1e-6, "w_h": 1e3}
+        for kind in ("fopid", "iopid"):
             controller = {"kind": kind, "oustaloup": block}
             with pytest.raises(CliError) as err:
                 load_run_config(write_config(tmp_path / "c.json", controller=controller))
@@ -206,24 +202,28 @@ class TestLoadRunConfig:
             {"seeds": [-1]},
             {"pso": {"swarm_size": 8.9}},
             {"pso": {"max_iterations": "12"}},
+            {"controller": {"kind": "iopid", "oustaloup": {"order": 4.5}}},
             {"reference_model": {"num": [0.5], "den": [1.0, -0.5],
                                  "sample_time": 0.05, "delay_samples": 1.5}},
+            {"controller": {"kind": "iopid", "oustaloup": {"w_hh": 100.0}}},
             {"seed": [7]},
             {"seeds": [True, False]},
             {"pso": {"max_iterations": True}},
             {"sample_time": "0.05"},
             {"theta0": ["1.0", 0.0, 0.0]},
             {"bounds": {"lower": [False, 0.0, 0.0], "upper": [5.0, 5.0, 5.0]}},
+            {"controller": {"kind": "iopid", "oustaloup": {"w_h": "1e3"}}},
             {"sim_time": 10**400},
             {"sim_time": math.inf},
             {"plant": {"num": [math.nan], "den": [1.0, -0.5], "sample_time": 0.05}},
             {"reference_model": {"num": [math.inf], "den": [1.0, -0.5], "sample_time": 0.05}},
         ],
         ids=["no-seeds", "fractional-seed", "negative-seed", "fractional-swarm",
-             "string-iterations", "fractional-delay", "unknown-top-level-key",
-             "boolean-seeds", "boolean-iterations", "string-sample-time", "string-theta0",
-             "boolean-bound", "integer-beyond-float-range", "infinite-sim-time",
-             "nan-plant-num", "infinite-reference-num"],
+             "string-iterations", "fractional-order", "fractional-delay",
+             "unknown-oustaloup-key", "unknown-top-level-key", "boolean-seeds",
+             "boolean-iterations", "string-sample-time", "string-theta0",
+             "boolean-bound", "string-band-edge", "integer-beyond-float-range",
+             "infinite-sim-time", "nan-plant-num", "infinite-reference-num"],
     )
     def test_malformed_values_are_rejected_not_rewritten(self, tmp_path, overrides):
         with pytest.raises(CliError) as err:
