@@ -16,6 +16,7 @@ grades the tuned controller. The tuning path itself never touches it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -59,8 +60,6 @@ __all__ = [
     "tune",
     "tune_case",
 ]
-
-CASE_NAMES = ("example1", "example2", "example3_io", "example3_fo")
 
 #: seeds a tuning run uses when none are asked for
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -242,34 +241,6 @@ _EX12_PLANT_DEN = (20.0, 113.0, 147.0, 62.0, 8.0)
 _EX3_PLANT_NUM = (0.28261, 0.50666, 0.0, 0.0, 0.0)
 _EX3_PLANT_DEN = (1.0, -1.41833, 1.58939, -1.31608, 0.88642)
 
-_TARGETS = {
-    "example1": ReferenceTargets(
-        j_theta0=496.1250,
-        j_star=0.3805,
-        theta_star=(2.7563, 0.5105, 0.9966, 2.6412, 0.8482),
-        j_star_max=0.6,
-    ),
-    "example2": ReferenceTargets(
-        j_theta0=508.6346,
-        j_star=53.3317,
-        theta_star=(1.4675, 0.1368, 1.0147, 5.0724, 1.3177),
-        j_star_max=60.0,
-        j_star_min=10.0,
-    ),
-    "example3_io": ReferenceTargets(
-        j_theta0=28.6451,
-        j_star=1.1129,
-        theta_star=(0.0214, 3.3025, 0.0209),
-        j_star_max=1.5,
-    ),
-    "example3_fo": ReferenceTargets(
-        j_theta0=28.6451,
-        j_star=0.8087,
-        theta_star=(1.0894e-9, 3.3490, 1.0018, 0.0242, 0.9448),
-        j_star_max=1.2,
-    ),
-}
-
 
 def _example12_case(name: str, dead_time: float) -> BenchmarkCase:
     ts = 0.1
@@ -312,27 +283,66 @@ def _example3_case(name: str, kind: ControllerKind) -> BenchmarkCase:
     )
 
 
+#: the built-in cases: each name's case builder and published targets
+_CASES = {
+    "example1": (
+        functools.partial(_example12_case, dead_time=0.0),
+        ReferenceTargets(
+            j_theta0=496.1250,
+            j_star=0.3805,
+            theta_star=(2.7563, 0.5105, 0.9966, 2.6412, 0.8482),
+            j_star_max=0.6,
+        ),
+    ),
+    "example2": (
+        functools.partial(_example12_case, dead_time=5.0),
+        ReferenceTargets(
+            j_theta0=508.6346,
+            j_star=53.3317,
+            theta_star=(1.4675, 0.1368, 1.0147, 5.0724, 1.3177),
+            j_star_max=60.0,
+            j_star_min=10.0,
+        ),
+    ),
+    "example3_io": (
+        functools.partial(_example3_case, kind=ControllerKind.IOPID),
+        ReferenceTargets(
+            j_theta0=28.6451,
+            j_star=1.1129,
+            theta_star=(0.0214, 3.3025, 0.0209),
+            j_star_max=1.5,
+        ),
+    ),
+    "example3_fo": (
+        functools.partial(_example3_case, kind=ControllerKind.FOPID),
+        ReferenceTargets(
+            j_theta0=28.6451,
+            j_star=0.8087,
+            theta_star=(1.0894e-9, 3.3490, 1.0018, 0.0242, 0.9448),
+            j_star_max=1.2,
+        ),
+    ),
+}
+
+CASE_NAMES = tuple(_CASES)
+
+
+def _catalog_entry(name: str):
+    try:
+        return _CASES[name]
+    except KeyError:
+        raise KeyError(f"unknown case {name!r}; valid names: {', '.join(CASE_NAMES)}") from None
+
+
 def builtin_case(name: str) -> BenchmarkCase:
     """Look up one of the built-in benchmark cases by name."""
-    if name == "example1":
-        return _example12_case(name, dead_time=0.0)
-    if name == "example2":
-        return _example12_case(name, dead_time=5.0)
-    if name == "example3_io":
-        return _example3_case(name, ControllerKind.IOPID)
-    if name == "example3_fo":
-        return _example3_case(name, ControllerKind.FOPID)
-    raise KeyError(f"unknown case {name!r}; valid names: {', '.join(CASE_NAMES)}")
+    build, _ = _catalog_entry(name)
+    return build(name)
 
 
 def reference_targets(name: str) -> ReferenceTargets:
     """Published loss values and pass bands for a built-in case."""
-    try:
-        return _TARGETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown case {name!r}; valid names: {', '.join(CASE_NAMES)}"
-        ) from None
+    return _catalog_entry(name)[1]
 
 
 def discretized_plant(config: RunConfig) -> DiscreteTf:
@@ -387,12 +397,10 @@ def validate(config: RunConfig, theta) -> ValidationReport:
     y_model = simulate(discretized_reference_model(config), r)
     err = np.abs(y_cl.samples - y_model.samples)
     tracking = float(np.sum(err)) if np.all(np.isfinite(err)) else math.inf
-    finite_u = np.abs(u.samples)
-    max_u = float(np.max(finite_u)) if finite_u.size else 0.0
     return ValidationReport(
         closed_loop_poles=poles,
         tracking_error_l1=tracking,
-        max_abs_input=max_u,
+        max_abs_input=float(np.max(np.abs(u.samples))),
         step_traces=StepTraces(r=r, y_model=y_model, y_closed_loop=y_cl, u=u),
     )
 

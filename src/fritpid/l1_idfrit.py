@@ -43,8 +43,7 @@ from .lti_core import (
     inverse_coeffs,
     inverse_roots,
     invert,
-    is_stable,
-    poles,
+    schur_stable,
     same_sample_time,
     simulate,
 )
@@ -267,8 +266,9 @@ class LossEvaluator:
     this constant the inequality is an identity-level consequence of
     t = R0^-1 epsilon + m_D, so a violation can only mean the pipeline
     broke, never that the candidate was unlucky. The reference model
-    must be stable by ``lti_core.is_stable``, the rule every pole set is
-    judged by.
+    must be stable by the rule every pole set is judged by, every pole
+    below ``lti_core.STABLE_RADIUS``, which ``lti_core.schur_stable``
+    decides exactly on the roots of its denominator's float coefficients.
 
     Candidates are scored on arrays, from C's raw parts through the
     inverse's filter, with no controller object; every value is the one
@@ -287,7 +287,7 @@ class LossEvaluator:
             raise SampleTimeError("template sample time differs from the data")
         if not same_sample_time(md.sample_time, ts):
             raise SampleTimeError("reference model sample time differs from the data")
-        if not is_stable(poles(md)):
+        if not schur_stable(md.den.coeffs):
             raise ValueError("reference model must be BIBO stable")
         self.template = template
         self.data = data

@@ -10,9 +10,11 @@ precision; the factored form keeps every root exact and simulates through a
 cascade of second-order sections. Continuous TFs carry an optional dead
 time, discrete ones an integer sample delay. Only what the tuning pipeline
 needs is provided: bilinear discretization, difference-equation simulation,
-inversion, one stability rule for every pole set (STABLE_RADIUS), and one
+inversion, one stability rule (every pole below STABLE_RADIUS), and one
 state space of the unity-feedback loop that serves both its simulation
-and its poles.
+and its poles. A loop is judged on its eigenvalues as computed; a
+polynomial such as the reference model's denominator is judged exactly,
+by a Schur-Cohn certificate on its float coefficients.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -53,8 +56,8 @@ __all__ = [
     "filter_zpk",
     "filter_tf",
     "same_sample_time",
-    "poles",
     "is_stable",
+    "schur_stable",
     "loop_poles",
     "co_simulate",
 ]
@@ -542,6 +545,30 @@ def is_stable(roots) -> bool:
     return all(abs(p) < STABLE_RADIUS for p in roots)
 
 
+def schur_stable(den) -> bool:
+    """The rule of is_stable on the exact roots of den (highest power first).
+
+    The Schur-Cohn recursion (Jury, Theory and Application of the
+    z-Transform Method, 1964) on den(STABLE_RADIUS * z), in rational
+    arithmetic on the float coefficients exactly as given: with k the ratio
+    of the last coefficient to the first, the roots all lie inside the unit
+    circle iff |k| < 1 and those of (a - k * reversed(a)) / z do. A root at
+    0, such as a delay sample's, never fails it. den[0] must not be zero;
+    a non-finite coefficient raises ValueError.
+    """
+    if not all(map(math.isfinite, den)):
+        raise ValueError("polynomial coefficients must be finite")
+    n = len(den) - 1
+    rho = Fraction(STABLE_RADIUS)
+    a = [Fraction(c) * rho ** (n - i) for i, c in enumerate(den)]
+    while len(a) > 1:
+        k = a[-1] / a[0]
+        if abs(k) >= 1:
+            return False
+        a = [x - k * y for x, y in zip(a[:-1], a[:0:-1])]
+    return True
+
+
 def _block_state_space(g):
     """(A, B, C, D) of a plant or controller; an input delay adds shift states.
 
@@ -577,123 +604,6 @@ def _block_state_space(g):
     Cd = np.concatenate([np.zeros(d), C])
     Cd[d - 1] = D
     return Ad, Bd, Cd, 0.0
-
-
-def _taylor(c: Sequence, mu) -> list:
-    """Taylor coefficients t[j] = c^(j)(mu) / j! of c (highest power first)."""
-    a = list(c)
-    m = len(a)
-    t = []
-    for j in range(m):
-        for i in range(1, m - j):
-            a[i] += mu * a[i - 1]
-        t.append(a[m - 1 - j])
-    return t
-
-
-# rounding errors per degree within which a cluster of computed roots is
-# taken as one multiple root
-_MULTIPLE_ROOT_ULPS = 4.0
-
-# Newton steps at most on a simple root
-_SIMPLE_ROOT_STEPS = 3
-
-
-def _newton_simple(c: list, z: list, i: int) -> complex:
-    """The computed root z[i] of c refined by Newton steps in long double.
-
-    In double precision Horner's rounding over a small c' leaves a step
-    as inaccurate as the root itself: 0.95 beside roots at 0.945 and
-    0.875 is off by about 1.5e-15 / 3.5e-4. Long double carries the step
-    to double accuracy. Of the _SIMPLE_ROOT_STEPS iterates, the one with
-    the lowest |c| is kept, if it lowers |c| at z[i] and stays nearest
-    z[i] among the computed roots, so the root never jumps to a neighbour.
-    """
-    coeffs = [np.longdouble(x) for x in c]
-    x = best = np.clongdouble(z[i])
-    t = _taylor(coeffs, x)
-    lowest = abs(t[0])
-    with np.errstate(all="ignore"):
-        for _ in range(_SIMPLE_ROOT_STEPS):
-            if t[1] == 0:
-                break
-            x = x - t[0] / t[1]
-            t = _taylor(coeffs, x)
-            nearest = min(range(len(z)), key=lambda j: abs(z[j] - complex(x)))
-            if abs(t[0]) < lowest and nearest == i:
-                best, lowest = x, abs(t[0])
-    return complex(best)
-
-
-def _merge_multiple_roots(c: Sequence, r: np.ndarray) -> np.ndarray:
-    """Computed roots r of the real polynomial c, numerically multiple
-    roots made exact and simple ones refined.
-
-    The computed members of a k-fold root scatter by about eps**(1/k)
-    around it, a 0.95 double pole by 2e-8, while the cluster's mean stays
-    accurate. The k roots nearest to one root count as a k-fold root at
-    mu, their mean after one Newton step on c's (k-1)-th derivative, when
-    every Taylor coefficient of c at mu below order k is within
-    _MULTIPLE_ROOT_ULPS * deg(c) rounding errors of the same coefficient
-    of |c| at |mu|: c is then that close to a polynomial with the k-fold
-    root, so the scatter carries no information. For k = 1, a simple
-    root, mu is the root after up to _SIMPLE_ROOT_STEPS long-double
-    Newton steps on c itself (_newton_simple). Larger clusters are taken
-    first; a root no cluster passes keeps its computed value. The mean
-    is an exact sum and Newton's arithmetic is symmetric under
-    conjugation, so mirrored clusters stay exact conjugates.
-    """
-    n = r.size
-    c = [float(x) for x in c]
-    mag = [abs(x) for x in c]
-    tol = _MULTIPLE_ROOT_ULPS * n * np.finfo(float).eps
-    z = r.tolist()
-    found = []
-    for i in range(n):
-        near = sorted(range(n), key=lambda j: abs(z[j] - z[i]))
-        for k in range(n, 0, -1):
-            members = near[:k]
-            if k == 1:
-                mu = _newton_simple(c, z, i)
-            else:
-                mu = complex(
-                    math.fsum(complex(z[j]).real for j in members) / k,
-                    math.fsum(complex(z[j]).imag for j in members) / k,
-                )
-                t = _taylor(c, mu)
-                if t[k] != 0.0:
-                    mu -= t[k - 1] / (k * t[k])
-            t = _taylor(c, mu)
-            bound = _taylor(mag, abs(mu))
-            if all(abs(t[j]) <= tol * bound[j] for j in range(k)):
-                found.append((-k, i, members, mu))
-                break
-    if not found:
-        return r
-    out = r.copy()
-    taken = set()
-    for _, _, members, mu in sorted(found, key=lambda f: f[:2]):
-        if taken.isdisjoint(members):
-            taken.update(members)
-            out[members] = mu if np.iscomplexobj(out) else mu.real
-    return out
-
-
-def poles(g) -> np.ndarray:
-    """Pole locations, largest magnitude first.
-
-    The eigenvalues of the block's own state matrix, the one every loop
-    is built from: for a polynomial system the companion matrix of its
-    monic denominator, plus a pole at 0 per delay sample, with each
-    numerically multiple root of that characteristic polynomial put at
-    its accurate location and each simple one refined
-    (_merge_multiple_roots). A factored system
-    built from roots alone has no state space and raises ValueError.
-    """
-    r = np.linalg.eigvals(_block_state_space(g)[0])
-    if isinstance(g, DiscreteTf):
-        r = _merge_multiple_roots(g.den.coeffs + (0.0,) * g.delay_samples, r)
-    return _sorted_roots(r)
 
 
 # ---------------------------------------------------------------------------

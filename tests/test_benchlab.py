@@ -22,7 +22,7 @@ from fritpid.benchlab import (
     validate,
 )
 from fritpid.folib import ControllerKind
-from fritpid.lti_core import DiscreteTf, _loop_state_space, simulate
+from fritpid.lti_core import STABLE_RADIUS, DiscreteTf, _loop_state_space, simulate
 from fritpid.swarm_opt import PsoConfig
 
 from .strategies import closed_form_loop
@@ -160,6 +160,19 @@ class TestDataCollection:
         j0 = make_evaluator(case, collect_data(case))(case.theta0)
         rep = validate(case, case.theta0)
         assert j0 == pytest.approx(rep.tracking_error_l1, rel=1e-9)
+
+    def test_reference_model_pole_at_the_radius_is_rejected(self):
+        # the certificate decides the exact root: a ulp inside passes
+        case = builtin_case("example3_io")
+        data = collect_data(case)
+
+        def model(pole):
+            return DiscreteTf([1.0 - pole], [1.0, -pole], case.sample_time, delay_samples=3)
+
+        with pytest.raises(ValueError, match="BIBO stable"):
+            make_evaluator(replace(case, reference_model=model(STABLE_RADIUS)), data)
+        inside = np.nextafter(STABLE_RADIUS, 0.0)
+        make_evaluator(replace(case, reference_model=model(inside)), data)
 
 
 class TestValidate:

@@ -1,7 +1,9 @@
 """Discrete-time core: polynomials, transfer functions, simulation, feedback."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,6 +14,7 @@ from fritpid.benchlab import builtin_case, discretized_plant
 from fritpid import folib
 from fritpid.folib import ControllerKind, ControllerTemplate, realize
 from fritpid.lti_core import (
+    STABLE_RADIUS,
     AlgebraicLoopError,
     ContinuousTf,
     DiscreteTf,
@@ -25,9 +28,8 @@ from fritpid.lti_core import (
     filter_zpk,
     impulse_response,
     invert,
-    is_stable,
     loop_poles,
-    poles,
+    schur_stable,
     simulate,
     tustin,
     _block_state_space,
@@ -382,43 +384,89 @@ class TestInvert:
         assert gi.gain == 0.5
 
 
+#: relative offsets of a drawn root from its radius
+OFFSETS = st.integers(1, 16).map(lambda e: 10.0 ** -e)
+
+
 class TestPolesAndStability:
-    def test_poles_sorted_by_magnitude(self):
-        g = DiscreteTf(np.poly([0.1]), np.poly([0.2, -0.9, 0.5]), TS)
-        mags = np.abs(poles(g))
-        assert np.all(np.diff(mags) <= 1e-15)
+    """The reference model's verdict: is_stable's rule on the exact roots
+    of its denominator, decided by schur_stable."""
 
     @given(stable_discrete_tfs(sample_time=TS, margin=0.05))
     @settings(max_examples=60)
-    # double poles at the margin: eigenvalues alone put them 1.7e-8 outside
+    # multiple poles at 0.95: the exact roots of these float coefficients
+    # lie up to 3.7e-6 beyond it, far inside the radius
     @example(g=DiscreteTf([1.0], [1.0, -1.9, 0.9025], TS))
     @example(g=DiscreteTf(
         [1.0], [1.0, -2.3999999999999995, 1.8524999999999994, -0.4512499999999999], TS
     ))
     @example(g=DiscreteTf([1.0], np.real(np.poly([0.95, 0.95, 0.95, -0.95])), TS))
     @example(g=DiscreteTf([1.0], np.real(np.poly([0.95j, -0.95j, 0.95j, -0.95j])), TS))
-    # a simple pole at the margin beside two near it (from 0.95, 0.9453125
-    # and 0.875): eigenvalues alone put it 1.5e-12 outside, the exact root
-    # of these coefficients lies 3.4e-13 inside
+    # a simple pole at 0.95 beside two near it (from 0.95, 0.9453125 and
+    # 0.875), where eigenvalues alone put it 1.5e-12 beyond 0.95
     @example(g=DiscreteTf(
         [1.0], [1.0, -2.7703124999999997, 2.5564453124999997, -0.7857910156249999], TS
     ))
     def test_constructed_stable_systems_report_stable(self, g):
-        p = poles(g)
-        assert is_stable(p)
-        assert 1.0 - np.max(np.abs(p)) >= 0.05 - 1e-12
+        assert schur_stable(g.den.coeffs)
 
     def test_unstable_pole_reports_unstable(self):
-        p = poles(DiscreteTf([1.0], np.poly([1.1, 0.3]), TS))
-        assert not is_stable(p)
-        assert 1.0 - np.max(np.abs(p)) == pytest.approx(-0.1, abs=1e-12)
+        assert not schur_stable(np.poly([1.1, 0.3]))
+        assert not schur_stable(np.poly([0.3, -0.2, 0.5 + 0.9j, 0.5 - 0.9j]).real)
 
-    def test_poles_are_the_block_state_matrix_eigenvalues(self):
-        # a delay sample is a pole at 0, as in every loop built from g
-        g = DiscreteTf([1.0], [1.0, -0.5], TS, delay_samples=2)
-        np.testing.assert_array_equal(poles(g), [0.5, 0.0, 0.0])
-        with pytest.raises(ValueError, match="roots alone"):
-            poles(DiscreteZpk((0.5,), (0.2,), 1.0, TS))
+    def test_a_pole_at_the_radius_is_unstable_one_ulp_inside_stable(self):
+        inside = np.nextafter(STABLE_RADIUS, 0.0)
+        for sign in (-1.0, 1.0):
+            assert not schur_stable([1.0, sign * STABLE_RADIUS])
+            assert schur_stable([1.0, sign * inside])
+        # the pair of z**2 + c has magnitude sqrt(c): stable iff c < radius**2
+        # exactly, for the float nearest radius**2 and its two neighbours
+        square = STABLE_RADIUS ** 2
+        for c in (np.nextafter(square, 0.0), square, np.nextafter(square, 2.0)):
+            assert schur_stable([1.0, 0.0, c]) == (Fraction(c) < Fraction(STABLE_RADIUS) ** 2)
+
+    def test_roots_at_zero_never_fail(self):
+        # a delay sample is a root at 0: the verdict is the rest's
+        assert schur_stable([1.0, -0.5, 0.0, 0.0])
+        assert not schur_stable([1.0, -1.5, 0.0])
+        assert schur_stable([1.0])
+
+    def test_nonfinite_coefficients_are_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                schur_stable([1.0, bad])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([STABLE_RADIUS, 0.95, 0.5]),
+                st.one_of(st.just(0.0), OFFSETS, OFFSETS.map(lambda x: -x)),
+                st.one_of(st.sampled_from([0.0, math.pi]), bounded_floats(0.01, math.pi - 0.01)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_matches_the_exact_roots(self, draws):
+        # roots drawn at and within 1e-16..1e-1 relative of the radius and
+        # of two radii inside it, real (angle 0 or pi) or in pairs, expanded
+        # in floats; the verdict is on the exact roots of those coefficients
+        # (mpmath, 60 digits), leaving out the draws whose largest root lies
+        # within 1e-30 of the radius
+        roots = []
+        for centre, offset, angle in draws:
+            mag = centre * (1.0 + offset)
+            if angle in (0.0, math.pi):
+                roots.append(mag if angle == 0.0 else -mag)
+            else:
+                roots += [mag * np.exp(1j * angle), mag * np.exp(-1j * angle)]
+        den = np.real(np.poly(roots)).tolist()
+        with mpmath.workdps(60):
+            exact = mpmath.polyroots(den, maxsteps=400, extraprec=400)
+            gap = max(abs(r) for r in exact) - mpmath.mpf(STABLE_RADIUS)
+            assume(abs(gap) >= mpmath.mpf("1e-30"))
+            assert schur_stable(den) == (gap < 0)
 
 
 class TestDiscreteZpk:
