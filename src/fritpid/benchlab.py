@@ -29,6 +29,7 @@ from .lti_core import (
     ContinuousTf,
     DiscreteTf,
     Signal,
+    closed_loop,
     co_simulate,
     is_stable,
     loop_poles,
@@ -372,7 +373,7 @@ def collect_data(case: BenchmarkCase) -> ExperimentRecord:
     pd = discretized_plant(case)
     c0 = realize(case.theta0, case.template)
     r0 = unit_step(case.n_samples, case.sample_time)
-    y0, u0 = co_simulate(pd, c0, r0)
+    y0, u0 = co_simulate(closed_loop(pd, c0), r0)
     return ExperimentRecord(r0=r0, u0=u0, y0=y0)
 
 
@@ -384,7 +385,7 @@ def make_evaluator(config: RunConfig, data: ExperimentRecord) -> LossEvaluator:
 def validate(config: RunConfig, theta) -> ValidationReport:
     """Grade a parameter vector against the config's true plant.
 
-    Builds the actual closed loop, reports its poles and stability, the
+    Builds the actual closed loop once, reports its poles and stability, the
     l1 gap between its step response and the reference model's over
     ``sim_time``, and the input effort. Instability shows up in the
     report, never as an exception.
@@ -392,8 +393,9 @@ def validate(config: RunConfig, theta) -> ValidationReport:
     pd = discretized_plant(config)
     c = realize(theta, config.template)
     r = unit_step(config.n_samples, pd.sample_time)
-    poles = tuple(complex(p) for p in loop_poles(pd, c))
-    y_cl, u = co_simulate(pd, c, r)
+    loop = closed_loop(pd, c)
+    poles = tuple(complex(p) for p in loop_poles(loop))
+    y_cl, u = co_simulate(loop, r)
     y_model = simulate(discretized_reference_model(config), r)
     err = np.abs(y_cl.samples - y_model.samples)
     tracking = float(np.sum(err)) if np.all(np.isfinite(err)) else math.inf

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import signal as _sig
 from scipy.linalg import lapack as _lapack
 
-from .lti_core import ContinuousTf, DiscreteTf, DiscreteZpk, DiscretizationError
+from .lti_core import ContinuousTf, DiscreteTf, DiscreteZpk, NonInvertibleError
 
 __all__ = [
     "MAX_ORDER",
@@ -180,7 +180,7 @@ def fopid_roots(theta, t: ControllerTemplate) -> tuple:
     The parts ``realize`` wraps, for callers that need no
     DiscreteZpk: zeros and poles as lists of plain numbers in no
     particular order, the realization (A, B, C, D) or None for a
-    constant. Raises DiscretizationError for a realization without a
+    constant. Raises NonInvertibleError for a realization without a
     usable feedthrough and ValueError for one that is not finite.
     """
     kfp, kfi, lam, kfd, mu = _parameters(theta, t, ControllerKind.FOPID)
@@ -199,7 +199,7 @@ def fopid_roots(theta, t: ControllerTemplate) -> tuple:
     else:
         scale = abs(kfp) + sum(abs(b[2]) for b in branches)
         if abs(feedthrough) <= 1e-12 * scale:
-            raise DiscretizationError("realization has no usable feedthrough")
+            raise NonInvertibleError("realization has no usable feedthrough")
         poles = np.concatenate([b[0] for b in branches])
         chain = np.concatenate([b[1] for b in branches])
         # block-diagonal over the branches: A[i, j] = chain[j] below the

@@ -33,7 +33,6 @@ from .folib import ControllerKind, ControllerTemplate, fopid_roots, iopid_coeffs
 from .folib import realize  # noqa: F401
 from .lti_core import (
     DiscreteTf,
-    DiscretizationError,
     NonInvertibleError,
     SampleTimeError,
     Signal,
@@ -329,22 +328,17 @@ class LossEvaluator:
         try:
             if self._factored:
                 c = fopid_roots(theta, self.template)
+                rt = filter_zpk(*inverse_roots(*c[:3]), data.u0.samples)
             else:
                 c = iopid_coeffs(theta, self.template)
-        except DiscretizationError:
+                rt = filter_tf(*inverse_coeffs(*c), data.u0.samples)
+        except NonInvertibleError:
             return _PENALIZED[PenaltyReason.NON_INVERTIBLE_CONTROLLER]
         except ValueError:
             # of the right size, theta was out of range or its realization not finite
             if np.size(theta) != self.template.theta_dim:
                 raise
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
-        try:
-            if self._factored:
-                rt = filter_zpk(*inverse_roots(*c[:3]), data.u0.samples)
-            else:
-                rt = filter_tf(*inverse_coeffs(*c), data.u0.samples)
-        except NonInvertibleError:
-            return _PENALIZED[PenaltyReason.NON_INVERTIBLE_CONTROLLER]
         rt += data.y0.samples
         if not _well_scaled(rt):
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]

@@ -7,24 +7,25 @@ monomial coefficients to carry. A filter with poles spread over nine decades
 has a denominator whose value at z = 1 can sit thirty orders of magnitude
 below its coefficients, so the polynomial form cannot represent it in double
 precision; the factored form keeps every root exact and simulates through a
-cascade of second-order sections. Continuous TFs carry an optional dead
-time, discrete ones an integer sample delay. Only what the tuning pipeline
-needs is provided: bilinear discretization, difference-equation simulation,
-inversion, one stability rule (every pole below STABLE_RADIUS), and one
-state space of the unity-feedback loop that serves both its simulation
-and its poles. A loop is judged on its eigenvalues as computed; a
-polynomial such as the reference model's denominator is judged exactly,
-by a Schur-Cohn certificate on its float coefficients.
+cascade of second-order sections. It holds only biproper systems (as many
+zeros as poles), which is what the FOPID controller and its inverse are.
+Continuous TFs carry an optional dead time, discrete ones an integer
+sample delay. Only what the tuning pipeline needs is provided: bilinear
+discretization, difference-equation simulation, inversion, one stability
+rule (every pole below STABLE_RADIUS), and one state space of the
+unity-feedback loop, built by ``closed_loop``, that serves both its
+simulation and its poles. A loop is judged on its eigenvalues as
+computed; a polynomial such as the reference model's denominator is
+judged exactly, by a Schur-Cohn certificate on its float coefficients.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy import signal as _sig
@@ -58,6 +59,8 @@ __all__ = [
     "same_sample_time",
     "is_stable",
     "schur_stable",
+    "ClosedLoop",
+    "closed_loop",
     "loop_poles",
     "co_simulate",
 ]
@@ -88,13 +91,6 @@ class AlgebraicLoopError(ValueError):
 def same_sample_time(a: float, b: float) -> bool:
     """The one sample-time rule: equal within 1e-12 relative."""
     return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
-
-
-def _unchecked(cls, **fields):
-    """Frozen dataclass instance from fields that already hold its invariants."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _strip(vals: list) -> tuple:
@@ -198,8 +194,8 @@ class DiscreteTf:
             raise ValueError("sample time must be > 0")
         if self.delay_samples < 0 or int(self.delay_samples) != self.delay_samples:
             raise ValueError("delay must be a non-negative integer sample count")
-        object.__setattr__(self, "num", _unchecked(Polynomial, coeffs=num))
-        object.__setattr__(self, "den", _unchecked(Polynomial, coeffs=den))
+        object.__setattr__(self, "num", Polynomial(num))
+        object.__setattr__(self, "den", Polynomial(den))
         object.__setattr__(self, "delay_samples", int(self.delay_samples))
 
 
@@ -253,40 +249,27 @@ def _quadratic_groups(real: list, cplx: list):
 
 
 def _fast_sos(zeros: Sequence[complex], poles: Sequence[complex], gain: float):
-    """Second-order sections from conjugate-paired root data (gain folded in).
+    """Second-order sections of a biproper system (gain folded in).
 
+    Equal root counts give both sides as many quadratic groups, and a
+    linear tail on both sides or on neither, so zero and pole groups pair
+    off in key order; a system without poles is the one constant section.
     The sections depend on the roots' values, not on their order, apart
     from the sign of a zero coefficient when both 0.0 and -0.0 are roots.
-    Handles any relative degree of a proper system: pole sections left
-    without a zero group get delayed numerators ((0, 0, 1) for a
-    quadratic, (0, 1, 0) for a bare linear tail), which keeps the cascade
-    aligned with the z-domain transfer function including its implicit
-    delay, and a system without poles is the one constant section.
-    Raises ValueError when some complex root lacks its exact conjugate.
+    Raises ValueError for unequal counts, or when some complex root lacks
+    its exact conjugate.
     """
+    if len(zeros) != len(poles):
+        raise ValueError("sections need a biproper system: as many zeros as poles")
     if not poles:
         return np.array([[gain, 0.0, 0.0, 1.0, 0.0, 0.0]])
     z_groups, z_tail = _quadratic_groups(*_split_conjugates(zeros))
     p_groups, p_tail = _quadratic_groups(*_split_conjugates(poles))
     z_groups.sort(key=_first)
     p_groups.sort(key=_first)
-    spare = len(p_groups) - len(z_groups)
-    rows = []
-    if z_tail is not None and p_tail is None:
-        # odd zero count against even pole count: the leftover linear
-        # zero rides on the spare pole section with the nearest key
-        r = -z_tail[1]
-        idx = min(range(spare), key=lambda i: abs(p_groups[i][0] - abs(r)))
-        _, a = p_groups.pop(idx)
-        rows.append((0.0, 1.0, -r) + a)
-        spare -= 1
-        z_tail = None
-    for _, a in p_groups[:spare]:
-        rows.append((0.0, 0.0, 1.0) + a)
-    for (_, b), (_, a) in zip(z_groups, p_groups[spare:]):
-        rows.append(b + a)
+    rows = [b + a for (_, b), (_, a) in zip(z_groups, p_groups)]
     if p_tail is not None:
-        rows.append((z_tail or (0.0, 1.0, 0.0)) + p_tail)
+        rows.append(z_tail + p_tail)
     sos = np.asarray(rows, dtype=float)
     sos[0, :3] *= gain
     return sos
@@ -294,17 +277,16 @@ def _fast_sos(zeros: Sequence[complex], poles: Sequence[complex], gain: float):
 
 @dataclass(frozen=True)
 class DiscreteZpk:
-    """Proper discrete-time TF held as factored zeros, poles, and gain.
+    """Biproper discrete-time TF held as factored zeros, poles, and gain.
 
     Represents gain * prod(z - zeros_i) / prod(z - poles_j) with no extra
-    delay. Roots are stored exactly and sorted (largest magnitude first),
+    delay and as many zeros as poles; any other count raises ValueError.
+    Roots are stored exactly and sorted (largest magnitude first),
     complex ones in conjugate pairs; all downstream numerics work on the
     roots or on second-order sections built from them, never on expanded
     high-order coefficient vectors. ``realization`` is the read-only
     (A, B, C, D) the roots were computed from, when the builder had one;
-    it takes no part in equality, hashing or repr. ``realized`` (whether
-    there is one) does, so a system built from roots alone never equals a
-    realized one and is never served a loop cached for it.
+    it takes no part in equality, hashing or repr.
     """
 
     zeros: tuple
@@ -312,7 +294,6 @@ class DiscreteZpk:
     gain: float
     sample_time: float
     realization: Optional[tuple] = field(default=None, compare=False, repr=False)
-    realized: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         z = np.asarray(self.zeros, dtype=complex).reshape(-1)
@@ -320,8 +301,8 @@ class DiscreteZpk:
         finite = np.isfinite(np.concatenate((z, p)))
         if not finite.all():
             raise ValueError(("poles" if finite[: z.size].all() else "zeros") + " must be finite")
-        if z.size > p.size:
-            raise ValueError("improper discrete transfer function")
+        if z.size != p.size:
+            raise ValueError(f"factored systems are biproper: {z.size} zeros, {p.size} poles")
         gain = float(self.gain)
         if not math.isfinite(gain):
             raise ValueError("gain must be finite")
@@ -330,8 +311,7 @@ class DiscreteZpk:
         object.__setattr__(self, "zeros", tuple(_sorted_roots(z).tolist()))
         object.__setattr__(self, "poles", tuple(_sorted_roots(p).tolist()))
         object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "realized", self.realization is not None)
-        if self.realized:
+        if self.realization is not None:
             for arr in self.realization[:3]:
                 arr.setflags(write=False)
 
@@ -359,7 +339,9 @@ class Signal:
         signal or system that already passed the checks.
         """
         samples.setflags(write=False)
-        return _unchecked(cls, samples=samples, sample_time=sample_time)
+        obj = object.__new__(cls)
+        obj.__dict__.update(samples=samples, sample_time=sample_time)
+        return obj
 
     def __len__(self) -> int:
         return self.samples.size
@@ -515,16 +497,11 @@ def inverse_coeffs(num, den) -> tuple:
 def invert(g):
     """Exact inverse of a biproper, delay-free discrete TF.
 
-    Factored systems invert by swapping zeros and poles, which are stored
-    sorted already, so the inverse stays in factored form and never touches
-    expanded coefficients.
+    Factored systems invert by swapping zeros and poles, so the inverse
+    stays in factored form and never touches expanded coefficients.
     """
     if isinstance(g, DiscreteZpk):
-        zeros, poles, gain = inverse_roots(g.zeros, g.poles, g.gain)
-        return _unchecked(
-            DiscreteZpk, zeros=zeros, poles=poles, gain=gain,
-            sample_time=g.sample_time, realization=None, realized=False,
-        )
+        return DiscreteZpk(*inverse_roots(g.zeros, g.poles, g.gain), g.sample_time)
     if g.delay_samples != 0:
         raise NonInvertibleError("non-invertible controller")
     return DiscreteTf(*inverse_coeffs(g.num.coeffs, g.den.coeffs), g.sample_time)
@@ -610,15 +587,27 @@ def _block_state_space(g):
 # closed loop
 
 
-@functools.lru_cache(maxsize=1)
-def _loop_state_space(p, c):
-    """(A, B, C_y, D_y, C_u, D_u) of the unity-feedback loop r -> (y, u).
+class ClosedLoop(NamedTuple):
+    """State space of the unity-feedback loop r -> (y, u)."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C_y: np.ndarray
+    D_y: float
+    C_u: np.ndarray
+    D_u: float
+    sample_time: float
+
+
+def closed_loop(p, c) -> ClosedLoop:
+    """The unity-feedback loop of plant p and controller c, built once for
+    both its poles and its simulation.
 
     The state stacks the plant's states over the controller's. With
     e = r - y, u = C e and y = P u, the feedthrough algebra is solved once:
     u = (Cc xc - Dc Cp xp + Dc r) / (1 + Dc Dp). A loop where 1 + Dc Dp
-    vanishes raises AlgebraicLoopError. The last pair's loop is cached,
-    read-only, so loop_poles and co_simulate on one pair build it once.
+    vanishes raises AlgebraicLoopError. The controller may be polynomial
+    or factored.
     """
     if not same_sample_time(p.sample_time, c.sample_time):
         raise SampleTimeError("plant and controller sample times differ")
@@ -638,31 +627,24 @@ def _loop_state_space(p, c):
     A[:n_p] += np.outer(Bp, C_u)
     A[n_p:] -= np.outer(Bc, C_y)
     B = np.concatenate([Bp * D_u, Bc * (1.0 - D_y)])
-    for arr in (A, B, C_y, C_u):
-        arr.setflags(write=False)
-    return A, B, C_y, D_y, C_u, D_u
+    return ClosedLoop(A, B, C_y, D_y, C_u, D_u, p.sample_time)
 
 
-def loop_poles(p, c) -> np.ndarray:
-    """Closed-loop poles of the unity-feedback pair, largest magnitude first.
+def loop_poles(loop: ClosedLoop) -> np.ndarray:
+    """Closed-loop poles, largest magnitude first.
 
     The eigenvalues of the loop's state matrix, reported as computed.
     Every plant delay sample and every controller state is a mode, so
     hidden (cancelled) modes show up too.
     """
-    return _sorted_roots(np.linalg.eigvals(_loop_state_space(p, c)[0]))
+    return _sorted_roots(np.linalg.eigvals(loop.A))
 
 
-def co_simulate(p: DiscreteTf, c, r: Signal):
-    """Run the unity-feedback loop of (p, c) one sample at a time.
-
-    Returns (y, u) from the loop's state space. A loop where 1 + Dc*Dp
-    vanishes raises AlgebraicLoopError. The controller may be polynomial
-    or factored.
-    """
-    if not same_sample_time(p.sample_time, r.sample_time):
+def co_simulate(loop: ClosedLoop, r: Signal):
+    """Run the loop one sample at a time; returns (y, u)."""
+    if not same_sample_time(loop.sample_time, r.sample_time):
         raise SampleTimeError("reference sample time differs from the loop")
-    A, B, C_y, D_y, C_u, D_u = _loop_state_space(p, c)
+    A, B, C_y, D_y, C_u, D_u, ts = loop
     rs = r.samples
     states = np.zeros((len(r), B.size))
     x = np.zeros(B.size)
@@ -671,4 +653,4 @@ def co_simulate(p: DiscreteTf, c, r: Signal):
         x = A @ x + B * rs[k]
     y = states @ C_y + D_y * rs
     u = states @ C_u + D_u * rs
-    return Signal(y, p.sample_time), Signal(u, p.sample_time)
+    return Signal(y, ts), Signal(u, ts)

@@ -19,7 +19,6 @@ from fritpid.lti_core import (
     ContinuousTf,
     DiscreteTf,
     DiscreteZpk,
-    DiscretizationError,
     NonInvertibleError,
     Signal,
     impulse_response,
@@ -312,7 +311,7 @@ def reference_realize_fopid(theta, t) -> DiscreteZpk:
         return DiscreteZpk((), (), feedthrough, ts)
     scale = abs(kfp) + sum(abs(b[3]) for b in blocks)
     if abs(feedthrough) <= 1e-12 * scale:
-        raise DiscretizationError("realization has no usable feedthrough")
+        raise NonInvertibleError("realization has no usable feedthrough")
     A = np.zeros((n, n))
     B = np.zeros(n)
     C = np.zeros(n)
@@ -340,19 +339,18 @@ def _roots(draw, n_real, n_pairs):
 
 @st.composite
 def conjugate_root_sets(draw, max_order=9):
-    """(zeros, poles, gain) for a proper factored system.
+    """(zeros, poles, gain) for a biproper factored system.
 
-    Real roots and conjugate pairs in any mix, odd and even counts, any
-    relative degree. One biproper draw in eight drops the conjugate of
-    a complex zero, which the section builder must reject.
+    Real roots and conjugate pairs in any mix on either side, odd and
+    even counts. One draw in eight with a complex zero drops its
+    conjugate, which the section builder must reject.
     """
-    n_poles = draw(st.integers(min_value=1, max_value=max_order))
-    p_pairs = draw(st.integers(min_value=0, max_value=n_poles // 2))
-    n_zeros = draw(st.integers(min_value=0, max_value=n_poles))
-    z_pairs = draw(st.integers(min_value=0, max_value=n_zeros // 2))
-    zeros = _roots(draw, n_zeros - 2 * z_pairs, z_pairs)
-    poles = _roots(draw, n_poles - 2 * p_pairs, p_pairs)
-    if z_pairs and n_zeros == n_poles and draw(st.integers(0, 7)) == 0:
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    p_pairs = draw(st.integers(min_value=0, max_value=n // 2))
+    z_pairs = draw(st.integers(min_value=0, max_value=n // 2))
+    zeros = _roots(draw, n - 2 * z_pairs, z_pairs)
+    poles = _roots(draw, n - 2 * p_pairs, p_pairs)
+    if z_pairs and draw(st.integers(0, 7)) == 0:
         zeros[-1] = zeros[-1].real + 0.5
     gain = draw(st.one_of(bounded_floats(0.1, 5.0), bounded_floats(-5.0, -0.1)))
     return tuple(zeros), tuple(poles), gain
@@ -373,7 +371,7 @@ def reference_breakdown(evaluator, theta) -> LossBreakdown:
     data = evaluator.data
     try:
         c = realize(theta, evaluator.template)
-    except DiscretizationError:
+    except NonInvertibleError:
         return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER)
     except ValueError:
         return _penalized(PenaltyReason.NONFINITE_SIGNAL)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fritpid import benchlab
 from fritpid.benchlab import (
     CASE_NAMES,
     J_THETA0_RTOL,
@@ -22,7 +23,7 @@ from fritpid.benchlab import (
     validate,
 )
 from fritpid.folib import ControllerKind
-from fritpid.lti_core import STABLE_RADIUS, DiscreteTf, _loop_state_space, simulate
+from fritpid.lti_core import STABLE_RADIUS, DiscreteTf, closed_loop, simulate
 from fritpid.swarm_opt import PsoConfig
 
 from .strategies import closed_form_loop
@@ -232,11 +233,16 @@ class TestValidate:
         assert rep.max_pole_magnitude > 1.0
         assert np.isfinite(rep.tracking_error_l1)
 
-    def test_the_loop_is_built_once_per_validation(self):
-        _loop_state_space.cache_clear()
+    def test_the_loop_is_built_once_per_validation(self, monkeypatch):
+        calls = []
+
+        def counted(p, c):
+            calls.append((p, c))
+            return closed_loop(p, c)
+
+        monkeypatch.setattr(benchlab, "closed_loop", counted)
         validate(builtin_case("example3_fo"), reference_targets("example3_fo").theta_star)
-        info = _loop_state_space.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert len(calls) == 1
 
     def test_model_trace_is_the_reference_model_response(self):
         case = builtin_case("example3_io")

@@ -11,6 +11,7 @@ import pytest
 
 from fritpid import cli
 from fritpid.benchlab import builtin_case, collect_data
+from fritpid.folib import ControllerKind, ControllerTemplate, realize
 from fritpid.cli import (
     DEFAULT_SEEDS,
     EXIT_ASSUMPTION,
@@ -619,6 +620,22 @@ class TestValidate:
         assert main(["validate", "1,1,1e5,0,1", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "v")]) == EXIT_NUMERIC
         assert "cannot realize theta: orders lam and mu" in capsys.readouterr().err
+
+    def test_cancelled_feedthrough_is_a_numeric_error(self, tmp_path, capsys):
+        # kfp cancels the integral branch's feedthrough, so C has no inverse
+        cfg = write_config(
+            tmp_path / "c.json",
+            controller={"kind": "fopid"},
+            bounds={"lower": [0.0] * 5, "upper": [2.0] * 5},
+            plant={"num": [1.0], "den": [1.0], "sample_time": 0.05},
+            sim_time=1.0,
+        )
+        branch = realize([0.0, 1.0, 0.5, 0.0, 1.0], ControllerTemplate(ControllerKind.FOPID, 0.05))
+        theta = f"{-branch.gain!r},1,0.5,0,1"
+        assert main(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "v"),
+                     "--", theta]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "cannot realize theta: realization has no usable feedthrough" in err
 
     def test_out_of_bounds_theta_warns_but_runs(self, tmp_path, capsys):
         cfg = write_validate_config(tmp_path / "c.json")

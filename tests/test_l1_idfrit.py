@@ -27,6 +27,7 @@ from fritpid.lti_core import (
     DiscreteTf,
     SampleTimeError,
     Signal,
+    closed_loop,
     co_simulate,
     impulse_response,
     invert,
@@ -50,7 +51,7 @@ def closed_loop_record(plant: DiscreteTf, theta0, template=IOPID_T, n=N) -> Expe
     """Collect (r0, u0, y0) from the unity loop of plant and C(theta0)."""
     c0 = realize(theta0, template)
     r0 = step(n, plant.sample_time)
-    y0, u0 = co_simulate(plant, c0, r0)
+    y0, u0 = co_simulate(closed_loop(plant, c0), r0)
     return ExperimentRecord(r0, u0, y0)
 
 

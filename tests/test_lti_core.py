@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as _sig
 
-from fritpid.benchlab import builtin_case, discretized_plant
 from fritpid import folib
 from fritpid.folib import ControllerKind, ControllerTemplate, realize
 from fritpid.lti_core import (
@@ -23,6 +22,7 @@ from fritpid.lti_core import (
     Polynomial,
     SampleTimeError,
     Signal,
+    closed_loop,
     co_simulate,
     filter_tf,
     filter_zpk,
@@ -34,7 +34,6 @@ from fritpid.lti_core import (
     tustin,
     _block_state_space,
     _fast_sos,
-    _loop_state_space,
 )
 
 from .strategies import (
@@ -208,9 +207,10 @@ class TestCompiledKernels:
     )
     @settings(max_examples=200, derandomize=True)
     @example(((), (), -2.5), Signal(np.array([0.0, 1.0, -0.0, 3.0]), TS))
-    @example(((0.5,), (0.3, -0.6, 0.55 + 0.3j, 0.55 - 0.3j), 0.7), Signal(np.ones(6), TS))
+    @example(((0.5, 0.1, -0.2, 0.4), (0.3, -0.6, 0.55 + 0.3j, 0.55 - 0.3j), 0.7),
+             Signal(np.ones(6), TS))
     @example(((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5), -1.5), Signal(np.ones(6), TS))
-    @example(((), (0.9, 0.2 + 0.4j, 0.2 - 0.4j), 1.0), Signal(np.ones(6), TS))
+    @example(((0.5, -0.1, 0.3), (0.9, 0.2 + 0.4j, 0.2 - 0.4j), 1.0), Signal(np.ones(6), TS))
     def test_sections_match_sosfilt_bit_for_bit(self, roots, u):
         try:
             sos = _fast_sos(*roots)
@@ -224,9 +224,18 @@ class TestCompiledKernels:
     def test_each_row_of_a_2d_input_is_one_signal_as_in_sosfilt(self):
         # the kernel trusts its state array to match the input's rows
         u = np.arange(12.0).reshape(3, 4) - 5.0
-        roots = ((0.5,), (0.9, 0.2 + 0.4j, 0.2 - 0.4j), 1.5)
+        roots = ((0.5, -0.1, 0.3), (0.9, 0.2 + 0.4j, 0.2 - 0.4j), 1.5)
         want = _sig.sosfilt(_fast_sos(*roots), u)
         assert filter_zpk(*roots, u).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "zeros, poles",
+        [((0.5,), (0.9, 0.2 + 0.4j, 0.2 - 0.4j)), ((0.5, 0.1, -0.2), (0.9, 0.3))],
+        ids=["fewer_zeros", "more_zeros"],
+    )
+    def test_unequal_root_counts_have_no_sections(self, zeros, poles):
+        with pytest.raises(ValueError, match="biproper"):
+            filter_zpk(zeros, poles, 1.0, np.ones(4))
 
     @given(monic_tf_coeffs(), signals(sample_time=TS, max_len=48))
     @settings(max_examples=200, derandomize=True)
@@ -249,7 +258,7 @@ class TestFeedback:
     def test_closed_form_matches_sample_by_sample_loop(self, p, c):
         r = Signal(np.ones(40), TS)
         try:
-            y_loop, _ = co_simulate(p, c, r)
+            y_loop, _ = co_simulate(closed_loop(p, c), r)
         except AlgebraicLoopError:
             assume(False)
         y_tf = simulate(closed_form_loop(p, c), r)
@@ -270,7 +279,7 @@ class TestFeedback:
         expanded = DiscreteTf(
             c.gain * np.real(np.poly(c.zeros)), np.real(np.poly(c.poles)), TS
         )
-        y_loop, _ = co_simulate(p, c, r)
+        y_loop, _ = co_simulate(closed_loop(p, c), r)
         y_tf = simulate(closed_form_loop(p, expanded), r)
         scale = 1.0 + np.max(np.abs(y_tf.samples))
         np.testing.assert_allclose(y_loop.samples, y_tf.samples, atol=1e-9 * scale)
@@ -279,76 +288,54 @@ class TestFeedback:
         # y = k/(z - 0.5 + k) r, so the loop pole sits at 0.5 - k
         p = DiscreteTf([1.0], [1.0, -0.5], TS)
         for k in (0.1, 0.25, 1.7):
-            got = loop_poles(p, DiscreteTf([k], [1.0], TS))
+            got = loop_poles(closed_loop(p, DiscreteTf([k], [1.0], TS)))
             np.testing.assert_allclose(got, [0.5 - k], atol=1e-15)
 
     def test_plant_delay_adds_a_loop_pole(self):
         # one delay sample: z (z - 0.5) + 0.06 = (z - 0.3)(z - 0.2)
         p = DiscreteTf([1.0], [1.0, -0.5], TS, delay_samples=1)
-        got = loop_poles(p, DiscreteTf([0.06], [1.0], TS))
+        got = loop_poles(closed_loop(p, DiscreteTf([0.06], [1.0], TS)))
         np.testing.assert_allclose(got, [0.3, 0.2], atol=1e-15)
 
     def test_loop_poles_keep_a_cancelled_mode(self):
         # C = 1/(z - 0.9) cancels the plant zero at 0.9; the mode stays
         p = DiscreteTf([1.0, -0.9], [1.0, 0.0, 0.0], TS)
         c = DiscreteTf([1.0], [1.0, -0.9], TS)
-        got = loop_poles(p, c)
+        got = loop_poles(closed_loop(p, c))
         assert np.min(np.abs(got - 0.9)) < 1e-12
         assert got.size == 3
-
-    def test_poles_and_co_simulation_of_one_pair_share_one_build(self):
-        p = DiscreteTf([0.2, 0.1], [1.0, -1.2, 0.35], TS, delay_samples=2)
-        c = DiscreteTf([0.5, -0.2], [1.0, -1.0], TS)
-        _loop_state_space.cache_clear()
-        first = loop_poles(p, c)
-        co_simulate(p, c, Signal(np.ones(10), TS))
-        info = _loop_state_space.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        A, B, C_y, _, C_u, _ = _loop_state_space(p, c)
-        assert not any(arr.flags.writeable for arr in (A, B, C_y, C_u))
-        # another pair is built afresh, never served from the cached one
-        other = loop_poles(p, DiscreteTf([0.4, -0.2], [1.0, -1.0], TS))
-        assert not np.array_equal(other, first)
-        assert _loop_state_space.cache_info().misses == 2
 
     def test_roots_only_factored_controller_cannot_close_a_loop(self):
         # no state space is ever rebuilt from computed zeros
         p = DiscreteTf([0.2, 0.1], [1.0, -1.2, 0.35], TS)
         c = DiscreteZpk((0.5,), (0.2,), 1.0, TS)
-        _loop_state_space.cache_clear()
         with pytest.raises(ValueError, match="roots alone"):
-            loop_poles(p, c)
-        with pytest.raises(ValueError, match="roots alone"):
-            co_simulate(p, c, Signal(np.ones(4), TS))
+            closed_loop(p, c)
         # a constant needs no realization: its state space is empty
-        assert loop_poles(p, DiscreteZpk((), (), 0.5, TS)).size == 2
-
-    def test_roots_only_copy_is_never_served_the_cached_loop(self):
-        case = builtin_case("example3_fo")
-        p = discretized_plant(case)
-        c = realize(case.theta0, case.template)
-        assert loop_poles(p, c).size == 8
-        for gain in (c.gain, c.gain + 1e-7):
-            with pytest.raises(ValueError, match="roots alone"):
-                loop_poles(p, DiscreteZpk(c.zeros, c.poles, gain, c.sample_time))
+        assert loop_poles(closed_loop(p, DiscreteZpk((), (), 0.5, TS))).size == 2
 
     def test_ill_posed_loop_is_rejected(self):
         p = DiscreteTf([1.0], [1.0], TS)
         c = DiscreteTf([-1.0], [1.0], TS)
         with pytest.raises(AlgebraicLoopError):
-            co_simulate(p, c, Signal(np.ones(4), TS))
+            co_simulate(closed_loop(p, c), Signal(np.ones(4), TS))
 
     def test_plant_delay_breaks_the_algebraic_loop(self):
         p = DiscreteTf([1.0], [1.0], TS, delay_samples=1)
         c = DiscreteTf([-1.0], [1.0], TS)
-        y, u = co_simulate(p, c, Signal(np.ones(4), TS))
+        y, u = co_simulate(closed_loop(p, c), Signal(np.ones(4), TS))
         assert np.all(np.isfinite(y.samples))
 
     def test_unity_gain_loop_halves_dc(self):
         p = DiscreteTf([1.0], [1.0], TS)
         c = DiscreteTf([1.0], [1.0], TS)
-        y, _ = co_simulate(p, c, Signal(np.ones(8), TS))
+        y, _ = co_simulate(closed_loop(p, c), Signal(np.ones(8), TS))
         np.testing.assert_allclose(y.samples, 0.5, atol=1e-14)
+
+    def test_reference_at_another_sample_time_is_rejected(self):
+        loop = closed_loop(DiscreteTf([1.0], [1.0, -0.5], TS), DiscreteTf([1.0], [1.0], TS))
+        with pytest.raises(SampleTimeError, match="reference sample time"):
+            co_simulate(loop, Signal(np.ones(4), 2 * TS))
 
 
 class TestInvert:
@@ -471,9 +458,9 @@ class TestPolesAndStability:
 
 class TestDiscreteZpk:
     def test_response_matches_root_product(self):
-        g = DiscreteZpk((0.5,), (0.2, -0.3), 2.0, TS)
+        g = DiscreteZpk((0.5, 0.1), (0.2, -0.3), 2.0, TS)
         z = 2.0
-        expected = 2.0 * (z - 0.5) / ((z - 0.2) * (z + 0.3))
+        expected = 2.0 * (z - 0.5) * (z - 0.1) / ((z - 0.2) * (z + 0.3))
         assert zpk_response(g, z) == pytest.approx(expected, rel=1e-14)
 
     def test_state_space_eigenvalues_are_the_poles(self):
@@ -492,14 +479,15 @@ class TestDiscreteZpk:
         "zeros, poles",
         [
             # complex zero pair on a complex pole pair, real zeros on lags
-            ((0.5, -0.2, 0.9j, -0.9j), (0.3, -0.6, 0.1, 0.55 + 0.3j, 0.55 - 0.3j)),
+            ((0.5, -0.2, 0.05, 0.9j, -0.9j), (0.3, -0.6, 0.1, 0.55 + 0.3j, 0.55 - 0.3j)),
             # complex zero pair riding on two real lags
             ((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5)),
-            # spare real zeros riding on a complex pole pair
+            # real zeros riding on a complex pole pair, with and without
+            # a linear tail on both sides
             ((0.1, 0.2, 0.3), (0.5 + 0.5j, 0.5 - 0.5j, 0.7)),
-            ((0.1, 0.3), (0.5 + 0.5j, 0.5 - 0.5j, 0.7)),
-            # strictly proper, nothing to pair
-            ((), (0.5 + 0.2j, 0.5 - 0.2j, 0.1)),
+            ((0.1, 0.3), (0.5 + 0.5j, 0.5 - 0.5j)),
+            # no roots: the one constant section
+            ((), ()),
         ],
     )
     def test_state_space_realizes_the_transfer_function(self, zeros, poles):
@@ -538,7 +526,7 @@ class TestDiscreteZpk:
     @settings(max_examples=40)
     def test_factored_and_expanded_simulation_agree(self, u):
         g = DiscreteZpk(
-            (0.5, -0.2, 0.9j, -0.9j),
+            (0.5, -0.2, 0.05, 0.9j, -0.9j),
             (0.3, -0.6, 0.1, 0.55 + 0.3j, 0.55 - 0.3j),
             0.7,
             TS,
@@ -549,30 +537,23 @@ class TestDiscreteZpk:
         scale = 1.0 + np.max(np.abs(y_tf.samples))
         np.testing.assert_allclose(y_fac.samples, y_tf.samples, atol=1e-9 * scale)
 
-    def test_strictly_proper_relative_degree_delays_the_response(self):
-        g = DiscreteZpk((), (0.3, -0.6, 0.1), 2.0, TS)
-        h = simulate(g, Signal(np.array([1.0, 0.0, 0.0, 0.0]), TS))
-        np.testing.assert_allclose(h.samples[:3], 0.0, atol=1e-15)
-        assert h.samples[3] != 0.0
-
-    def test_strictly_proper_unpaired_complex_roots_are_rejected(self):
-        g = DiscreteZpk((), (0.5 + 0.2j, 0.1), 1.0, TS)
-        with pytest.raises(ValueError):
-            simulate(g, Signal(np.ones(4), TS))
+    def test_strictly_proper_factored_form_is_rejected(self):
+        with pytest.raises(ValueError, match="biproper: 1 zeros, 2 poles"):
+            DiscreteZpk((0.3,), (0.5 + 0.2j, 0.5 - 0.2j), 1.0, TS)
 
     def test_improper_factored_form_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="biproper: 2 zeros, 1 poles"):
             DiscreteZpk((0.1, 0.2), (0.5,), 1.0, TS)
 
     @given(conjugate_root_sets())
     @settings(max_examples=300, derandomize=True)
-    @example(((0.5,), (0.3, -0.6, 0.55 + 0.3j, 0.55 - 0.3j), 0.7))
+    @example(((0.5, 0.1, -0.2, 0.4), (0.3, -0.6, 0.55 + 0.3j, 0.55 - 0.3j), 0.7))
     @example(((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5), -1.5))
     @example(((0.2 + 0.7j, 0.4 - 0.7j, 0.4), (0.9, 0.8, -0.5), 2.0))
     def test_sections_and_inverse_match_the_reference_bit_for_bit(self, roots):
-        # the builder groups plain Python numbers and the inverse swaps
-        # the sorted roots without sorting again; neither may move a bit.
-        # Unpaired complex roots (the last example) have no sections.
+        # the builder groups plain Python numbers and the inverse sorts
+        # the swapped roots through the constructor; neither may move a
+        # bit. Unpaired complex roots (the last example) have no sections.
         zeros, poles, gain = roots
         g = DiscreteZpk(zeros, poles, gain, TS)
         try:
@@ -582,11 +563,10 @@ class TestDiscreteZpk:
                 _fast_sos(g.zeros, g.poles, g.gain)
         else:
             assert _fast_sos(g.zeros, g.poles, g.gain).tobytes() == want.tobytes()
-        if len(g.zeros) == len(g.poles):
-            gi, ref = invert(g), reference_zpk_invert(g)
-            assert np.asarray(gi.zeros).tobytes() == np.asarray(ref.zeros).tobytes()
-            assert np.asarray(gi.poles).tobytes() == np.asarray(ref.poles).tobytes()
-            assert gi.gain == ref.gain
+        gi, ref = invert(g), reference_zpk_invert(g)
+        assert np.asarray(gi.zeros).tobytes() == np.asarray(ref.zeros).tobytes()
+        assert np.asarray(gi.poles).tobytes() == np.asarray(ref.poles).tobytes()
+        assert gi.gain == ref.gain
 
 
 class TestValidation:
@@ -611,8 +591,8 @@ class TestValidation:
         [
             (lambda: DiscreteZpk((math.nan,), (0.5,), 1.0, TS), "zeros must be finite"),
             (lambda: DiscreteZpk((0.1,), (0.5, math.inf), 1.0, TS), "poles must be finite"),
-            (lambda: DiscreteZpk((), (0.5,), math.inf, TS), "gain must be finite"),
-            (lambda: DiscreteZpk((0.1, 0.2), (0.5,), 1.0, TS), "improper discrete"),
+            (lambda: DiscreteZpk((0.1,), (0.5,), math.inf, TS), "gain must be finite"),
+            (lambda: DiscreteZpk((0.1, 0.2), (0.5,), 1.0, TS), "biproper"),
             (lambda: DiscreteTf([1.0, 0.0, 0.0], [2.0, -1.0], TS), "improper discrete"),
             (lambda: DiscreteTf([1.0], [0.0, 0.0], TS), "must not be identically zero"),
             (lambda: DiscreteTf([[1.0]], [1.0], TS), "non-empty 1-D sequence"),
