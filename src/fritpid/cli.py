@@ -401,6 +401,7 @@ def _tuning_payload(result: TuningResult) -> dict:
                 "best_j": r.best_value,
                 "best_theta": r.best_theta,
                 "evaluations": r.evaluations,
+                "finish_evaluations": r.finish_evaluations,
                 "iterations": r.iterations,
                 "stop": r.stop_reason,
                 "inertia": r.inertia,
@@ -726,7 +727,12 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.set_defaults(func=_run_tune)
 
     val = sub.add_parser(
-        "validate", help="grade a parameter vector against a known plant"
+        "validate",
+        help="grade a parameter vector against a known plant",
+        epilog=(
+            "A theta that starts with a minus sign reads as an option; put it "
+            "last, after --: validate --config c.json -- -0.16,1,0.5,0,1"
+        ),
     )
     val.add_argument("theta", help='comma-separated parameters, e.g. "2.76,0.51,1.0,2.64,0.85"')
     val.add_argument("--config", required=True, help="JSON run configuration with a plant block")

@@ -1,11 +1,13 @@
-"""Bound-constrained particle swarm minimization.
+"""Bound-constrained particle swarm minimization with a simplex finish.
 
 Global-best PSO with adaptive inertia, clamp-and-zero boundary handling,
-and seeded determinism. The objective is treated as a total function on
-the box: bad candidates are expected to return large finite penalties
-rather than raise. Evaluation order within an iteration is fixed by
-particle index, so results are reproducible bit for bit for a given seed
-regardless of how the caller schedules the work.
+and seeded determinism, handing over to a bounded Nelder-Mead search
+once the swarm stalls (the hybrid of Fan and Zahara, EJOR 181(2), 2007).
+The objective is treated as a total function on the box: bad candidates
+are expected to return large finite penalties rather than raise.
+Evaluation order within an iteration is fixed by particle index, and the
+finish is deterministic, so results are reproducible bit for bit for a
+given seed regardless of how the caller schedules the work.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.optimize
 
 __all__ = ["PsoConfig", "Bounds", "OptimResult", "minimize"]
 
@@ -22,11 +25,13 @@ __all__ = ["PsoConfig", "Bounds", "OptimResult", "minimize"]
 class PsoConfig:
     """Swarm size and iteration cap, the two settings a run varies.
 
-    The rest are fixed textbook values (Clerc and Kennedy, IEEE TEC 6(1),
-    2002): inertia adapted within (0.4, 0.9), equal cognitive and social
-    pull of 1.49, and a stall counter that stops the search after
-    ``stall_iterations`` iterations without a relative improvement larger
-    than ``tolerance``.
+    The rest are fixed: textbook swarm values (Clerc and Kennedy, IEEE
+    TEC 6(1), 2002), inertia adapted within (0.4, 0.9) and equal
+    cognitive and social pull of 1.49; a switch rule that leaves the
+    swarm at the first iteration, from ``stall_iterations`` on, whose best
+    value improved by at most ``tolerance``, relative, over the last
+    ``stall_iterations`` iterations; and a cap of ``finish_max_evaluations``
+    calls on the Nelder-Mead finish that follows.
     """
 
     swarm_size: int = 50
@@ -34,8 +39,9 @@ class PsoConfig:
     inertia_range: ClassVar[Tuple[float, float]] = (0.4, 0.9)
     cognitive_coeff: ClassVar[float] = 1.49
     social_coeff: ClassVar[float] = 1.49
-    stall_iterations: ClassVar[int] = 40
-    tolerance: ClassVar[float] = 1e-8
+    stall_iterations: ClassVar[int] = 10
+    tolerance: ClassVar[float] = 1e-3
+    finish_max_evaluations: ClassVar[int] = 1000
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -76,16 +82,19 @@ class Bounds:
 
 @dataclass(frozen=True, eq=False)
 class OptimResult:
-    """The swarm's seed, the best point found, its value, the
-    per-iteration best trace, the total number of objective evaluations,
-    the iterations run, why the search stopped: ``"stall"`` or ``"cap"``
-    (max_iterations), and the inertia it ended with."""
+    """The swarm's seed, the best point found, its value, the best-value
+    trace (one row per swarm iteration, then one for the finish), the
+    total number of objective evaluations and the finish's share of them,
+    the swarm iterations run, why the swarm stopped: ``"stall"`` (the
+    switch rule) or ``"cap"`` (max_iterations), and the inertia it ended
+    with."""
 
     seed: int
     best_theta: np.ndarray
     best_value: float
     trace: Tuple[Tuple[int, float], ...]
     evaluations: int
+    finish_evaluations: int
     iterations: int
     stop_reason: str
     inertia: float
@@ -104,18 +113,27 @@ def minimize(
     seed: int,
     x0: Optional[Sequence[float]] = None,
 ) -> OptimResult:
-    """Minimize a total objective over a box with global-best PSO seeded by ``seed``.
+    """Minimize a total objective over a box: global-best PSO seeded by
+    ``seed``, then a bounded Nelder-Mead finish from the swarm's best.
 
     When ``x0`` is given it replaces the first random particle (clipped
     into the box), which guarantees the result is never worse than the
     starting point. The trace records the global best after
-    initialization (iteration 0) and after every completed iteration.
+    initialization (iteration 0), after every completed swarm iteration,
+    and after the finish (one iteration past the swarm's last).
 
     Velocity update per particle: v <- w v + c1 r1 (pbest - x)
     + c2 r2 (gbest - x), with positions clamped to the box and the
     velocity zeroed on clamped coordinates. The inertia w adapts within
     ``inertia_range``: it doubles after fresh improvement and halves
     once improvement has stalled for more than five iterations.
+
+    The swarm stops on the switch rule of ``PsoConfig`` or at
+    ``max_iterations``. The finish is scipy's Nelder-Mead with bounds and
+    dimension-adapted coefficients (Gao and Han, Comput. Optim. Appl.
+    51(1), 2012), stopped when the simplex spans 1e-8 per coordinate and
+    1e-10 of the swarm's best value, or after ``finish_max_evaluations``
+    calls. The better of the two points is returned.
     """
     if seed < 0 or int(seed) != seed:
         raise ValueError("seed must be a non-negative integer")
@@ -146,7 +164,7 @@ def minimize(
     w_lo, w_hi = cfg.inertia_range
     w = w_hi
     adapt_counter = 0
-    stall = 0
+    stop_reason = "cap"
 
     for iteration in range(1, cfg.max_iterations + 1):
         r1 = rng.random((s, dim))
@@ -170,32 +188,56 @@ def minimize(
         best_index = int(np.argmin(pbest_values))
         new_best = float(pbest_values[best_index])
 
-        improved = (gbest_value - new_best) > cfg.tolerance * max(1.0, abs(gbest_value))
         if new_best < gbest_value:
             gbest = pbest[best_index].copy()
             gbest_value = new_best
-        trace.append((iteration, gbest_value))
-
-        if improved:
-            stall = 0
             adapt_counter = max(0, adapt_counter - 1)
             if adapt_counter < 2:
                 w = min(w_hi, 2.0 * w)
         else:
-            stall += 1
             adapt_counter += 1
             if adapt_counter > 5:
                 w = max(w_lo, 0.5 * w)
-        if stall >= cfg.stall_iterations:
-            break
+        trace.append((iteration, gbest_value))
+
+        if iteration >= cfg.stall_iterations:
+            earlier = trace[iteration - cfg.stall_iterations][1]
+            if earlier - gbest_value <= cfg.tolerance * abs(earlier):
+                stop_reason = "stall"
+                break
+
+    def finish_objective(x):
+        # The best point is tracked here rather than read from scipy's
+        # result: when the call cap cuts off an expansion, the result
+        # drops the better reflected point evaluated just before it.
+        nonlocal gbest, gbest_value
+        value = float(objective(x))
+        if value < gbest_value:
+            gbest, gbest_value = x.copy(), value
+        return value
+
+    finish = scipy.optimize.minimize(
+        finish_objective,
+        gbest,
+        method="Nelder-Mead",
+        bounds=scipy.optimize.Bounds(lo, hi),
+        options={
+            "adaptive": True,
+            "xatol": 1e-8,
+            "fatol": 1e-10 * abs(gbest_value),
+            "maxfev": cfg.finish_max_evaluations,
+        },
+    )
+    trace.append((iteration + 1, gbest_value))
 
     return OptimResult(
         seed=seed,
         best_theta=gbest,
         best_value=gbest_value,
         trace=tuple(trace),
-        evaluations=evaluations,
+        evaluations=evaluations + finish.nfev,
+        finish_evaluations=finish.nfev,
         iterations=iteration,
-        stop_reason="stall" if stall >= cfg.stall_iterations else "cap",
+        stop_reason=stop_reason,
         inertia=float(w),
     )

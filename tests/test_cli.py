@@ -578,6 +578,21 @@ class TestValidate:
                      "--out-dir", str(tmp_path / "v")]) == EXIT_USAGE
         assert "dimension" in capsys.readouterr().err
 
+    def test_negative_first_parameter_after_the_separator(self, tmp_path, capsys):
+        # argparse reads "-0.5,0,0" as an option; after "--" it is theta,
+        # and the subcommand's help says so
+        cfg = write_validate_config(tmp_path / "c.json")
+        assert main(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "v"),
+                     "--", "-0.5,0,0"]) == EXIT_OK
+        out = read_json(tmp_path / "v" / "validation.json")
+        assert out["theta"] == [-0.5, 0.0, 0.0]
+        # unit plant, static gain -0.5: y = -0.5 r / (1 - 0.5) = -r, u = -0.5 (r - y) = -r
+        assert out["validation"]["max_abs_input"] == pytest.approx(1.0)
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["validate", "-h"])
+        assert "-- -0.16,1,0.5,0,1" in capsys.readouterr().out
+
     def test_malformed_theta(self, tmp_path):
         cfg = write_validate_config(tmp_path / "c.json")
         assert main(["validate", "1,a,0", "--config", str(cfg),

@@ -52,7 +52,8 @@ class TestPsoConfig:
         # the rest are constants, not settings
         assert [f.name for f in fields(PsoConfig)] == ["swarm_size", "max_iterations"]
         assert cfg.cognitive_coeff == cfg.social_coeff == 1.49
-        assert (cfg.stall_iterations, cfg.tolerance) == (40, 1e-8)
+        assert (cfg.stall_iterations, cfg.tolerance) == (10, 1e-3)
+        assert cfg.finish_max_evaluations == 1000
         with pytest.raises(TypeError):
             PsoConfig(tolerance=1e-6)
 
@@ -70,13 +71,20 @@ class TestPsoConfig:
 
 class TestMinimize:
     def test_same_seed_reproduces_bit_for_bit(self):
+        # every field of the result, the finish's included
+        def bumpy(x):
+            x = np.asarray(x)
+            return float(np.sum(np.abs(x - 0.3)) + 0.1 * np.sin(7.0 * x[0]))
+
         cfg = PsoConfig(swarm_size=12, max_iterations=30)
-        a = minimize(sphere([1.0, -2.0, 0.5]), BOX3, cfg, 5)
-        b = minimize(sphere([1.0, -2.0, 0.5]), BOX3, cfg, 5)
-        assert np.array_equal(a.best_theta, b.best_theta)
-        assert a.best_value == b.best_value
-        assert a.trace == b.trace
-        assert a.evaluations == b.evaluations
+        a = minimize(bumpy, BOX3, cfg, 5)
+        b = minimize(bumpy, BOX3, cfg, 5)
+        for f in fields(OptimResult):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.tobytes() == y.tobytes(), f.name
+            else:
+                assert x == y, f.name
 
     def test_different_seeds_explore_differently(self):
         f = sphere([1.0, -2.0, 0.5])
@@ -139,24 +147,90 @@ class TestMinimize:
         assert iterations == list(range(len(res.trace)))
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[-1] == res.best_value
-        assert res.evaluations == cfg.swarm_size * len(res.trace)
+        # one row per swarm iteration, then one for the finish
+        assert len(res.trace) == res.iterations + 2
+        assert res.evaluations == (
+            cfg.swarm_size * (res.iterations + 1) + res.finish_evaluations
+        )
 
     def test_stall_counter_stops_a_flat_search(self):
+        # no improvement at all: the switch rule fires as soon as the
+        # window is full, and the finish follows
         cfg = PsoConfig(swarm_size=6, max_iterations=500)
         res = minimize(lambda x: 1.0, BOX3, cfg, 0)
-        assert len(res.trace) == 1 + 40
+        assert len(res.trace) == 1 + 10 + 1
+        assert res.trace[-1] == (11, 1.0)
         assert res.best_value == 1.0
-        assert (res.iterations, res.stop_reason) == (40, "stall")
+        assert (res.iterations, res.stop_reason) == (10, "stall")
+        assert res.evaluations == 6 * (10 + 1) + res.finish_evaluations
+        assert 0 < res.finish_evaluations <= PsoConfig.finish_max_evaluations
         # halved from the sixth stalled iteration on, floored at 0.4
         assert res.inertia == 0.4
 
     def test_iteration_cap_wins_over_a_patient_stall(self):
         cfg = PsoConfig(swarm_size=6, max_iterations=3)
         res = minimize(lambda x: 1.0, BOX3, cfg, 0)
-        assert len(res.trace) == 1 + 3
+        assert len(res.trace) == 1 + 3 + 1
         assert (res.iterations, res.stop_reason) == (3, "cap")
         # too few stalled iterations to leave the upper end
         assert res.inertia == 0.9
+
+    def test_switch_waits_for_a_full_window_of_small_gains(self):
+        # each iteration improves by less than the threshold, but ten of
+        # them together by more: the swarm keeps going to the cap
+        calls = [0]
+
+        def shrinking(x):
+            calls[0] += 1
+            return 1.0 - 2e-4 * (calls[0] // 6)
+
+        res = minimize(shrinking, BOX3, PsoConfig(swarm_size=6, max_iterations=30), 0)
+        assert (res.iterations, res.stop_reason) == (30, "cap")
+
+    def test_finish_never_returns_a_point_worse_than_the_swarm(self):
+        def rastrigin(x):
+            x = np.asarray(x)
+            return float(np.sum(x * x - 10.0 * np.cos(2 * np.pi * x)) + 30.0)
+
+        for seed in range(6):
+            res = minimize(rastrigin, BOX3, PsoConfig(swarm_size=8, max_iterations=15), seed)
+            swarm_best = res.trace[-2][1]
+            assert res.best_value <= swarm_best
+            assert res.trace[-1] == (res.iterations + 1, res.best_value)
+            # the value returned is the objective's at the point returned
+            assert rastrigin(res.best_theta) == res.best_value
+
+    def test_finish_improves_on_a_short_swarm(self):
+        res = minimize(sphere([1.0, -2.0, 0.5]), BOX3, PsoConfig(swarm_size=6, max_iterations=3), 0)
+        assert res.best_value < res.trace[-2][1]
+        assert res.best_value <= 1e-12
+
+    def test_evaluations_count_every_objective_call(self):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return float(np.sum(np.square(x - 0.7)))
+
+        res = minimize(counted, BOX3, PsoConfig(swarm_size=7, max_iterations=20), 4)
+        assert res.evaluations == calls[0]
+        assert 0 < res.finish_evaluations < calls[0]
+
+    @pytest.mark.parametrize("cap", range(4, 13))
+    def test_finish_stops_at_its_call_cap_keeping_the_best_point_seen(self, monkeypatch, cap):
+        # a slope down to a corner: the simplex keeps reflecting and
+        # expanding, so most caps cut a step off after a better point
+        monkeypatch.setattr(PsoConfig, "finish_max_evaluations", cap)
+        seen = []
+
+        def slope(x):
+            seen.append(float(np.sum(x)))
+            return seen[-1]
+
+        res = minimize(slope, BOX3, PsoConfig(swarm_size=3, max_iterations=2), 0)
+        assert res.finish_evaluations == cap
+        assert res.evaluations == len(seen) == 3 * (2 + 1) + cap
+        assert res.best_value == min(seen) == slope(res.best_theta)
 
     @given(seed=st.integers(min_value=0, max_value=50))
     @settings(max_examples=20, deadline=None)
