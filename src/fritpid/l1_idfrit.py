@@ -18,7 +18,6 @@ surrounding optimizer only ever sees finite numbers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -172,11 +171,11 @@ def fictitious_reference(c, data: ExperimentRecord) -> Signal:
     return simulate(invert(c), data.u0) + data.y0
 
 
-def toeplitz_solve(rt: Signal, y0: Signal) -> Signal:
-    """Solve the lower-triangular Toeplitz system built from rt for y0.
+def toeplitz_solve(rt: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Solve the lower-triangular Toeplitz system with first column rt for y0.
 
-    The system matrix has rt as its first column, so the solution is the
-    forward-substitution recursion
+    Takes and returns sample arrays. The solution is the forward-
+    substitution recursion
 
         t_k = (y0_k - sum_{tau=1..k} rt_tau * t_{k-tau}) / rt_0
 
@@ -186,24 +185,24 @@ def toeplitz_solve(rt: Signal, y0: Signal) -> Signal:
     convolution, of which only the fully overlapping part is computed,
     then removes the block's history from the rest of the right-hand
     side. That is about N^2 / 2 multiply-adds, all of them in BLAS or
-    vectorized convolutions. A system of at most _BLOCK samples is one
-    dtrsv call.
+    vectorized convolutions. A system of at most _BLOCK samples is the
+    loop's first and only pass: one dtrsv call, with no history to remove.
     """
-    if len(rt) != len(y0):
+    n = rt.size
+    if y0.size != n:
         raise ValueError("signal lengths differ")
-    head = rt.samples[0]
-    if not (abs(head) >= _HEAD_TOL):
+    if not (abs(rt[0]) >= _HEAD_TOL):
         raise FictitiousHeadZeroError("fictitious reference head is numerically zero")
-    col = rt.samples
-    n = col.size
     b = min(_BLOCK, n)
-    # read with leading dimension b, col repeated with period b + 1 puts
-    # col[i - j] at (i, j) on and below the diagonal; dtrsv never reads
+    # read with leading dimension b, rt repeated with period b + 1 puts
+    # rt[i - j] at (i, j) on and below the diagonal; dtrsv never reads
     # the upper triangle, so whatever lands there is left uninitialized
     tiles = np.empty((b, b + 1))
-    tiles[:, :b] = col[:b]
+    tiles[:, :b] = rt[:b]
     block = tiles.reshape(-1)[: b * b].reshape((b, b), order="F")
-    rhs = y0.samples.copy()
+    if b == n:
+        return _dtrsv(block, y0, lower=1)
+    rhs = y0.copy()
     t = np.empty(n)
     # a blown-up solution is the caller's to detect, so overflow while
     # removing a block's history must not warn
@@ -213,49 +212,38 @@ def toeplitz_solve(rt: Signal, y0: Signal) -> Signal:
             m = hi - lo
             t[lo:hi] = _dtrsv(block[:m, :m], rhs[lo:hi], lower=1)
             if hi < n:
-                rhs[hi:] -= np.convolve(col[1 : n - lo], t[lo:hi], mode="valid")
-    return Signal.adopt(t, y0.sample_time)
+                rhs[hi:] -= np.convolve(rt[1 : n - lo], t[lo:hi], mode="valid")
+    return t
 
 
-@functools.lru_cache(maxsize=1)
-def _increments(r0: Signal) -> np.ndarray:
-    # r0[0], r0[1] - r0[0], ..., without trailing zeros but at least one
-    # sample; Signal hashes by identity and its samples are read-only, so
-    # the last record's increments serve every candidate scored on it
-    d = np.diff(r0.samples, prepend=0.0)
-    nonzero = np.flatnonzero(d)
-    d = d[: nonzero[-1] + 1 if nonzero.size else 1]
-    d.setflags(write=False)
-    return d
-
-
-def reconstruct_output(r0: Signal, t: Signal) -> Signal:
+def reconstruct_output(dr0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Response of the recovered closed loop t to the recorded reference.
 
     The lower-triangular Toeplitz product R0 t, that is the causal
-    convolution of r0 with t truncated to the common horizon. It is
-    formed as R0 = S D, with S the running sum and D the Toeplitz matrix
-    of r0's increments, trailing zeros trimmed: R0 t is the running sum
-    of the truncated convolution of the increments with t. For a step
-    reference the increments are the single sample r0[0], so the product
-    is one scaling and one cumulative sum.
+    convolution of r0 with t truncated to the common horizon, on sample
+    arrays. It is formed as R0 = S D, with S the running sum and D the
+    Toeplitz matrix of r0's increments dr0 = (r0[0], r0[1] - r0[0], ...),
+    which may stop before t does once the rest are zero: R0 t is the
+    running sum of the truncated convolution of dr0 with t. For a step
+    reference dr0 is the single sample r0[0], so the product is one
+    scaling and one cumulative sum.
     """
-    if len(r0) != len(t):
-        raise ValueError("signal lengths differ")
-    d = _increments(r0)
-    dt = d[0] * t.samples if d.size == 1 else np.convolve(d, t.samples)[: len(t)]
-    return Signal.adopt(dt.cumsum(), r0.sample_time)
+    if not 0 < dr0.size <= t.size:
+        raise ValueError("increments must be 1 to len(t) samples")
+    dt = dr0[0] * t if dr0.size == 1 else np.convolve(dr0, t)[: t.size]
+    return dt.cumsum()
 
 
 class LossEvaluator:
     """Reusable loss pipeline for one (template, data, reference model) triple.
 
-    Precomputes the matching target R0 m_D and the Toeplitz-inverse
-    operator norm gamma_R0, then maps parameter vectors to LossBreakdowns.
-    Instances are also callable as plain scalar objectives, which is the
-    form the swarm optimizer consumes. Counters record how many candidates
-    were evaluated, how many were penalized, by reason, and how many clean
-    ones violated the stability bound; the totals are derived from them.
+    Precomputes r0's increments, the matching target R0 m_D (an array)
+    and the Toeplitz-inverse operator norm gamma_R0, then maps parameter
+    vectors to LossBreakdowns. Instances are also callable as plain scalar
+    objectives, which is the form the swarm optimizer consumes. Counters
+    record how many candidates were evaluated, how many were penalized, by
+    reason, and how many clean ones violated the stability bound; the
+    totals are derived from them.
 
     The bound ||t||_1 <= gamma_R0 * ||epsilon||_1 + ||m_D||_1 takes as
     gamma_R0 the l1 norm of the generating column of the inverse of the
@@ -269,8 +257,9 @@ class LossEvaluator:
     below ``lti_core.STABLE_RADIUS``, which ``lti_core.schur_stable``
     decides exactly on the roots of its denominator's float coefficients.
 
-    Candidates are scored on arrays, from C's raw parts through the
-    inverse's filter, with no controller object; every value is the one
+    Candidates are scored on arrays end to end, from C's raw parts
+    through the inverse's filter, the solve and the reconstruction, with
+    no controller object and no Signal; every value is the one
     ``fictitious_reference(realize(theta), data)`` and the solve give,
     bit for bit.
     """
@@ -293,12 +282,18 @@ class LossEvaluator:
         self.md = md
         self._factored = template.kind is ControllerKind.FOPID
         n = len(data)
+        r0 = data.r0.samples
+        # r0's increments without trailing zeros, but at least one sample
+        dr0 = np.diff(r0, prepend=0.0)
+        nonzero = np.flatnonzero(dr0)
+        self._dr0 = dr0[: nonzero[-1] + 1 if nonzero.size else 1]
         m_d = impulse_response(md, n - 1)
         self._m_d_l1 = m_d.l1()
-        self.target = reconstruct_output(data.r0, m_d)
+        self.target = reconstruct_output(self._dr0, m_d.samples)
+        self.target.setflags(write=False)
         pulse = np.zeros(n)
         pulse[0] = 1.0
-        self.gamma_r0 = toeplitz_solve(data.r0, Signal(pulse, ts)).l1()
+        self.gamma_r0 = float(np.abs(toeplitz_solve(r0, pulse)).sum())
         self.evaluations = 0
         self.penalty_counts = {r: 0 for r in PenaltyReason if r is not PenaltyReason.NONE}
         self.bound_violations = 0
@@ -339,22 +334,24 @@ class LossEvaluator:
             if np.size(theta) != self.template.theta_dim:
                 raise
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
-        rt += data.y0.samples
+        y0 = data.y0.samples
+        rt += y0
         if not _well_scaled(rt):
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         try:
-            t = toeplitz_solve(Signal.adopt(rt, data.sample_time), data.y0)
+            t = toeplitz_solve(rt, y0)
         except FictitiousHeadZeroError:
             return _PENALIZED[PenaltyReason.FICTITIOUS_HEAD_ZERO]
-        if not _well_scaled(t.samples):
+        abs_t = np.abs(t)
+        if not abs_t.max() <= _OVERFLOW_LIMIT:
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
-        y = reconstruct_output(data.r0, t).samples
+        y = reconstruct_output(self._dr0, t)
         if not _well_scaled(y):
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
-        j = float(np.abs(y - self.target.samples).sum())
+        j = float(np.abs(y - self.target).sum())
         return LossBreakdown(
             j=j,
-            t_l1=t.l1(),
+            t_l1=float(abs_t.sum()),
             bound=self.gamma_r0 * j + self._m_d_l1,
             penalty_reason=PenaltyReason.NONE,
         )

@@ -330,19 +330,6 @@ class Signal:
         if not (self.sample_time > 0.0):
             raise ValueError("sample time must be > 0")
 
-    @classmethod
-    def adopt(cls, samples: np.ndarray, sample_time: float) -> "Signal":
-        """Signal that takes a freshly computed 1-D float array as is.
-
-        Skips the defensive copy: the array is made read-only, so nothing
-        may hold a writable view of it, and ``sample_time`` comes from a
-        signal or system that already passed the checks.
-        """
-        samples.setflags(write=False)
-        obj = object.__new__(cls)
-        obj.__dict__.update(samples=samples, sample_time=sample_time)
-        return obj
-
     def __len__(self) -> int:
         return self.samples.size
 
@@ -356,7 +343,7 @@ class Signal:
             raise ValueError("signal lengths differ")
         if not same_sample_time(self.sample_time, other.sample_time):
             raise SampleTimeError("signal sample times differ")
-        return Signal.adopt(self.samples + other.samples, self.sample_time)
+        return Signal(self.samples + other.samples, self.sample_time)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +438,7 @@ def simulate(g, u: Signal) -> Signal:
     if not same_sample_time(g.sample_time, u.sample_time):
         raise SampleTimeError("system and input sample times differ")
     if isinstance(g, DiscreteZpk):
-        return Signal.adopt(filter_zpk(g.zeros, g.poles, g.gain, u.samples), g.sample_time)
+        return Signal(filter_zpk(g.zeros, g.poles, g.gain, u.samples), g.sample_time)
     y = filter_tf(g.num.coeffs, g.den.coeffs, u.samples)
     d = g.delay_samples
     if d > 0:
@@ -459,7 +446,7 @@ def simulate(g, u: Signal) -> Signal:
             y = np.zeros(y.size)
         else:
             y = np.concatenate([np.zeros(d), y[:-d]])
-    return Signal.adopt(y, g.sample_time)
+    return Signal(y, g.sample_time)
 
 
 def impulse_response(g: DiscreteTf, n: int) -> Signal:

@@ -365,6 +365,14 @@ def _penalized(reason: PenaltyReason) -> LossBreakdown:
     return LossBreakdown(j=PENALTY, t_l1=math.nan, bound=math.nan, penalty_reason=reason)
 
 
+def increments(r0: np.ndarray) -> np.ndarray:
+    """r0[0], r0[1] - r0[0], ..., without trailing zeros but at least one
+    sample: the form of r0 that reconstruct_output takes."""
+    d = np.diff(r0, prepend=0.0)
+    nonzero = np.flatnonzero(d)
+    return d[: nonzero[-1] + 1 if nonzero.size else 1]
+
+
 def reference_breakdown(evaluator, theta) -> LossBreakdown:
     """realize, fictitious_reference, toeplitz_solve and reconstruct_output,
     with the evaluator's penalty rules, on the evaluator's record."""
@@ -382,19 +390,19 @@ def reference_breakdown(evaluator, theta) -> LossBreakdown:
     if not np.abs(rt.samples).max() <= 1e30:
         return _penalized(PenaltyReason.NONFINITE_SIGNAL)
     try:
-        t = toeplitz_solve(rt, data.y0)
+        t = toeplitz_solve(rt.samples, data.y0.samples)
     except FictitiousHeadZeroError:
         return _penalized(PenaltyReason.FICTITIOUS_HEAD_ZERO)
-    if not np.abs(t.samples).max() <= 1e30:
+    if not np.abs(t).max() <= 1e30:
         return _penalized(PenaltyReason.NONFINITE_SIGNAL)
-    y = reconstruct_output(data.r0, t).samples
+    y = reconstruct_output(increments(data.r0.samples), t)
     if not np.abs(y).max() <= 1e30:
         return _penalized(PenaltyReason.NONFINITE_SIGNAL)
-    j = float(np.abs(y - evaluator.target.samples).sum())
+    j = float(np.abs(y - evaluator.target).sum())
     m_d_l1 = impulse_response(evaluator.md, len(data) - 1).l1()
     return LossBreakdown(
         j=j,
-        t_l1=t.l1(),
+        t_l1=float(np.abs(t).sum()),
         bound=evaluator.gamma_r0 * j + m_d_l1,
         penalty_reason=PenaltyReason.NONE,
     )
