@@ -10,13 +10,15 @@ The integer-order form has a closed-form bilinear image over z**2 - 1,
 staying polynomial throughout. The fractional form cannot: its
 approximation spreads roots over the whole band, and the expanded
 coefficients of a common-denominator sum lose the slow dynamics entirely
-in double precision. It is therefore realized in factored form, mapping
-every zero and pole through the bilinear substitution individually and
-recovering the zeros of the parallel sum from a structured state-space
-assembly, which is the same rational function the common-denominator
-route defines, computed without ever expanding it. That state space
-travels with the factored form and is the controller block of every
-closed loop built from it.
+in double precision. It is therefore kept in section-parallel form: every
+zero and pole maps through the bilinear substitution individually, each
+term becomes a chain of first-order sections, and the chains and the
+proportional gain run in parallel. That form is what the loss filters
+(``fopid_sections``, which computes no zeros) and what every closed loop
+uses as the controller block. The zeros of the parallel sum, for reports
+and grading, are recovered from its structured state-space assembly
+(``fopid_roots``), the same rational function the common-denominator
+route defines, computed without ever expanding it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ import numpy as np
 from scipy import signal as _sig
 from scipy.linalg import lapack as _lapack
 
-from .lti_core import ContinuousTf, DiscreteTf, DiscreteZpk, NonInvertibleError
+from .lti_core import (
+    ContinuousTf,
+    DiscreteTf,
+    DiscreteZpk,
+    NonInvertibleError,
+    parallel_state_space,
+)
 
 __all__ = [
     "MAX_ORDER",
@@ -39,6 +47,7 @@ __all__ = [
     "ControllerKind",
     "ControllerTemplate",
     "oustaloup",
+    "fopid_sections",
     "fopid_roots",
     "iopid_coeffs",
     "realize",
@@ -46,8 +55,9 @@ __all__ = [
 
 
 # Largest FOPID order |lam|, |mu|: each unit of order adds a state, and the
-# zeros take a dense eigenvalue solve over all of them (under the cap at most
-# 70 states and about 1 ms; an order of 1e5 would ask for a 1e5 x 1e5 matrix).
+# realizer's zeros take a dense eigenvalue solve over all of them (under the
+# cap at most 70 states and about 1 ms; an order of 1e5 would ask for a
+# 1e5 x 1e5 matrix).
 MAX_ORDER = 25.0
 
 
@@ -126,17 +136,16 @@ def oustaloup(alpha: float) -> ContinuousTf:
 
 
 def _branch(gain: float, power: float, ts: float):
-    """Discrete section chain of gain * s**power: (poles, chain row, gain).
+    """Discrete section chain of gain * s**power: (poles, zeros, gain).
 
     The continuous roots are the integer part's n zeros at s = 0 and the
     fractional part's staircase, zeros and poles swapped for a negative
     power. Each maps on its own through s -> (c + s)/(c - s), c = 2/ts,
     and the side with fewer roots picks up images of the roots at
     infinity, which land on z = -1. This accepts improper terms, unlike
-    the polynomial route. Section i of the chain holds one pole:
-    x_i+ = pd_i x_i + u_i, y_i = u_i + (pd_i - zd_i) x_i, with sections
-    fed in series and the gain applied at the output, so every state
-    matrix entry stays within a few orders of magnitude of the root data.
+    the polynomial route. Section i of the chain is the first-order
+    (z - zd_i)/(z - pd_i), with the sections fed in series and the gain
+    applied at the output (``lti_core.filter_parallel``).
     """
     mag = abs(power)
     n = int(math.floor(mag))
@@ -156,7 +165,7 @@ def _branch(gain: float, power: float, ts: float):
         zd = np.concatenate([zd, -np.ones(deficit)])
     elif deficit < 0:
         pd = np.concatenate([pd, -np.ones(-deficit)])
-    return pd, pd - zd, k
+    return pd, zd, k
 
 
 def _parameters(theta, t: ControllerTemplate, kind: ControllerKind) -> list:
@@ -174,52 +183,58 @@ def _parameters(theta, t: ControllerTemplate, kind: ControllerKind) -> list:
     return values
 
 
-def fopid_roots(theta, t: ControllerTemplate) -> tuple:
-    """(zeros, poles, gain, realization) of kfp + kfi*s**(-lam) + kfd*s**mu.
+def fopid_sections(theta, t: ControllerTemplate) -> tuple:
+    """(feedthrough, sections) of kfp + kfi*s**(-lam) + kfd*s**mu, without
+    its zeros.
 
-    The parts ``realize`` wraps, for callers that need no
-    DiscreteZpk: zeros and poles as lists of plain numbers in no
-    particular order, the realization (A, B, C, D) or None for a
-    constant. Raises NonInvertibleError for a realization without a
-    usable feedthrough and ValueError for one that is not finite.
+    ``sections`` is the section-parallel form (kfp, branches) that
+    ``lti_core.filter_parallel`` runs, one (poles, zeros, gain) chain of
+    first-order sections per active term (``_branch``); the feedthrough
+    is kfp plus the chain gains. Raises NonInvertibleError for a
+    realization with states whose feedthrough cancels to within 1e-12 of
+    the gains' scale, and ValueError for one that is not finite.
     """
     kfp, kfi, lam, kfd, mu = _parameters(theta, t, ControllerKind.FOPID)
     ts = t.sample_time
-    branches = [
+    branches = tuple(
         _branch(gain, power, ts)
         for gain, power in ((kfi, -lam), (kfd, mu))
         if gain != 0.0
-    ]
+    )
     feedthrough = kfp + sum(b[2] for b in branches)
-    sizes = [b[0].size for b in branches]
-    n = sum(sizes)
-    if n == 0:
-        zeros = poles = np.zeros(0)
-        realization = None
-    else:
+    if any(b[0].size for b in branches):
         scale = abs(kfp) + sum(abs(b[2]) for b in branches)
         if abs(feedthrough) <= 1e-12 * scale:
             raise NonInvertibleError("realization has no usable feedthrough")
-        poles = np.concatenate([b[0] for b in branches])
-        chain = np.concatenate([b[1] for b in branches])
-        # block-diagonal over the branches: A[i, j] = chain[j] below the
-        # diagonal of a block, the poles on it; every state takes the unit
-        # input (B = 1)
-        i = np.arange(n)
-        A = np.where(i < i[:, None], chain, 0.0)
-        A[i, i] = poles
-        A[sizes[0]:, : sizes[0]] = 0.0
-        C = np.concatenate([b[2] * b[1] for b in branches])
+    if not (math.isfinite(feedthrough) and all(np.isfinite(b[0]).all() for b in branches)):
+        raise ValueError("realization must be finite")
+    return feedthrough, (kfp, branches)
+
+
+def fopid_roots(theta, t: ControllerTemplate) -> tuple:
+    """(zeros, poles, gain, sections) of kfp + kfi*s**(-lam) + kfd*s**mu.
+
+    The parts ``realize`` wraps, for callers that need no DiscreteZpk:
+    ``fopid_sections`` with the zeros and poles of the parallel sum as
+    lists of plain numbers in no particular order. The zeros are the
+    eigenvalues of the inverse system A - B C / D of the sections' state
+    space (``lti_core.parallel_state_space``). Raises NonInvertibleError
+    for a realization without a usable feedthrough and ValueError for one
+    that is not finite.
+    """
+    feedthrough, sections = fopid_sections(theta, t)
+    A, _, C, _ = parallel_state_space(*sections)
+    zeros = np.zeros(0)
+    if A.size:
         # LAPACK directly: numpy's eigvals wrapper costs a fifth of the call
         # on a matrix built finite here, and returns the same bits
         wr, wi, _, _, info = _lapack.dgeev(A - C / feedthrough, compute_vl=0, compute_vr=0)
         if info != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         zeros = wr + 1j * wi if wi.any() else wr
-        realization = (A, np.ones(n), C, feedthrough)
-    if not (math.isfinite(feedthrough) and np.isfinite(zeros).all() and np.isfinite(poles).all()):
-        raise ValueError("realization must be finite")
-    return zeros.tolist(), poles.tolist(), feedthrough, realization
+        if not np.isfinite(zeros).all():
+            raise ValueError("realization must be finite")
+    return zeros.tolist(), np.diag(A).tolist(), feedthrough, sections
 
 
 def iopid_coeffs(theta, t: ControllerTemplate) -> tuple:
@@ -259,12 +274,10 @@ def realize(theta, t: ControllerTemplate):
     block-diagonal state space whose transmission zeros (eigenvalues of
     the inverse system) complete the factored form. The result is
     biproper whenever any term is active, because the bilinear image of
-    each band-limited term is itself biproper, and it carries that state
-    space as its realization: A lower triangular with each pole alone on
-    its diagonal, B all ones, C the gain-scaled chain rows and D the
-    feedthrough.
+    each band-limited term is itself biproper, and it carries its
+    section-parallel form, through which it simulates and closes loops.
     """
     if t.kind is ControllerKind.FOPID:
-        zeros, poles, gain, realization = fopid_roots(theta, t)
-        return DiscreteZpk(zeros, poles, gain, t.sample_time, realization=realization)
+        zeros, poles, gain, sections = fopid_roots(theta, t)
+        return DiscreteZpk(zeros, poles, gain, t.sample_time, sections=sections)
     return DiscreteTf(*iopid_coeffs(theta, t), t.sample_time)

@@ -9,6 +9,13 @@ loop would do to the actual reference. The tuning loss is the l1 norm of
 y minus the reference-model response; every clean candidate also gets
 the l1 stability bound on t. No plant model is used anywhere.
 
+Lower-triangular Toeplitz operators commute, so multiplying R~ t = y0
+by C's own Toeplitz operator gives the same t from T(w) t = C y0 with
+w = u0 + C y0. The loss is computed that way, inversion free: C y0 runs
+through C's poles only, and C^-1, whose poles are C's computed zeros and
+may lie outside the unit circle, is never formed. ``fictitious_reference``
+builds r~ itself without zeros too, from C's impulse response.
+
 All diagnostics for a candidate are collected in a LossBreakdown, which
 stores what was measured and derives every verdict from it; any failure
 along the pipeline (non-invertible controller, vanishing fictitious
@@ -25,25 +32,23 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.blas import dtrsv as _dtrsv
 
-from .folib import ControllerKind, ControllerTemplate, fopid_roots, iopid_coeffs
+from .folib import ControllerKind, ControllerTemplate, fopid_sections, iopid_coeffs
 
-# the loss path builds no controller object, but perfbench/tracer.py wraps
-# realize by this module's name
+# perfbench/tracer.py wraps these three by this module's name; the loss
+# path calls none of them, and fictitious_reference calls simulate
 from .folib import realize  # noqa: F401
+from .lti_core import invert, simulate  # noqa: F401
 from .lti_core import (
     DiscreteTf,
     NonInvertibleError,
     SampleTimeError,
     Signal,
+    filter_parallel,
     filter_tf,
-    filter_zpk,
     impulse_response,
-    inverse_coeffs,
-    inverse_roots,
-    invert,
+    inverse_gain,
     schur_stable,
     same_sample_time,
-    simulate,
 )
 
 __all__ = [
@@ -164,11 +169,20 @@ _PENALIZED = {
 def fictitious_reference(c, data: ExperimentRecord) -> Signal:
     """Reference that would reproduce (u0, y0) with controller c in the loop.
 
-    Computed as C^-1 u0 + y0. The controller (polynomial or factored) must
-    be biproper and delay free so that its exact inverse exists; non-finite
-    samples are passed through untouched for the caller to detect.
+    r~ = C^-1 u0 + y0, computed without C's zeros as T(h)^-1 u0 + y0, with
+    h the impulse response of c over the record (for a realized FOPID,
+    from its section chains) and T(h) its lower-triangular Toeplitz
+    matrix; both sides are scaled by 1/h[0] first. Raises
+    NonInvertibleError unless |h[0]|, the feedthrough, is usable, which
+    rules out a delayed controller; non-finite samples are passed through
+    untouched for the caller to detect.
     """
-    return simulate(invert(c), data.u0) + data.y0
+    pulse = np.zeros(len(data))
+    pulse[0] = 1.0
+    h = simulate(c, Signal(pulse, data.sample_time)).samples
+    k = inverse_gain(h[0])
+    rt = toeplitz_solve(k * h, k * data.u0.samples) + data.y0.samples
+    return Signal(rt, data.sample_time)
 
 
 def toeplitz_solve(rt: np.ndarray, y0: np.ndarray) -> np.ndarray:
@@ -257,11 +271,14 @@ class LossEvaluator:
     below ``lti_core.STABLE_RADIUS``, which ``lti_core.schur_stable``
     decides exactly on the roots of its denominator's float coefficients.
 
-    Candidates are scored on arrays end to end, from C's raw parts
-    through the inverse's filter, the solve and the reconstruction, with
-    no controller object and no Signal; every value is the one
-    ``fictitious_reference(realize(theta), data)`` and the solve give,
-    bit for bit.
+    Candidates are scored on arrays end to end with no controller object
+    and no Signal, and without inverting C: from C's raw parts (the FOPID
+    section chains of ``fopid_sections``, the IOPID coefficients of
+    ``iopid_coeffs``), g = C y0 / D and w = u0 / D + g, with D the
+    feedthrough; t solves T(w) t = g, the same t as R~ t = y0 (see the
+    module docstring), and the head w[0] is r~[0]. J agrees with the
+    dense loss on ``fictitious_reference(realize(theta), data)`` to
+    round-off, not bit for bit.
     """
 
     def __init__(
@@ -322,11 +339,11 @@ class LossEvaluator:
         data = self.data
         try:
             if self._factored:
-                c = fopid_roots(theta, self.template)
-                rt = filter_zpk(*inverse_roots(*c[:3]), data.u0.samples)
+                feedthrough, sections = fopid_sections(theta, self.template)
             else:
-                c = iopid_coeffs(theta, self.template)
-                rt = filter_tf(*inverse_coeffs(*c), data.u0.samples)
+                num, den = iopid_coeffs(theta, self.template)
+                feedthrough = num[0]
+            k = inverse_gain(feedthrough)
         except NonInvertibleError:
             return _PENALIZED[PenaltyReason.NON_INVERTIBLE_CONTROLLER]
         except ValueError:
@@ -335,11 +352,14 @@ class LossEvaluator:
                 raise
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         y0 = data.y0.samples
-        rt += y0
-        if not _well_scaled(rt):
+        g = filter_parallel(*sections, y0) if self._factored else filter_tf(num, den, y0)
+        g *= k
+        w = data.u0.samples * k
+        w += g
+        if not _well_scaled(w):
             return _PENALIZED[PenaltyReason.NONFINITE_SIGNAL]
         try:
-            t = toeplitz_solve(rt, y0)
+            t = toeplitz_solve(w, g)
         except FictitiousHeadZeroError:
             return _PENALIZED[PenaltyReason.FICTITIOUS_HEAD_ZERO]
         abs_t = np.abs(t)

@@ -9,6 +9,10 @@ below its coefficients, so the polynomial form cannot represent it in double
 precision; the factored form keeps every root exact and simulates through a
 cascade of second-order sections. It holds only biproper systems (as many
 zeros as poles), which is what the FOPID controller and its inverse are.
+A factored system built by a realizer also carries the section-parallel
+form it was built from, a direct gain plus chains of first-order sections
+in parallel; it simulates and closes loops through that form, and its
+zeros serve reports only.
 Continuous TFs carry an optional dead time, discrete ones an integer
 sample delay. Only what the tuning pipeline needs is provided: bilinear
 discretization, difference-equation simulation, inversion, one stability
@@ -52,10 +56,11 @@ __all__ = [
     "simulate",
     "impulse_response",
     "invert",
-    "inverse_roots",
-    "inverse_coeffs",
+    "inverse_gain",
     "filter_zpk",
     "filter_tf",
+    "filter_parallel",
+    "parallel_state_space",
     "same_sample_time",
     "is_stable",
     "schur_stable",
@@ -284,16 +289,18 @@ class DiscreteZpk:
     Roots are stored exactly and sorted (largest magnitude first),
     complex ones in conjugate pairs; all downstream numerics work on the
     roots or on second-order sections built from them, never on expanded
-    high-order coefficient vectors. ``realization`` is the read-only
-    (A, B, C, D) the roots were computed from, when the builder had one;
-    it takes no part in equality, hashing or repr.
+    high-order coefficient vectors. ``sections`` is the section-parallel
+    form (direct, branches) the roots were computed from, when the builder
+    had one (see ``filter_parallel``): the system then simulates and
+    closes loops through it, with read-only arrays. It takes no part in
+    equality, hashing or repr.
     """
 
     zeros: tuple
     poles: tuple
     gain: float
     sample_time: float
-    realization: Optional[tuple] = field(default=None, compare=False, repr=False)
+    sections: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         z = np.asarray(self.zeros, dtype=complex).reshape(-1)
@@ -311,9 +318,10 @@ class DiscreteZpk:
         object.__setattr__(self, "zeros", tuple(_sorted_roots(z).tolist()))
         object.__setattr__(self, "poles", tuple(_sorted_roots(p).tolist()))
         object.__setattr__(self, "gain", gain)
-        if self.realization is not None:
-            for arr in self.realization[:3]:
-                arr.setflags(write=False)
+        if self.sections is not None:
+            for poles, zeros, _ in self.sections[1]:
+                poles.setflags(write=False)
+                zeros.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,16 +436,70 @@ def filter_tf(num, den, u: np.ndarray) -> np.ndarray:
     return _linear_filter(b, den, u, -1)
 
 
+def filter_parallel(direct: float, branches, u: np.ndarray) -> np.ndarray:
+    """Zero-initial-condition response of a section-parallel system to samples u.
+
+    The system is direct + sum over branches of
+    gain * prod_i (z - zeros_i) / (z - poles_i), each branch given as
+    (poles, zeros, gain) with equally long root arrays: a chain of
+    first-order sections, as a realizer builds them from the roots it
+    maps, never the zeros of the sum. Each chain runs once through the
+    compiled section kernel, one first-order section per row, and its
+    gain is applied at its output; a chain without sections is its gain.
+    """
+    y = direct * u
+    for poles, zeros, gain in branches:
+        m = poles.size
+        sos = np.zeros((m, 6))
+        sos[:, 0] = sos[:, 3] = 1.0
+        sos[:, 1] = -zeros
+        sos[:, 4] = -poles
+        x = np.array(u, dtype=float, ndmin=2)
+        _sosfilt(sos, x, np.zeros((1, m, 2)))
+        y += gain * x[0]
+    return y
+
+
+def parallel_state_space(direct: float, branches) -> tuple:
+    """(A, B, C, D) of a section-parallel system (see ``filter_parallel``).
+
+    Section i of a chain holds one state: x_i+ = p_i x_i + u_i,
+    y_i = u_i + (p_i - z_i) x_i, with the sections fed in series and the
+    chain's gain applied at its output. So A is block diagonal over the
+    chains, lower triangular with each pole alone on its diagonal and
+    p_j - z_j below it in column j of the block; B is all ones, C the
+    gain-scaled p_j - z_j, and D = direct + the sum of the gains. Every
+    entry stays within a few orders of magnitude of the root data.
+    """
+    empty = np.zeros(0)
+    chains = [poles - zeros for poles, zeros, _ in branches]
+    poles = np.concatenate([empty, *(b[0] for b in branches)])
+    n = poles.size
+    i = np.arange(n)
+    A = np.where(i < i[:, None], np.concatenate([empty, *chains]), 0.0)
+    A[i, i] = poles
+    start = 0
+    for b in branches[:-1]:
+        start += b[0].size
+        A[start:, :start] = 0.0
+    C = np.concatenate([empty, *(b[2] * c for b, c in zip(branches, chains))])
+    return A, np.ones(n), C, direct + sum(b[2] for b in branches)
+
+
 def simulate(g, u: Signal) -> Signal:
     """Zero-initial-condition response of g to input u.
 
     Polynomial systems run the direct-form difference equation; factored
-    systems run their second-order-section cascade. Non-finite output
-    values are returned as-is; callers decide how to react to divergence.
+    systems run their section-parallel form when they carry one, and the
+    second-order-section cascade of their roots otherwise. Non-finite
+    output values are returned as-is; callers decide how to react to
+    divergence.
     """
     if not same_sample_time(g.sample_time, u.sample_time):
         raise SampleTimeError("system and input sample times differ")
     if isinstance(g, DiscreteZpk):
+        if g.sections is not None:
+            return Signal(filter_parallel(*g.sections, u.samples), g.sample_time)
         return Signal(filter_zpk(g.zeros, g.poles, g.gain, u.samples), g.sample_time)
     y = filter_tf(g.num.coeffs, g.den.coeffs, u.samples)
     d = g.delay_samples
@@ -458,40 +520,32 @@ def impulse_response(g: DiscreteTf, n: int) -> Signal:
     return simulate(g, Signal(delta, g.sample_time))
 
 
-def inverse_roots(zeros, poles, gain: float) -> tuple:
-    """(zeros, poles, gain) of the exact inverse of a factored system.
+def inverse_gain(feedthrough: float) -> float:
+    """1/feedthrough, the feedthrough of a biproper system's inverse.
 
-    Raises NonInvertibleError unless the system is biproper with
-    |gain| >= _FEEDTHROUGH_TOL.
+    Raises NonInvertibleError when |feedthrough| < _FEEDTHROUGH_TOL, where
+    the system has no usable inverse.
     """
-    if len(zeros) != len(poles) or abs(gain) < _FEEDTHROUGH_TOL:
+    if not abs(feedthrough) >= _FEEDTHROUGH_TOL:
         raise NonInvertibleError("non-invertible controller")
-    return poles, zeros, 1.0 / gain
-
-
-def inverse_coeffs(num, den) -> tuple:
-    """(num, den) of the exact inverse of delay-free num/den, den monic.
-
-    Raises NonInvertibleError unless num has den's length and
-    |num[0]| >= _FEEDTHROUGH_TOL; a leading zero, which DiscreteTf would
-    strip, fails that too.
-    """
-    if len(num) != len(den) or abs(num[0]) < _FEEDTHROUGH_TOL:
-        raise NonInvertibleError("non-invertible controller")
-    return _monic(tuple(den), tuple(num))
+    return 1.0 / feedthrough
 
 
 def invert(g):
     """Exact inverse of a biproper, delay-free discrete TF.
 
     Factored systems invert by swapping zeros and poles, so the inverse
-    stays in factored form and never touches expanded coefficients.
+    stays in factored form and never touches expanded coefficients. A
+    polynomial system needs a numerator as long as its denominator, with
+    a leading coefficient that ``inverse_gain`` accepts.
     """
     if isinstance(g, DiscreteZpk):
-        return DiscreteZpk(*inverse_roots(g.zeros, g.poles, g.gain), g.sample_time)
-    if g.delay_samples != 0:
+        return DiscreteZpk(g.poles, g.zeros, inverse_gain(g.gain), g.sample_time)
+    num, den = g.num.coeffs, g.den.coeffs
+    if g.delay_samples != 0 or len(num) != len(den):
         raise NonInvertibleError("non-invertible controller")
-    return DiscreteTf(*inverse_coeffs(g.num.coeffs, g.den.coeffs), g.sample_time)
+    inverse_gain(num[0])
+    return DiscreteTf(*_monic(den, num), g.sample_time)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +590,8 @@ def schur_stable(den) -> bool:
 def _block_state_space(g):
     """(A, B, C, D) of a plant or controller; an input delay adds shift states.
 
-    Factored systems use the state space they were realized with,
-    polynomial ones the controllable canonical form. With d delay samples
+    Factored systems use the state space of the section-parallel form they
+    were realized with, polynomial ones the controllable canonical form. With d delay samples
     the input first runs through d shift states and the last of them feeds
     the rational part. A factored system without poles stands for a
     constant; one built from roots alone raises ValueError, because no
@@ -546,9 +600,9 @@ def _block_state_space(g):
     if isinstance(g, DiscreteZpk):
         if not g.poles:
             return np.zeros((0, 0)), np.zeros(0), np.zeros(0), g.gain
-        if g.realization is None:
+        if g.sections is None:
             raise ValueError("a factored system built from roots alone has no state space")
-        return g.realization
+        return parallel_state_space(*g.sections)
     b, a = g.num.as_array(), g.den.as_array()
     if a.size > 1:
         A, B, C, D = _sig.tf2ss(b, a)

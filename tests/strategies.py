@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy import signal as _sig
 
-from fritpid.folib import realize
+from fritpid.folib import ControllerKind, fopid_sections, iopid_coeffs, realize
 from fritpid.l1_idfrit import (
     PENALTY,
     FictitiousHeadZeroError,
     LossBreakdown,
     PenaltyReason,
-    fictitious_reference,
     reconstruct_output,
     toeplitz_solve,
 )
@@ -22,6 +22,8 @@ from fritpid.lti_core import (
     NonInvertibleError,
     Signal,
     impulse_response,
+    invert,
+    simulate,
     tustin,
 )
 
@@ -294,7 +296,10 @@ def _reference_chain_arrays(zd, pd, gain):
 
 
 def reference_realize_fopid(theta, t) -> DiscreteZpk:
-    """FOPID realization with per-row chain blocks, assembled block by block."""
+    """FOPID realization with per-row chain blocks, assembled block by block.
+
+    It carries its own section-parallel form, (kfp, ((poles, zeros,
+    gain), ...)) with one entry per active term, as ``sections``."""
     kfp, kfi, lam, kfd, mu = (float(x) for x in theta)
     ts = t.sample_time
     branches = []
@@ -302,13 +307,14 @@ def reference_realize_fopid(theta, t) -> DiscreteZpk:
         if gain != 0.0:
             z, q, k = _reference_power_roots(power)
             branches.append(_reference_bilinear_roots(z, q, gain * k, ts))
+    sections = (kfp, tuple((pd, zd, k) for zd, pd, k in branches))
     if not branches and kfp == 0.0:
-        return DiscreteZpk((), (), 0.0, ts)
+        return DiscreteZpk((), (), 0.0, ts, sections=sections)
     blocks = [_reference_chain_arrays(zd, pd, k) for zd, pd, k in branches]
     feedthrough = kfp + sum(b[3] for b in blocks)
     n = sum(b[0].shape[0] for b in blocks)
     if n == 0:
-        return DiscreteZpk((), (), feedthrough, ts)
+        return DiscreteZpk((), (), feedthrough, ts, sections=sections)
     scale = abs(kfp) + sum(abs(b[3]) for b in blocks)
     if abs(feedthrough) <= 1e-12 * scale:
         raise NonInvertibleError("realization has no usable feedthrough")
@@ -324,7 +330,28 @@ def reference_realize_fopid(theta, t) -> DiscreteZpk:
         i += m
     pole_list = np.concatenate([np.diag(b[0]) for b in blocks])
     zero_list = np.linalg.eigvals(A - np.outer(B, C / feedthrough))
-    return DiscreteZpk(tuple(zero_list), tuple(pole_list), feedthrough, ts)
+    return DiscreteZpk(tuple(zero_list), tuple(pole_list), feedthrough, ts, sections=sections)
+
+
+def reference_parallel_filter(sections, u: np.ndarray) -> np.ndarray:
+    """Response of a section-parallel system (direct, ((poles, zeros,
+    gain), ...)) to u, through scipy's public sosfilt with one
+    first-order row [1, -z, 0, 1, -p, 0] per section, row by row."""
+    direct, branches = sections
+    y = direct * u
+    for poles, zeros, gain in branches:
+        x = u
+        if poles.size:
+            sos = np.array([[1.0, -z, 0.0, 1.0, -p, 0.0] for p, z in zip(poles, zeros)])
+            x = _sig.sosfilt(sos, u)
+        y = y + gain * x
+    return y
+
+
+def reference_fictitious_reference(h: np.ndarray, u0: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """r~ = T(h)^-1 u0 + y0, both sides of the solve scaled by 1/h[0]."""
+    k = 1.0 / h[0]
+    return toeplitz_solve(k * h, k * u0) + y0
 
 
 def _roots(draw, n_real, n_pairs):
@@ -357,8 +384,9 @@ def conjugate_root_sets(draw, max_order=9):
 
 
 # ---------------------------------------------------------------------------
-# the loss pipeline on controller objects, as LossEvaluator ran it before it
-# scored candidates on arrays, kept to pin the array path bit for bit
+# the loss pipeline written out: the inversion-free formula the evaluator
+# computes, pinned bit for bit, and the fictitious-reference path through
+# C's computed zeros that it replaced, kept to compare penalty reasons
 
 
 def _penalized(reason: PenaltyReason) -> LossBreakdown:
@@ -373,26 +401,9 @@ def increments(r0: np.ndarray) -> np.ndarray:
     return d[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
-def reference_breakdown(evaluator, theta) -> LossBreakdown:
-    """realize, fictitious_reference, toeplitz_solve and reconstruct_output,
-    with the evaluator's penalty rules, on the evaluator's record."""
+def _finish(evaluator, t) -> LossBreakdown:
+    # the checks after the solve, shared by both references
     data = evaluator.data
-    try:
-        c = realize(theta, evaluator.template)
-    except NonInvertibleError:
-        return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER)
-    except ValueError:
-        return _penalized(PenaltyReason.NONFINITE_SIGNAL)
-    try:
-        rt = fictitious_reference(c, data)
-    except NonInvertibleError:
-        return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER)
-    if not np.abs(rt.samples).max() <= 1e30:
-        return _penalized(PenaltyReason.NONFINITE_SIGNAL)
-    try:
-        t = toeplitz_solve(rt.samples, data.y0.samples)
-    except FictitiousHeadZeroError:
-        return _penalized(PenaltyReason.FICTITIOUS_HEAD_ZERO)
     if not np.abs(t).max() <= 1e30:
         return _penalized(PenaltyReason.NONFINITE_SIGNAL)
     y = reconstruct_output(increments(data.r0.samples), t)
@@ -406,3 +417,57 @@ def reference_breakdown(evaluator, theta) -> LossBreakdown:
         bound=evaluator.gamma_r0 * j + m_d_l1,
         penalty_reason=PenaltyReason.NONE,
     )
+
+
+def reference_breakdown(evaluator, theta) -> LossBreakdown:
+    """The inversion-free loss written out, with the evaluator's penalty
+    rules, on the evaluator's record: C's raw parts, g = C y0 / D through
+    scipy's public filters, w = u0 / D + g, T(w) t = g."""
+    data = evaluator.data
+    y0 = data.y0.samples
+    try:
+        if evaluator.template.kind is ControllerKind.FOPID:
+            feedthrough, sections = fopid_sections(theta, evaluator.template)
+        else:
+            num, den = iopid_coeffs(theta, evaluator.template)
+            feedthrough = num[0]
+    except NonInvertibleError:
+        return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER)
+    except ValueError:
+        return _penalized(PenaltyReason.NONFINITE_SIGNAL)
+    if abs(feedthrough) < 1e-12:
+        return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER)
+    k = 1.0 / feedthrough
+    if evaluator.template.kind is ControllerKind.FOPID:
+        g = reference_parallel_filter(sections, y0)
+    else:
+        g = _sig.lfilter(num, den, y0)
+    g = g * k
+    w = data.u0.samples * k + g
+    if not np.abs(w).max() <= 1e30:
+        return _penalized(PenaltyReason.NONFINITE_SIGNAL)
+    try:
+        t = toeplitz_solve(w, g)
+    except FictitiousHeadZeroError:
+        return _penalized(PenaltyReason.FICTITIOUS_HEAD_ZERO)
+    return _finish(evaluator, t)
+
+
+def inverse_path_breakdown(evaluator, theta) -> tuple:
+    """(breakdown, r~ overflowed) of the path through C^-1: realize (with
+    its zeros), r~ = C^-1 u0 + y0 through the inverse's sections or
+    coefficients, and R~ t = y0, with the evaluator's penalty rules."""
+    data = evaluator.data
+    try:
+        rt = simulate(invert(realize(theta, evaluator.template)), data.u0).samples + data.y0.samples
+    except NonInvertibleError:
+        return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER), False
+    except ValueError:
+        return _penalized(PenaltyReason.NONFINITE_SIGNAL), False
+    if not np.abs(rt).max() <= 1e30:
+        return _penalized(PenaltyReason.NONFINITE_SIGNAL), True
+    try:
+        t = toeplitz_solve(rt, data.y0.samples)
+    except FictitiousHeadZeroError:
+        return _penalized(PenaltyReason.FICTITIOUS_HEAD_ZERO), False
+    return _finish(evaluator, t), False

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from scipy import signal as _sig
 
 from fritpid import folib
 from fritpid.benchlab import builtin_case, collect_data, discretized_plant
@@ -34,9 +33,9 @@ from .strategies import (
     fopid_thetas,
     iopid_gains_with_zeros,
     iopid_thetas,
-    reference_as_sos,
+    reference_fictitious_reference,
+    reference_parallel_filter,
     reference_realize_fopid,
-    reference_zpk_invert,
     sample_times,
     termwise_iopid,
     zpk_response,
@@ -351,8 +350,9 @@ class TestRealizeFopid:
     @pytest.mark.parametrize("name", ["example1", "example3_fo"])
     def test_realization_and_fictitious_reference_match_the_reference_path(self, name):
         # integer and zero orders, zero branch gains and the box corners
-        # against per-row chain blocks, numpy root grouping and a re-sorted
-        # inverse: zeros, poles, gain and r~ must agree bit for bit
+        # against per-row chain blocks, and r~ against T(h)^-1 u0 + y0 with
+        # h from the reference's own section chains through scipy's public
+        # sosfilt: zeros, poles, gain, sections and r~ must agree bit for bit
         case = builtin_case(name)
         data = collect_data(case)
         lo, hi = case.bounds.lower, case.bounds.upper
@@ -376,10 +376,16 @@ class TestRealizeFopid:
             for got, want in ((c.zeros, ref.zeros), (c.poles, ref.poles)):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
             assert c.gain == ref.gain
+            assert c.sections[0] == ref.sections[0]
+            assert len(c.sections[1]) == len(ref.sections[1])
+            for got, want in zip(c.sections[1], ref.sections[1]):
+                assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
             if abs(ref.gain) < 1e-12:
                 continue
-            inv = reference_zpk_invert(ref)
-            want = _sig.sosfilt(reference_as_sos(inv), data.u0.samples) + data.y0.samples
+            pulse = np.zeros(len(data))
+            pulse[0] = 1.0
+            h = reference_parallel_filter(ref.sections, pulse)
+            want = reference_fictitious_reference(h, data.u0.samples, data.y0.samples)
             assert fictitious_reference(c, data).samples.tobytes() == want.tobytes()
             checked += 1
         assert checked >= 100

@@ -1,5 +1,6 @@
 """Tests for the fictitious-reference l1 matching pipeline."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
 from scipy.linalg import blas
 
+from fritpid import folib, lti_core
 from fritpid.folib import ControllerKind, ControllerTemplate, iopid_coeffs, realize
 from fritpid.l1_idfrit import (
     PENALTY,
@@ -37,6 +39,7 @@ from fritpid.lti_core import (
 from .strategies import (
     bounded_floats,
     increments,
+    inverse_path_breakdown,
     reference_breakdown,
     signals,
     stable_discrete_tfs,
@@ -325,8 +328,9 @@ class TestPenalties:
         assert b.penalty_reason is PenaltyReason.NON_INVERTIBLE_CONTROLLER
 
     def test_unstable_inverse_blows_up_to_a_penalty(self):
-        # the candidate's zero lies outside the unit circle, so C^-1 u0
-        # overflows the well-scaled range and trips the finite check
+        # the candidate's zero lies outside the unit circle, so r~ has no
+        # bounded inverse: the solution t leaves the well-scaled range and
+        # trips the finite check
         rec = ExperimentRecord(step(), Signal(0.1 * np.sin(np.arange(N)), TS), Signal(0.5 * np.ones(N), TS))
         ev = LossEvaluator(IOPID_T, rec, MD)
         b = ev.evaluate([1.0, -100.0, 0.0])
@@ -477,9 +481,10 @@ _FOPID_ARRAY_THETAS = [
 
 
 class TestArrayPath:
-    """The evaluator scores candidates on arrays; every breakdown must be the
-    one the object pipeline (realize, fictitious_reference, toeplitz_solve,
-    reconstruct_output) gives, bit for bit."""
+    """The evaluator scores candidates on arrays without inverting them;
+    every breakdown must be the one the inversion-free formula written out
+    with scipy's public filters gives, bit for bit, and its penalty reason
+    the one of the path through C^-1, apart from an overflowing r~."""
 
     def test_the_iopid_lead_cases_are_exact(self):
         assert iopid_coeffs([-1.25, 5.0, 0.05], IOPID_T)[0][0] == 0.0
@@ -518,16 +523,53 @@ class TestArrayPath:
         assert b.penalty_reason is PenaltyReason.NONFINITE_SIGNAL
         assert _bits(b) == _bits(reference_breakdown(ev, THETA0))
 
-    @staticmethod
-    def _assert_bit_for_bit(template, thetas, n):
+    @_CASES
+    @pytest.mark.parametrize("n", [81, N])
+    def test_penalty_reasons_are_the_inverse_paths(self, template, thetas, n):
+        # the path through C^-1 forms r~ and may see it overflow where the
+        # inversion-free evaluator stays clean (tests/test_loss_accuracy.py);
+        # no theta here does that
         rec = closed_loop_record(PLANT, THETA0, n=n)
         ev = LossEvaluator(template, rec, MD)
-        if template is FOPID_T:
-            # kfp = -(branch gain) cancels the feedthrough
-            branch = realize([0.0, 1.0, 0.5, 0.0, 1.0], FOPID_T)
-            thetas = thetas + [[-branch.gain, 1.0, 0.5, 0.0, 1.0]]
+        for values in self._with_cancelled_feedthrough(template, thetas):
+            theta = np.asarray(values, dtype=float)
+            old, _ = inverse_path_breakdown(ev, theta)
+            assert ev.evaluate(theta).penalty_reason is old.penalty_reason, theta
+
+    def test_no_candidate_solves_for_the_controllers_zeros(self, monkeypatch):
+        # neither the evaluator nor fictitious_reference of a realized FOPID
+        # takes an eigenvalue solve, builds sections from roots or reads
+        # the zeros: a decoy with other zeros gives the same r~, bit for bit
+        theta = [0.0, 1.0, 0.5, 1.0, 0.5]
+        rec = closed_loop_record(PLANT, THETA0)
+        ev = LossEvaluator(FOPID_T, rec, MD)
+        c = realize(theta, FOPID_T)
+        decoy = dataclasses.replace(c, zeros=(0.5,) * len(c.zeros))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the loss path asked for the controller's zeros")
+
+        monkeypatch.setattr(folib, "fopid_roots", refuse)
+        monkeypatch.setattr(folib._lapack, "dgeev", refuse)
+        monkeypatch.setattr(lti_core, "_fast_sos", refuse)
+        assert not ev.evaluate(theta).penalized
+        got = fictitious_reference(decoy, rec).samples
+        assert got.tobytes() == fictitious_reference(c, rec).samples.tobytes()
+
+    @staticmethod
+    def _with_cancelled_feedthrough(template, thetas):
+        if template is not FOPID_T:
+            return thetas
+        # kfp = -(branch gain) cancels the feedthrough
+        branch = realize([0.0, 1.0, 0.5, 0.0, 1.0], FOPID_T)
+        return thetas + [[-branch.gain, 1.0, 0.5, 0.0, 1.0]]
+
+    @classmethod
+    def _assert_bit_for_bit(cls, template, thetas, n):
+        rec = closed_loop_record(PLANT, THETA0, n=n)
+        ev = LossEvaluator(template, rec, MD)
         reasons = set()
-        for values in thetas:
+        for values in cls._with_cancelled_feedthrough(template, thetas):
             theta = np.asarray(values, dtype=float)
             got = ev.evaluate(theta)
             assert _bits(got) == _bits(reference_breakdown(ev, theta)), theta

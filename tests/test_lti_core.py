@@ -470,7 +470,8 @@ class TestDiscreteZpk:
 
     def test_state_space_eigenvalues_are_the_poles(self):
         # one state per pole; every pole sits alone on the diagonal of the
-        # lower-triangular state matrix, and the realization is read-only
+        # lower-triangular state matrix, and the section data the state
+        # space is built from is read-only
         g = realize([0.8, 1.2, 0.6, 0.4, 1.3], FOPID_T)
         a, b, c, d = _block_state_space(g)
         assert a.shape == (len(g.poles), len(g.poles))
@@ -478,7 +479,7 @@ class TestDiscreteZpk:
         assert sorted(np.diag(a)) == sorted(p.real for p in g.poles)
         assert np.all(b == 1.0)
         assert d == g.gain
-        assert not any(arr.flags.writeable for arr in (a, b, c))
+        assert not any(arr.flags.writeable for chain in g.sections[1] for arr in chain[:2])
 
     @pytest.mark.parametrize(
         "zeros, poles",
