@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -407,6 +408,104 @@ def validate(config: RunConfig, theta) -> ValidationReport:
     )
 
 
+def _seed_workers(n_seeds: int) -> int:
+    """Processes to spread a run's seeds over: one per CPU of this
+    process's CPU set, at most one per seed, and one where the platform
+    cannot report that set (every platform that can also forks)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+    return min(n_seeds, cpus)
+
+
+def _run_seeds(evaluator: LossEvaluator, config: RunConfig, seeds) -> list:
+    return [
+        minimize(evaluator, config.bounds, config.pso, seed, x0=config.theta0) for seed in seeds
+    ]
+
+
+def _seed_worker(evaluator: LossEvaluator, config: RunConfig, seeds, sender) -> None:
+    """Body of a forked worker: run ``seeds`` on this process's copy of the
+    evaluator and send back the results with the counters' increments, or
+    the exception that stopped them."""
+    evaluator.evaluations = evaluator.bound_violations = 0
+    evaluator.penalty_counts = dict.fromkeys(evaluator.penalty_counts, 0)
+    try:
+        results = _run_seeds(evaluator, config, seeds)
+    except Exception as exc:  # handed to the parent, which raises it
+        sender.send(exc)
+    else:
+        sender.send(
+            (results, evaluator.evaluations, evaluator.penalty_counts, evaluator.bound_violations)
+        )
+    finally:
+        sender.close()
+
+
+def _tune_seeds(evaluator: LossEvaluator, config: RunConfig) -> list:
+    """Every seed's OptimResult, in the config's order, with the evaluator's
+    counters covering all of them.
+
+    With n workers, this process runs ``seeds[0::n]`` and n - 1 forked
+    children run ``seeds[k::n]`` on copies of the evaluator; the parent
+    adds their counters' increments to its own. Each seed's swarm is
+    deterministic and the counters are sums, so the outcome is the same
+    bit for bit for any n. Every child is joined before this returns or
+    raises.
+    """
+    seeds = config.seeds
+    n = _seed_workers(len(seeds))
+    if n == 1:
+        return _run_seeds(evaluator, config, seeds)
+    # imported only when it forks, so that importing the package does not
+    # load it; fork, because a child needs the evaluator this process built
+    # (the program starts no threads of its own)
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for k in range(1, n):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(
+                target=_seed_worker, args=(evaluator, config, seeds[k::n], sender)
+            )
+            worker.start()
+            workers.append((worker, receiver))
+            # the child holds the only sending end now, so its death reads
+            # as EOF here, and later children do not inherit this end
+            sender.close()
+        results = [None] * len(seeds)
+        results[0::n] = _run_seeds(evaluator, config, seeds[0::n])
+        for k, (worker, receiver) in enumerate(workers, start=1):
+            try:
+                payload = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"the worker tuning seeds {list(seeds[k::n])} exited with code "
+                    f"{worker.exitcode} before sending its results"
+                ) from None
+            if isinstance(payload, Exception):
+                raise payload
+            share, evaluations, penalty_counts, bound_violations = payload
+            results[k::n] = share
+            evaluator.evaluations += evaluations
+            for reason, count in penalty_counts.items():
+                evaluator.penalty_counts[reason] += count
+            evaluator.bound_violations += bound_violations
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            worker.join()
+            receiver.close()
+    return results
+
+
 def tune(evaluator: LossEvaluator, config: RunConfig) -> TuningResult:
     """Run one swarm per seed of the config against a shared evaluator.
 
@@ -415,14 +514,22 @@ def tune(evaluator: LossEvaluator, config: RunConfig) -> TuningResult:
     on the best value go to the lowest seed, which keeps the choice
     reproducible. The evaluator's counters cover the whole run.
 
+    The seeds are spread over as many processes as this process's CPU set
+    (``os.sched_getaffinity``) has CPUs, at most one per seed: this
+    process runs a share and forked children run the rest, round robin
+    in the config's order. The result is the same bit for bit for any
+    number of processes; one seed, one CPU (``taskset -c 0``) or a
+    platform without ``os.sched_getaffinity`` runs them all in this
+    process. J(theta0),
+    the choice of the winner and its breakdown stay in this process. An
+    exception raised in a child is raised here, after every child has
+    been joined.
+
     Raises ValueError when the winner is penalized.
     """
     theta0 = config.theta0
     j_theta0 = None if theta0 is None else float(evaluator(theta0))
-    results = tuple(
-        minimize(evaluator, config.bounds, config.pso, seed, x0=theta0)
-        for seed in config.seeds
-    )
+    results = tuple(_tune_seeds(evaluator, config))
     best = min(results, key=lambda r: (r.best_value, r.seed))
     breakdown = evaluator.evaluate(best.best_theta)
     if breakdown.penalized:

@@ -97,9 +97,10 @@ def _well_scaled(arr: np.ndarray) -> bool:
 class ExperimentRecord:
     """One recorded experiment: reference r0, input u0, output y0.
 
-    The three signals must share length and sample time and be finite,
-    and the reference must start away from zero, otherwise neither the
-    fictitious reference nor the stability bound is defined.
+    The three signals must share a length of at least one sample and a
+    sample time and be finite, and the reference must start away from
+    zero, otherwise neither the fictitious reference nor the stability
+    bound is defined.
     """
 
     r0: Signal
@@ -113,6 +114,8 @@ class ExperimentRecord:
         n = len(self.r0)
         if len(self.u0) != n or len(self.y0) != n:
             raise ValueError("r0, u0, y0 must have equal lengths")
+        if n == 0:
+            raise ValueError("experiment record has no samples")
         for s in (self.u0, self.y0):
             if not same_sample_time(s.sample_time, self.r0.sample_time):
                 raise SampleTimeError("experiment signals have mixed sample times")

@@ -243,8 +243,9 @@ def test_diagnostic_operator_fidelity_two_guard_decades():
         assert phase_err <= 2.0, f"alpha={alpha}: {phase_err:.4f} deg"
 
 
-def test_criterion8_reproduce_is_byte_deterministic(tmp_path):
-    """Repeated reproduce runs with one seed write identical summaries."""
+def test_criterion8_reproduce_is_byte_deterministic(tmp_path, monkeypatch):
+    """Repeated reproduce runs with one seed write identical summaries, and
+    five seeds write identical artifacts in one process and in two."""
     a = tmp_path / "a"
     b = tmp_path / "b"
     for out in (a, b):
@@ -255,3 +256,17 @@ def test_criterion8_reproduce_is_byte_deterministic(tmp_path):
     bytes_a = (a / "example3_io" / "summary.json").read_bytes()
     bytes_b = (b / "example3_io" / "summary.json").read_bytes()
     assert bytes_a == bytes_b
+
+    artifacts = {}
+    for cpus in (1, 2):
+        # the seeds spread over one process per CPU of the CPU set
+        monkeypatch.setattr(
+            "os.sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False
+        )
+        out = tmp_path / f"cpus{cpus}"
+        code = cli_main(["reproduce", "example3_io", "--seeds", "1..5", "--out-dir", str(out)])
+        assert code == 0
+        artifacts[cpus] = {p.name: p.read_bytes() for p in (out / "example3_io").iterdir()}
+    assert sorted(artifacts[1]) == sorted(artifacts[2])
+    different = [name for name in artifacts[1] if artifacts[1][name] != artifacts[2][name]]
+    assert not different, f"artifacts differ between one and two processes: {different}"

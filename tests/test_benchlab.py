@@ -1,6 +1,9 @@
 """Tests for the benchmark catalog, data collection, tuning, and grading."""
 
-from dataclasses import replace
+import multiprocessing
+import os
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from fritpid.benchlab import (
     CASE_NAMES,
     J_THETA0_RTOL,
     BenchmarkCase,
+    RunConfig,
+    TuningResult,
     ValidationReport,
     builtin_case,
     collect_data,
@@ -301,3 +306,113 @@ class TestTuneCase:
         res = tune(make_evaluator(case, collect_data(case)), replace(case, seeds=(4, 2)))
         assert tuple(r.seed for r in res.seed_results) == (4, 2)
         assert res.best_seed in (4, 2)
+
+
+class SeedFailure(Exception):
+    """Raised by a stand-in swarm; defined here so that it pickles."""
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    """Every process started while the test runs, in order."""
+    started = []
+    original = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return started
+
+
+def use_cpus(monkeypatch, n):
+    """Make this process's CPU set look like n CPUs to ``tune``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_same_tuning(a: TuningResult, b: TuningResult):
+    for f in fields(TuningResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "seed_results":
+            assert len(x) == len(y)
+            for rx, ry in zip(x, y):
+                np.testing.assert_equal(vars(rx), vars(ry))
+        else:
+            np.testing.assert_equal(x, y, err_msg=f.name)
+
+
+class TestSeedWorkers:
+    """``tune`` spreads the seeds over one process per CPU of its CPU set."""
+
+    @pytest.mark.parametrize("name,with_theta0", [("example3_io", True), ("example3_fo", False)])
+    def test_two_workers_tune_exactly_as_one(self, monkeypatch, process_starts, name, with_theta0):
+        case = builtin_case(name)
+        config = case if with_theta0 else RunConfig(
+            template=case.template, bounds=case.bounds, reference_model=case.reference_model
+        )
+        data = collect_data(case)
+        results = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            results.append(tune(make_evaluator(case, data), config))
+        one, two = results
+        assert len(process_starts) == 1
+        assert (one.j_theta0 is None) is not with_theta0
+        assert sum(one.penalty_counts.values()) > 0
+        assert_same_tuning(one, two)
+        assert multiprocessing.active_children() == []
+
+    def smoke_args(self, seeds):
+        case = replace(builtin_case("example3_io"), pso=SMOKE_PSO, seeds=seeds)
+        return make_evaluator(case, collect_data(case)), case
+
+    def test_one_seed_starts_no_process(self, monkeypatch, process_starts):
+        use_cpus(monkeypatch, 2)
+        tune(*self.smoke_args((3,)))
+        assert process_starts == []
+
+    def test_a_childs_exception_reaches_the_caller(self, monkeypatch, process_starts):
+        parent = os.getpid()
+        swarm = benchlab.minimize
+
+        def minimize(objective, bounds, cfg, seed, x0=None):
+            if seed == 2:
+                raise SeedFailure(f"seed 2 failed in a child: {os.getpid() != parent}")
+            return swarm(objective, bounds, cfg, seed, x0=x0)
+
+        monkeypatch.setattr(benchlab, "minimize", minimize)
+        use_cpus(monkeypatch, 2)
+        # seed 1 runs here, seed 2 in the one child
+        with pytest.raises(SeedFailure, match="^seed 2 failed in a child: True$"):
+            tune(*self.smoke_args((1, 2)))
+        assert len(process_starts) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_is_reported_and_joined(self, monkeypatch):
+        swarm = benchlab.minimize
+
+        def minimize(objective, bounds, cfg, seed, x0=None):
+            if seed == 2:
+                os._exit(3)
+            return swarm(objective, bounds, cfg, seed, x0=x0)
+
+        monkeypatch.setattr(benchlab, "minimize", minimize)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"seeds \[2\] exited with code 3"):
+            tune(*self.smoke_args((1, 2)))
+        assert multiprocessing.active_children() == []
+
+    def test_an_exception_here_stops_the_children(self, monkeypatch):
+        def minimize(objective, bounds, cfg, seed, x0=None):
+            if seed == 1:
+                raise SeedFailure("seed 1 failed here")
+            time.sleep(60)
+
+        monkeypatch.setattr(benchlab, "minimize", minimize)
+        use_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(SeedFailure, match="seed 1 failed here"):
+            tune(*self.smoke_args((1, 2)))
+        assert time.monotonic() - start < 30.0
+        assert multiprocessing.active_children() == []

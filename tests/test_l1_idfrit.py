@@ -80,6 +80,11 @@ class TestExperimentRecord:
         with pytest.raises(ValueError, match="equal lengths"):
             ExperimentRecord(step(), step(), step(N - 1))
 
+    def test_empty_record_rejected(self):
+        empty = Signal(np.array([]), TS)
+        with pytest.raises(ValueError, match="no samples"):
+            ExperimentRecord(empty, empty, empty)
+
     def test_sample_time_mismatch_rejected(self):
         with pytest.raises(SampleTimeError):
             ExperimentRecord(step(), Signal(np.ones(N), 0.2), step())
