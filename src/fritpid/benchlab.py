@@ -16,6 +16,7 @@ grades the tuned controller. The tuning path itself never touches it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -81,9 +82,9 @@ class RunConfig:
     given, is scored and injected into every swarm, and each of the
     ``seeds`` runs one swarm with the ``pso`` settings; ``plant`` and
     ``sim_time`` are needed only to collect data or to validate. There
-    must be at least one seed, a given ``theta0`` must be finite, a given
-    ``sim_time`` must be positive, and a discrete block must run at the
-    template's sample time.
+    must be at least one seed and no seed twice, a given ``theta0`` must
+    be finite, a given ``sim_time`` must be positive, and a discrete block
+    must run at the template's sample time.
     """
 
     template: ControllerTemplate
@@ -100,6 +101,8 @@ class RunConfig:
             raise ValueError("at least one seed is required")
         if any(seed < 0 or int(seed) != seed for seed in self.seeds):
             raise ValueError(f"seeds must be non-negative integers, got {list(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {list(self.seeds)}")
         kind, dim = self.template.kind.value, self.template.theta_dim
         if self.bounds.dim != dim:
             raise ValueError(
@@ -408,102 +411,192 @@ def validate(config: RunConfig, theta) -> ValidationReport:
     )
 
 
-def _seed_workers(n_seeds: int) -> int:
-    """Processes to spread a run's seeds over: one per CPU of this
-    process's CPU set, at most one per seed, and one where the platform
-    cannot report that set (every platform that can also forks)."""
+def _cpus() -> int:
+    """CPUs in this process's CPU set, or 1 where the platform cannot
+    report that set (every platform that can also forks)."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:
         return 1
-    return min(n_seeds, cpus)
 
 
-def _run_seeds(evaluator: LossEvaluator, config: RunConfig, seeds) -> list:
+def _run_seeds(evaluator: LossEvaluator, config: RunConfig, seeds, **swarm) -> list:
     return [
-        minimize(evaluator, config.bounds, config.pso, seed, x0=config.theta0) for seed in seeds
+        minimize(evaluator, config.bounds, config.pso, seed, x0=config.theta0, **swarm)
+        for seed in seeds
     ]
 
 
-def _seed_worker(evaluator: LossEvaluator, config: RunConfig, seeds, sender) -> None:
-    """Body of a forked worker: run ``seeds`` on this process's copy of the
-    evaluator and send back the results with the counters' increments, or
-    the exception that stopped them."""
+def _scores(evaluator: LossEvaluator, positions: np.ndarray) -> list:
+    return [float(evaluator(x)) for x in positions]
+
+
+def _receive(process, connection, task: str):
+    """A worker's answer; raises the exception it sent instead, or
+    RuntimeError when it died before answering."""
+    try:
+        answer = connection.recv()
+    except EOFError:
+        process.join()
+        raise RuntimeError(
+            f"the worker {task} exited with code {process.exitcode} before sending its results"
+        ) from None
+    if isinstance(answer, Exception):
+        raise answer
+    return answer
+
+
+def _pin(cpus) -> None:
+    """Run this process on ``cpus`` only, where they are still allowed.
+
+    The tuning processes are pinned one to a CPU: unpinned, a worker and
+    the process that wakes it through a pipe often share one CPU for most
+    of a run, each waiting for the other, and a one-seed run gains nothing.
+    """
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # none of them is in this process's CPU set any more
+        pass
+
+
+def _serve(evaluator: LossEvaluator, work, connection, inherited, cpu: int) -> None:
+    """Body of a forked worker, pinned to ``cpu``: answer each request with
+    ``work(request)``, computed on this process's copy of the evaluator,
+    until a None asks for the counters' increments. An exception is sent
+    in place of an answer and ends the worker."""
+    _pin({cpu})
+    # the parent's ends of every pipe, so that the parent's exit reads as
+    # EOF here
+    for end in inherited:
+        end.close()
     evaluator.evaluations = evaluator.bound_violations = 0
     evaluator.penalty_counts = dict.fromkeys(evaluator.penalty_counts, 0)
     try:
-        results = _run_seeds(evaluator, config, seeds)
-    except Exception as exc:  # handed to the parent, which raises it
-        sender.send(exc)
-    else:
-        sender.send(
-            (results, evaluator.evaluations, evaluator.penalty_counts, evaluator.bound_violations)
+        while (request := connection.recv()) is not None:
+            connection.send(work(request))
+        connection.send(
+            (evaluator.evaluations, evaluator.penalty_counts, evaluator.bound_violations)
         )
+    except EOFError:
+        pass
+    except Exception as exc:  # handed to the parent, which raises it
+        connection.send(exc)
     finally:
-        sender.close()
+        connection.close()
+
+
+class _Pool:
+    """This process and the forked workers of ``_forked``, sharing out
+    calls of one function round robin."""
+
+    def __init__(self, work, workers):
+        self.work = work
+        self.workers = workers
+        self.size = len(workers) + 1
+
+    def map(self, items, out, task):
+        """``out`` with ``work(items[k::n])`` placed at ``out[k::n]`` for
+        every k < n: worker k computes its share while this process
+        computes share 0. ``task(k)`` says what worker k was doing, for
+        the error raised if it dies."""
+        n = self.size
+        for k, (_, connection) in enumerate(self.workers, start=1):
+            connection.send(items[k::n])
+        out[0::n] = self.work(items[0::n])
+        for k, (process, connection) in enumerate(self.workers, start=1):
+            out[k::n] = _receive(process, connection, task(k))
+        return out
+
+
+@contextlib.contextmanager
+def _forked(evaluator: LossEvaluator, work, count: int):
+    """A ``_Pool`` of this process and ``count`` forked workers, each
+    serving ``work`` on its own copy of the evaluator, with every process
+    pinned to its own CPU of this process's CPU set (``count`` is less
+    than its size) until the block is left.
+
+    Leaving the block normally adds every worker's counter increments
+    (evaluations, penalties by reason, bound violations) to the
+    evaluator's. Leaving it on an exception terminates the workers.
+    Either way every worker is joined before the block is left.
+    """
+    # imported only when it forks, so that importing the package does not
+    # load it; fork, because a worker needs the evaluator this process
+    # built (the program starts no threads of its own)
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    cpus = sorted(os.sched_getaffinity(0))
+    workers = []
+    try:
+        for k in range(1, count + 1):
+            here, there = context.Pipe()
+            process = context.Process(
+                target=_serve,
+                args=(evaluator, work, there, [c for _, c in workers] + [here], cpus[k]),
+            )
+            process.start()
+            workers.append((process, here))
+            # the worker holds the only copy of its end now, so its death
+            # reads as EOF here, and later workers do not inherit that end
+            there.close()
+        _pin({cpus[0]})
+        yield _Pool(work, workers)
+        for _, connection in workers:
+            connection.send(None)
+        for process, connection in workers:
+            evaluations, penalty_counts, bound_violations = _receive(
+                process, connection, "asked for its counters"
+            )
+            evaluator.evaluations += evaluations
+            for reason, increment in penalty_counts.items():
+                evaluator.penalty_counts[reason] += increment
+            evaluator.bound_violations += bound_violations
+    except BaseException:
+        for process, _ in workers:
+            process.terminate()
+        raise
+    finally:
+        for process, connection in workers:
+            process.join()
+            connection.close()
+        _pin(cpus)
 
 
 def _tune_seeds(evaluator: LossEvaluator, config: RunConfig) -> list:
     """Every seed's OptimResult, in the config's order, with the evaluator's
     counters covering all of them.
 
-    With n workers, this process runs ``seeds[0::n]`` and n - 1 forked
-    children run ``seeds[k::n]`` on copies of the evaluator; the parent
-    adds their counters' increments to its own. Each seed's swarm is
-    deterministic and the counters are sums, so the outcome is the same
-    bit for bit for any n. Every child is joined before this returns or
-    raises.
+    With n CPUs in this process's CPU set and at least n seeds, this
+    process runs ``seeds[0::n]`` and n - 1 forked workers run
+    ``seeds[k::n]``. With fewer seeds, this process runs the seeds one
+    after another, and each swarm iteration's positions are split the
+    same way among it and ``min(n, swarm_size) - 1`` forked workers,
+    whose values are placed back by particle index. Each seed's swarm is
+    deterministic, each value depends on its candidate alone and the
+    counters are sums, so the outcome is the same bit for bit for any n.
     """
     seeds = config.seeds
-    n = _seed_workers(len(seeds))
-    if n == 1:
+    cpus = _cpus()
+    if cpus == 1:
         return _run_seeds(evaluator, config, seeds)
-    # imported only when it forks, so that importing the package does not
-    # load it; fork, because a child needs the evaluator this process built
-    # (the program starts no threads of its own)
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for k in range(1, n):
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(
-                target=_seed_worker, args=(evaluator, config, seeds[k::n], sender)
+    if len(seeds) >= cpus:
+        work = functools.partial(_run_seeds, evaluator, config)
+        with _forked(evaluator, work, cpus - 1) as pool:
+            return pool.map(
+                seeds, [None] * len(seeds), lambda k: f"tuning seeds {list(seeds[k::cpus])}"
             )
-            worker.start()
-            workers.append((worker, receiver))
-            # the child holds the only sending end now, so its death reads
-            # as EOF here, and later children do not inherit this end
-            sender.close()
-        results = [None] * len(seeds)
-        results[0::n] = _run_seeds(evaluator, config, seeds[0::n])
-        for k, (worker, receiver) in enumerate(workers, start=1):
-            try:
-                payload = receiver.recv()
-            except EOFError:
-                worker.join()
-                raise RuntimeError(
-                    f"the worker tuning seeds {list(seeds[k::n])} exited with code "
-                    f"{worker.exitcode} before sending its results"
-                ) from None
-            if isinstance(payload, Exception):
-                raise payload
-            share, evaluations, penalty_counts, bound_violations = payload
-            results[k::n] = share
-            evaluator.evaluations += evaluations
-            for reason, count in penalty_counts.items():
-                evaluator.penalty_counts[reason] += count
-            evaluator.bound_violations += bound_violations
-    except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
-        raise
-    finally:
-        for worker, receiver in workers:
-            worker.join()
-            receiver.close()
-    return results
+    work = functools.partial(_scores, evaluator)
+    with _forked(evaluator, work, min(cpus, config.pso.swarm_size) - 1) as pool:
+
+        def evaluate_swarm(positions):
+            return pool.map(
+                positions,
+                np.empty(len(positions)),
+                lambda k: f"scoring particles {k}::{pool.size}",
+            )
+
+        return _run_seeds(evaluator, config, seeds, evaluate_swarm=evaluate_swarm)
 
 
 def tune(evaluator: LossEvaluator, config: RunConfig) -> TuningResult:
@@ -514,16 +607,19 @@ def tune(evaluator: LossEvaluator, config: RunConfig) -> TuningResult:
     on the best value go to the lowest seed, which keeps the choice
     reproducible. The evaluator's counters cover the whole run.
 
-    The seeds are spread over as many processes as this process's CPU set
-    (``os.sched_getaffinity``) has CPUs, at most one per seed: this
-    process runs a share and forked children run the rest, round robin
-    in the config's order. The result is the same bit for bit for any
-    number of processes; one seed, one CPU (``taskset -c 0``) or a
-    platform without ``os.sched_getaffinity`` runs them all in this
-    process. J(theta0),
-    the choice of the winner and its breakdown stay in this process. An
-    exception raised in a child is raised here, after every child has
-    been joined.
+    The work is spread over one process per CPU of this process's CPU
+    set (``os.sched_getaffinity``): this process and children forked
+    once per call, each pinned to its own CPU until the children are
+    joined, when this process gets its CPU set back. With at least as
+    many seeds as CPUs, each process runs a share of the seeds, round
+    robin in the config's order. With fewer, this process runs the seeds
+    one after another and shares out each swarm iteration's particles
+    instead; the simplex finish stays here. The result is the same bit
+    for bit for any number of processes. One CPU (``taskset -c 0``) or a
+    platform without ``os.sched_getaffinity`` runs everything in this
+    process. J(theta0), the choice of the winner and its breakdown stay
+    in this process. An exception raised in a child is raised here,
+    after every child has been joined.
 
     Raises ValueError when the winner is penalized.
     """

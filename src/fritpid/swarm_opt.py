@@ -5,13 +5,20 @@ and seeded determinism, handing over to a bounded Nelder-Mead search
 once the swarm stalls (the hybrid of Fan and Zahara, EJOR 181(2), 2007).
 The objective is treated as a total function on the box: bad candidates
 are expected to return large finite penalties rather than raise.
-Evaluation order within an iteration is fixed by particle index, and the
-finish is deterministic, so results are reproducible bit for bit for a
-given seed regardless of how the caller schedules the work.
+
+Determinism contract: the objective must be pure apart from its own
+counters, so a candidate's value depends on the candidate alone. A swarm
+iteration's candidates are then independent, and a caller may score them
+with its own batch evaluator, in any order or in other processes, as long
+as it places each value at its particle's index (a synchronous parallel
+swarm, as in Schutte et al., IJNME 61(13), 2004). The finish is
+deterministic, so results are reproducible bit for bit for a given seed
+regardless of how the caller schedules the work.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
@@ -101,8 +108,10 @@ class OptimResult:
 
 
 def _evaluate_swarm(objective, positions: np.ndarray) -> np.ndarray:
-    # Sequential by particle index; this ordering is part of the
-    # determinism contract.
+    # The default batch evaluation: one call per row, in particle order.
+    # Any replacement must return row i's value at index i, and may rely
+    # on the objective being pure apart from its counters (see the module
+    # docstring); that is what keeps the result bit for bit the same.
     return np.array([float(objective(x)) for x in positions])
 
 
@@ -112,6 +121,8 @@ def minimize(
     cfg: PsoConfig,
     seed: int,
     x0: Optional[Sequence[float]] = None,
+    *,
+    evaluate_swarm: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> OptimResult:
     """Minimize a total objective over a box: global-best PSO seeded by
     ``seed``, then a bounded Nelder-Mead finish from the swarm's best.
@@ -134,6 +145,11 @@ def minimize(
     51(1), 2012), stopped when the simplex spans 1e-8 per coordinate and
     1e-10 of the swarm's best value, or after ``finish_max_evaluations``
     calls. The better of the two points is returned.
+
+    ``evaluate_swarm`` maps an iteration's positions, one row per
+    particle, to their objective values in the same order; it defaults to
+    calling ``objective`` on each row in turn. The finish always calls
+    ``objective`` itself.
     """
     if seed < 0 or int(seed) != seed:
         raise ValueError("seed must be a non-negative integer")
@@ -142,6 +158,8 @@ def minimize(
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         if x0.size != dim:
             raise ValueError(f"x0 has dimension {x0.size}, bounds have {dim}")
+    if evaluate_swarm is None:
+        evaluate_swarm = functools.partial(_evaluate_swarm, objective)
     rng = np.random.default_rng(seed)
     lo, hi = bounds.lower, bounds.upper
     span = hi - lo
@@ -152,7 +170,7 @@ def minimize(
     if x0 is not None:
         positions[0] = np.clip(x0, lo, hi)
 
-    values = _evaluate_swarm(objective, positions)
+    values = evaluate_swarm(positions)
     evaluations = s
     pbest = positions.copy()
     pbest_values = values.copy()
@@ -180,7 +198,7 @@ def minimize(
         positions = np.clip(positions, lo, hi)
         velocities[below | above] = 0.0
 
-        values = _evaluate_swarm(objective, positions)
+        values = evaluate_swarm(positions)
         evaluations += s
         improved_mask = values < pbest_values
         pbest[improved_mask] = positions[improved_mask]

@@ -245,7 +245,8 @@ def test_diagnostic_operator_fidelity_two_guard_decades():
 
 def test_criterion8_reproduce_is_byte_deterministic(tmp_path, monkeypatch):
     """Repeated reproduce runs with one seed write identical summaries, and
-    five seeds write identical artifacts in one process and in two."""
+    both ways of sharing out the work write identical artifacts in one
+    process and in two: five seeds split by seed, one seed by particle."""
     a = tmp_path / "a"
     b = tmp_path / "b"
     for out in (a, b):
@@ -257,16 +258,17 @@ def test_criterion8_reproduce_is_byte_deterministic(tmp_path, monkeypatch):
     bytes_b = (b / "example3_io" / "summary.json").read_bytes()
     assert bytes_a == bytes_b
 
-    artifacts = {}
-    for cpus in (1, 2):
-        # the seeds spread over one process per CPU of the CPU set
-        monkeypatch.setattr(
-            "os.sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False
-        )
-        out = tmp_path / f"cpus{cpus}"
-        code = cli_main(["reproduce", "example3_io", "--seeds", "1..5", "--out-dir", str(out)])
-        assert code == 0
-        artifacts[cpus] = {p.name: p.read_bytes() for p in (out / "example3_io").iterdir()}
-    assert sorted(artifacts[1]) == sorted(artifacts[2])
-    different = [name for name in artifacts[1] if artifacts[1][name] != artifacts[2][name]]
-    assert not different, f"artifacts differ between one and two processes: {different}"
+    for name, seeds in (("example3_io", "1..5"), ("example3_fo", "1")):
+        artifacts = {}
+        for cpus in (1, 2):
+            # the work spreads over one process per CPU of the CPU set
+            monkeypatch.setattr(
+                "os.sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False
+            )
+            out = tmp_path / f"{name}-cpus{cpus}"
+            code = cli_main(["reproduce", name, "--seeds", seeds, "--out-dir", str(out)])
+            assert code == 0
+            artifacts[cpus] = {p.name: p.read_bytes() for p in (out / name).iterdir()}
+        assert sorted(artifacts[1]) == sorted(artifacts[2])
+        different = [f for f in artifacts[1] if artifacts[1][f] != artifacts[2][f]]
+        assert not different, f"{name} artifacts differ between one and two processes: {different}"

@@ -301,6 +301,11 @@ class TestTuneCase:
         with pytest.raises(ValueError, match="seed"):
             replace(builtin_case("example3_fo"), seeds=())
 
+    def test_duplicate_seeds_rejected(self):
+        # a repeated seed used to run the same swarm twice and list it twice
+        with pytest.raises(ValueError, match=r"seeds must not repeat, got \[2, 2\]"):
+            replace(builtin_case("example3_fo"), seeds=(2, 2))
+
     def test_seed_results_follow_the_config_seeds_in_order(self):
         case = replace(builtin_case("example3_io"), pso=SMOKE_PSO)
         res = tune(make_evaluator(case, collect_data(case)), replace(case, seeds=(4, 2)))
@@ -343,7 +348,9 @@ def assert_same_tuning(a: TuningResult, b: TuningResult):
 
 
 class TestSeedWorkers:
-    """``tune`` spreads the seeds over one process per CPU of its CPU set."""
+    """``tune`` spreads its work over one process per CPU of its CPU set:
+    the seeds when there are at least as many as CPUs, each swarm
+    iteration's particles otherwise."""
 
     @pytest.mark.parametrize("name,with_theta0", [("example3_io", True), ("example3_fo", False)])
     def test_two_workers_tune_exactly_as_one(self, monkeypatch, process_starts, name, with_theta0):
@@ -367,10 +374,93 @@ class TestSeedWorkers:
         case = replace(builtin_case("example3_io"), pso=SMOKE_PSO, seeds=seeds)
         return make_evaluator(case, collect_data(case)), case
 
-    def test_one_seed_starts_no_process(self, monkeypatch, process_starts):
-        use_cpus(monkeypatch, 2)
+    def test_one_seed_on_one_cpu_starts_no_process(self, monkeypatch, process_starts):
+        use_cpus(monkeypatch, 1)
         tune(*self.smoke_args((3,)))
         assert process_starts == []
+
+    @pytest.mark.parametrize("name,pso", [("example3_fo", PsoConfig()), ("example1", SMOKE_PSO)])
+    def test_one_seed_on_two_cpus_tunes_exactly_as_on_one(
+        self, monkeypatch, process_starts, name, pso
+    ):
+        case = replace(builtin_case(name), pso=pso, seeds=(2,))
+        data = collect_data(case)
+        use_cpus(monkeypatch, 1)
+        one = tune(make_evaluator(case, data), case)
+        # every answer a worker sends back: its share of each swarm
+        # iteration, then its counters
+        answers = []
+        receive = benchlab._receive
+
+        def spy(*args):
+            answers.append(receive(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(benchlab, "_receive", spy)
+        use_cpus(monkeypatch, 2)
+        two = tune(make_evaluator(case, data), case)
+        assert len(process_starts) == 1
+        assert sum(one.penalty_counts.values()) > 0
+        assert_same_tuning(one, two)
+        (seed,) = one.seed_results
+        swarm_evaluations = seed.evaluations - seed.finish_evaluations
+        assert answers[-1][0] == sum(len(a) for a in answers[:-1]) == swarm_evaluations // 2
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_scoring_particles_raises_in_the_caller(self, monkeypatch, process_starts):
+        parent = os.getpid()
+        evaluate = benchlab.LossEvaluator.evaluate
+
+        def failing(self, theta):
+            if os.getpid() != parent:
+                raise SeedFailure("a particle failed in a child")
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(benchlab.LossEvaluator, "evaluate", failing)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(SeedFailure, match="^a particle failed in a child$"):
+            tune(*self.smoke_args((1,)))
+        assert len(process_starts) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="needs a CPU set of at least two CPUs",
+    )
+    def test_each_process_runs_on_its_own_cpu_and_the_cpu_set_comes_back(self, monkeypatch):
+        cpus = os.sched_getaffinity(0)
+        parent = os.getpid()
+        sets_here = set()
+        evaluate = benchlab.LossEvaluator.evaluate
+
+        def reporting(self, theta):
+            if os.getpid() != parent:
+                raise SeedFailure(f"a child on {sorted(os.sched_getaffinity(0))}")
+            sets_here.add(frozenset(os.sched_getaffinity(0)))
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(benchlab.LossEvaluator, "evaluate", reporting)
+        with pytest.raises(SeedFailure, match=rf"^a child on \[{sorted(cpus)[1]}\]$"):
+            tune(*self.smoke_args((1,)))
+        # J(theta0) is scored before the fork, the swarm's share after
+        assert sets_here == {frozenset(cpus), frozenset({min(cpus)})}
+        assert os.sched_getaffinity(0) == cpus
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_scoring_particles_is_reported_and_joined(self, monkeypatch):
+        parent = os.getpid()
+        evaluate = benchlab.LossEvaluator.evaluate
+
+        def dying(self, theta):
+            if os.getpid() != parent:
+                os._exit(3)
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(benchlab.LossEvaluator, "evaluate", dying)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"scoring particles 1::2 exited with code 3"):
+            tune(*self.smoke_args((1,)))
+        assert multiprocessing.active_children() == []
 
     def test_a_childs_exception_reaches_the_caller(self, monkeypatch, process_starts):
         parent = os.getpid()

@@ -218,13 +218,15 @@ class TestLoadRunConfig:
             {"sim_time": math.inf},
             {"plant": {"num": [math.nan], "den": [1.0, -0.5], "sample_time": 0.05}},
             {"reference_model": {"num": [math.inf], "den": [1.0, -0.5], "sample_time": 0.05}},
+            {"seeds": [1, 1]},
         ],
         ids=["no-seeds", "fractional-seed", "negative-seed", "fractional-swarm",
              "string-iterations", "fractional-order", "fractional-delay",
              "unknown-oustaloup-key", "unknown-top-level-key", "boolean-seeds",
              "boolean-iterations", "string-sample-time", "string-theta0",
              "boolean-bound", "string-band-edge", "integer-beyond-float-range",
-             "infinite-sim-time", "nan-plant-num", "infinite-reference-num"],
+             "infinite-sim-time", "nan-plant-num", "infinite-reference-num",
+             "repeated-seed"],
     )
     def test_malformed_values_are_rejected_not_rewritten(self, tmp_path, overrides):
         with pytest.raises(CliError) as err:
@@ -332,6 +334,14 @@ class TestReproduce:
     def test_unknown_example_exits_with_usage(self, capsys):
         assert main(["reproduce", "example9"]) == EXIT_USAGE
         assert "example1" in capsys.readouterr().err
+
+    def test_a_repeated_seed_exits_with_usage(self, tmp_path, capsys):
+        # it used to tune seed 2 twice and write each trace row twice
+        out = tmp_path / "out"
+        code = main(["reproduce", "example3_io", "--seeds", "2,2", "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        assert "seeds must not repeat, got [2, 2]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_artifact_set_is_complete(self, repro_dir):
         d = repro_dir / "example3_io"

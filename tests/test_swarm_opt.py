@@ -71,20 +71,31 @@ class TestPsoConfig:
 
 class TestMinimize:
     def test_same_seed_reproduces_bit_for_bit(self):
-        # every field of the result, the finish's included
+        # every field of the result, the finish's included, also when the
+        # caller scores each iteration's particles its own way
         def bumpy(x):
             x = np.asarray(x)
             return float(np.sum(np.abs(x - 0.3)) + 0.1 * np.sin(7.0 * x[0]))
 
+        def backwards(positions):
+            # a batch evaluation that scores the last particle first and
+            # places every value at its particle's index
+            values = np.empty(len(positions))
+            for i in reversed(range(len(positions))):
+                values[i] = bumpy(positions[i])
+            return values
+
         cfg = PsoConfig(swarm_size=12, max_iterations=30)
         a = minimize(bumpy, BOX3, cfg, 5)
-        b = minimize(bumpy, BOX3, cfg, 5)
-        for f in fields(OptimResult):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            if isinstance(x, np.ndarray):
-                assert x.tobytes() == y.tobytes(), f.name
-            else:
-                assert x == y, f.name
+        again = minimize(bumpy, BOX3, cfg, 5)
+        batched = minimize(bumpy, BOX3, cfg, 5, evaluate_swarm=backwards)
+        for b in (again, batched):
+            for f in fields(OptimResult):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(x, np.ndarray):
+                    assert x.tobytes() == y.tobytes(), f.name
+                else:
+                    assert x == y, f.name
 
     def test_different_seeds_explore_differently(self):
         f = sphere([1.0, -2.0, 0.5])
