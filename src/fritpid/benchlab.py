@@ -420,15 +420,22 @@ def _cpus() -> int:
         return 1
 
 
-def _run_seeds(evaluator: LossEvaluator, config: RunConfig, seeds, **swarm) -> list:
+def _run_seeds(evaluator: LossEvaluator, config: RunConfig, seeds, evaluate_swarm=None) -> list:
+    """Each seed's swarm, scoring a swarm iteration's particles with
+    ``evaluate_swarm``, by default with one ``evaluator.evaluate_batch``
+    call; the simplex finish calls ``evaluator`` one point at a time."""
+    evaluate_swarm = evaluate_swarm or evaluator.evaluate_batch
     return [
-        minimize(evaluator, config.bounds, config.pso, seed, x0=config.theta0, **swarm)
+        minimize(
+            evaluator,
+            config.bounds,
+            config.pso,
+            seed,
+            x0=config.theta0,
+            evaluate_swarm=evaluate_swarm,
+        )
         for seed in seeds
     ]
-
-
-def _scores(evaluator: LossEvaluator, positions: np.ndarray) -> list:
-    return [float(evaluator(x)) for x in positions]
 
 
 def _receive(process, connection, task: str):
@@ -572,9 +579,11 @@ def _tune_seeds(evaluator: LossEvaluator, config: RunConfig) -> list:
     ``seeds[k::n]``. With fewer seeds, this process runs the seeds one
     after another, and each swarm iteration's positions are split the
     same way among it and ``min(n, swarm_size) - 1`` forked workers,
-    whose values are placed back by particle index. Each seed's swarm is
-    deterministic, each value depends on its candidate alone and the
-    counters are sums, so the outcome is the same bit for bit for any n.
+    whose values are placed back by particle index. Every process scores
+    its share of an iteration in one ``evaluate_batch`` call. Each seed's
+    swarm is deterministic, each value depends on its candidate alone and
+    the counters are sums, so the outcome is the same bit for bit for any
+    n.
     """
     seeds = config.seeds
     cpus = _cpus()
@@ -586,8 +595,8 @@ def _tune_seeds(evaluator: LossEvaluator, config: RunConfig) -> list:
             return pool.map(
                 seeds, [None] * len(seeds), lambda k: f"tuning seeds {list(seeds[k::cpus])}"
             )
-    work = functools.partial(_scores, evaluator)
-    with _forked(evaluator, work, min(cpus, config.pso.swarm_size) - 1) as pool:
+    workers = min(cpus, config.pso.swarm_size) - 1
+    with _forked(evaluator, evaluator.evaluate_batch, workers) as pool:
 
         def evaluate_swarm(positions):
             return pool.map(

@@ -494,10 +494,8 @@ def _parse_seed_list(text: str) -> Tuple[int, ...]:
             if hi < lo:
                 raise ValueError
             return tuple(range(lo, hi + 1))
-        seeds = tuple(int(part) for part in text.split(",") if part.strip())
-        if not seeds:
-            raise ValueError
-        return seeds
+        # an empty item, as in "1,,2", "1," or "", is malformed
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise CliError(
             f"invalid --seeds value {text!r}; use a comma list like 1,2,3 "

@@ -48,8 +48,10 @@ __all__ = [
     "ControllerTemplate",
     "oustaloup",
     "fopid_sections",
+    "fopid_chains",
     "fopid_roots",
     "iopid_coeffs",
+    "iopid_forms",
     "realize",
 ]
 
@@ -168,6 +170,38 @@ def _branch(gain: float, power: float, ts: float):
     return pd, zd, k
 
 
+def _branch_rows(gain: np.ndarray, power: np.ndarray, n: int, ts: float):
+    """``_branch`` on rows of (gain, power) of one chain shape: integer
+    order n, a fractional part or none, and the sign of the power, all
+    read from the first row. Returns (poles, zeros, gains), one row per
+    chain, from ``_branch``'s operations on arrays, so each row has
+    ``_branch``'s bits: the gain w_h**a stays a Python float power, and
+    the products run along C-contiguous rows."""
+    rows = gain.size
+    a = np.abs(power) - n
+    zeros, poles, k = np.zeros((rows, n)), np.zeros((rows, 0)), np.ones(rows)
+    if a[0] > 0.0:
+        m = 2 * OUSTALOUP_ORDER + 1
+        w_b, w_h = OUSTALOUP_W_B, OUSTALOUP_W_H
+        half = np.stack([(1.0 - a) / 2.0, (1.0 + a) / 2.0], axis=1)[:, :, None]
+        corners = w_b * (w_h / w_b) ** ((np.arange(m, dtype=float) + half) / m)
+        zeros = np.concatenate([zeros, -corners[:, 0]], axis=1)
+        poles = -corners[:, 1]
+        k = np.array([w_h ** x for x in a.tolist()])
+    if power[0] < 0.0:
+        zeros, poles, k = poles, zeros, 1.0 / k
+    c = 2.0 / ts
+    dz, dp = c - zeros, c - poles
+    zd, pd = (c + zeros) / dz, (c + poles) / dp
+    k = gain * k * (dz.prod(axis=1) / dp.prod(axis=1))
+    deficit = poles.shape[1] - zeros.shape[1]
+    if deficit > 0:
+        zd = np.concatenate([zd, -np.ones((rows, deficit))], axis=1)
+    elif deficit < 0:
+        pd = np.concatenate([pd, -np.ones((rows, -deficit))], axis=1)
+    return pd, zd, k
+
+
 def _parameters(theta, t: ControllerTemplate, kind: ControllerKind) -> list:
     """theta as Python floats: with a numpy scalar, ``w_h ** a`` in
     ``_staircase`` rounds differently in the last bit, and J moves."""
@@ -209,6 +243,41 @@ def fopid_sections(theta, t: ControllerTemplate) -> tuple:
     if not (math.isfinite(feedthrough) and all(np.isfinite(b[0]).all() for b in branches)):
         raise ValueError("realization must be finite")
     return feedthrough, (kfp, branches)
+
+
+def fopid_chains(params: np.ndarray, ts: float) -> tuple:
+    """``fopid_sections`` on the rows of a (rows, 5) parameter array,
+    every row finite and with orders within MAX_ORDER.
+
+    Returns (feedthrough, cancelled, finite, chains): per row the
+    feedthrough, whether it cancels as ``fopid_sections`` refuses it, and
+    whether the realization is finite; ``chains`` lists (rows, poles,
+    zeros, gains) per active term and chain shape (``_branch_rows``), the
+    integral term's first. The sums start from 0.0 and add the active
+    terms only, as Python's ``sum`` from 0 does, so that -0.0 terms sum
+    to 0.0 here too, and each row has ``fopid_sections``' bits.
+    """
+    kfp = params[:, 0]
+    total, scale = np.zeros(len(params)), np.zeros(len(params))
+    states = np.zeros(len(params), dtype=bool)
+    finite = np.ones(len(params), dtype=bool)
+    chains = []
+    for gain, power in ((params[:, 1], -params[:, 2]), (params[:, 3], params[:, 4])):
+        active = np.flatnonzero(gain != 0.0)
+        mag = np.abs(power[active])
+        n = np.floor(mag)
+        shapes = (n * 2 + (mag > n)) * 2 + (power[active] < 0.0)
+        for shape in np.unique(shapes).tolist():
+            rows = active[shapes == shape]
+            pd, zd, k = _branch_rows(gain[rows], power[rows], int(shape) // 4, ts)
+            chains.append((rows, pd, zd, k))
+            total[rows] += k
+            scale[rows] += np.abs(k)
+            states[rows] |= pd.shape[1] > 0
+            finite[rows] &= np.isfinite(pd).all(axis=1)
+    feedthrough = kfp + total
+    cancelled = states & (np.abs(feedthrough) <= 1e-12 * (np.abs(kfp) + scale))
+    return feedthrough, cancelled, finite & np.isfinite(feedthrough), chains
 
 
 def fopid_roots(theta, t: ControllerTemplate) -> tuple:
@@ -257,6 +326,23 @@ def iopid_coeffs(theta, t: ControllerTemplate) -> tuple:
     if ki == 0.0:
         return [kp + d, kp - d], [1.0, 1.0]
     return [kp + a + d, 2.0 * (a - d), a + d - kp], [1.0, 0.0, -1.0]
+
+
+def iopid_forms(params: np.ndarray, ts: float) -> list:
+    """``iopid_coeffs`` on the rows of a (rows, 3) finite parameter array:
+    (rows, num, den) for each of its four forms (no zero gain, or ki, kd
+    or both exactly zero), with one numerator per row of ``rows`` and
+    ``iopid_coeffs``' bits in each."""
+    kp, ki, kd = params.T
+    a, d = ki * ts / 2.0, 2.0 * kd / ts
+    integral, derivative = ki != 0.0, kd != 0.0
+    forms = (
+        (~integral & ~derivative, [kp], (1.0,)),
+        (integral & ~derivative, [kp + a, a - kp], (1.0, -1.0)),
+        (~integral & derivative, [kp + d, kp - d], (1.0, 1.0)),
+        (integral & derivative, [kp + a + d, 2.0 * (a - d), a + d - kp], (1.0, 0.0, -1.0)),
+    )
+    return [(np.flatnonzero(mask), np.stack(num, axis=1)[mask], den) for mask, num, den in forms]
 
 
 def realize(theta, t: ControllerTemplate):

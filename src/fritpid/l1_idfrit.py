@@ -32,17 +32,27 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.blas import dtrsv as _dtrsv
 
-from .folib import ControllerKind, ControllerTemplate, fopid_sections, iopid_coeffs
+from .folib import (
+    MAX_ORDER,
+    ControllerKind,
+    ControllerTemplate,
+    fopid_chains,
+    fopid_sections,
+    iopid_coeffs,
+    iopid_forms,
+)
 
 # perfbench/tracer.py wraps these three by this module's name; the loss
 # path calls none of them, and fictitious_reference calls simulate
 from .folib import realize  # noqa: F401
 from .lti_core import invert, simulate  # noqa: F401
 from .lti_core import (
+    _FEEDTHROUGH_TOL,
     DiscreteTf,
     NonInvertibleError,
     SampleTimeError,
     Signal,
+    filter_chains,
     filter_parallel,
     filter_tf,
     impulse_response,
@@ -244,11 +254,20 @@ def reconstruct_output(dr0: np.ndarray, t: np.ndarray) -> np.ndarray:
     running sum of the truncated convolution of dr0 with t. For a step
     reference dr0 is the single sample r0[0], so the product is one
     scaling and one cumulative sum.
+
+    A 2-D ``t`` holds one recovered loop per row and gets one output per
+    row, each with the bits of the 1-D call on that row.
     """
-    if not 0 < dr0.size <= t.size:
+    n = t.shape[-1]
+    if not 0 < dr0.size <= n:
         raise ValueError("increments must be 1 to len(t) samples")
-    dt = dr0[0] * t if dr0.size == 1 else np.convolve(dr0, t)[: t.size]
-    return dt.cumsum()
+    if dr0.size == 1:
+        dt = dr0[0] * t
+    elif t.ndim == 1:
+        dt = np.convolve(dr0, t)[:n]
+    else:
+        dt = np.array([np.convolve(dr0, row)[:n] for row in t]).reshape(t.shape)
+    return dt.cumsum(axis=-1)
 
 
 class LossEvaluator:
@@ -257,7 +276,8 @@ class LossEvaluator:
     Precomputes r0's increments, the matching target R0 m_D (an array)
     and the Toeplitz-inverse operator norm gamma_R0, then maps parameter
     vectors to LossBreakdowns. Instances are also callable as plain scalar
-    objectives, which is the form the swarm optimizer consumes. Counters
+    objectives, the form the simplex finish consumes, and
+    ``evaluate_batch`` scores a swarm's rows in one call. Counters
     record how many candidates were evaluated, how many were penalized, by
     reason, and how many clean ones violated the stability bound; the
     totals are derived from them.
@@ -337,6 +357,104 @@ class LossEvaluator:
         elif not breakdown.bound_satisfied:
             self.bound_violations += 1
         return breakdown
+
+    def evaluate_batch(self, thetas) -> np.ndarray:
+        """J of every row of a (rows, theta_dim) array, each with the bits
+        and the penalty reason ``evaluate`` gives that row, and the same
+        counters; raises ValueError, counting nothing, for rows of the
+        wrong size.
+
+        Every stage runs once for all rows still clean: the realization
+        (``folib.fopid_chains`` or ``folib.iopid_forms``), g and w on
+        (rows, samples) arrays with one compiled filter call per row and
+        chain, one ``toeplitz_solve`` per row, the reconstruction and J.
+        A row leaves at the first stage that penalizes it, in
+        ``evaluate``'s order, and no stage warns about what it leaves.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        dim = self.template.theta_dim
+        if thetas.ndim != 2 or thetas.shape[1] != dim:
+            raise ValueError(f"expected rows of {dim} parameters, got shape {thetas.shape}")
+        j = np.full(len(thetas), PENALTY)
+        penalties = dict.fromkeys(self.penalty_counts, 0)
+        live = np.arange(len(thetas))
+
+        def keep(mask, reason, *arrays):
+            # drop the live rows that mask refuses, counted under reason,
+            # from live and from each of arrays, whose rows are live's
+            nonlocal live
+            dropped = live.size - np.count_nonzero(mask)
+            if not dropped:
+                return arrays
+            penalties[reason] += dropped
+            live = live[mask]
+            return tuple(a[mask] for a in arrays)
+
+        blown_up = PenaltyReason.NONFINITE_SIGNAL
+        usable = np.isfinite(thetas).all(axis=1)
+        if self._factored:
+            usable &= np.maximum(np.abs(thetas[:, 2]), np.abs(thetas[:, 4])) <= MAX_ORDER
+        (params,) = keep(usable, blown_up, thetas)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g, k = self._controller_rows(params, keep)
+            g *= k[:, None]
+            w = self.data.u0.samples * k[:, None]
+            w += g
+        w, g = keep(np.abs(w).max(axis=1) <= _OVERFLOW_LIMIT, blown_up, w, g)
+        w, g = keep(np.abs(w[:, 0]) >= _HEAD_TOL, PenaltyReason.FICTITIOUS_HEAD_ZERO, w, g)
+        t = np.empty_like(w)
+        for row, (w_row, g_row) in enumerate(zip(w, g)):
+            t[row] = toeplitz_solve(w_row, g_row)
+        abs_t = np.abs(t)
+        t, abs_t = keep(abs_t.max(axis=1) <= _OVERFLOW_LIMIT, blown_up, t, abs_t)
+        y = reconstruct_output(self._dr0, t)
+        y, abs_t = keep(np.abs(y).max(axis=1) <= _OVERFLOW_LIMIT, blown_up, y, abs_t)
+        j_clean = np.abs(y - self.target).sum(axis=1)
+        t_l1 = abs_t.sum(axis=1)
+        j[live] = j_clean
+        self.evaluations += len(thetas)
+        for reason, count in penalties.items():
+            self.penalty_counts[reason] += count
+        self.bound_violations += np.count_nonzero(
+            ~(t_l1 <= self.gamma_r0 * j_clean + self._m_d_l1)
+        )
+        return j
+
+    def _controller_rows(self, params, keep) -> tuple:
+        """(C y0, 1/feedthrough) for the rows of finite, in-range
+        parameters whose realization ``_pipeline`` accepts, one row each;
+        ``keep`` drops the others with ``_pipeline``'s penalty reasons."""
+        y0 = self.data.y0.samples
+        ts = self.template.sample_time
+        if self._factored:
+            feedthrough, cancelled, finite, chains = fopid_chains(params, ts)
+            keep(~cancelled, PenaltyReason.NON_INVERTIBLE_CONTROLLER)
+            keep(finite[~cancelled], PenaltyReason.NONFINITE_SIGNAL)
+            realized = ~cancelled & finite
+        else:
+            forms = iopid_forms(params, ts)
+            feedthrough = np.empty(len(params))
+            for rows, num, _ in forms:
+                feedthrough[rows] = num[:, 0]
+            realized = np.ones(len(params), dtype=bool)
+        usable = realized & (np.abs(feedthrough) >= _FEEDTHROUGH_TOL)
+        keep(usable[realized], PenaltyReason.NON_INVERTIBLE_CONTROLLER)
+        # the position of each usable row among them
+        at = np.cumsum(usable) - 1
+        if self._factored:
+            g = params[usable, 0][:, None] * y0
+            for rows, poles, zeros, gains in chains:
+                mine = usable[rows]
+                g[at[rows[mine]]] += gains[mine, None] * filter_chains(
+                    poles[mine], zeros[mine], y0
+                )
+        else:
+            g = np.empty((np.count_nonzero(usable), y0.size))
+            for rows, num, den in forms:
+                mine = usable[rows]
+                for row, coeffs in zip(at[rows[mine]], num[mine].tolist()):
+                    g[row] = filter_tf(coeffs, den, y0)
+        return g, 1.0 / feedthrough[usable]
 
     def _pipeline(self, theta) -> LossBreakdown:
         data = self.data

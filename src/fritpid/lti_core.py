@@ -60,6 +60,7 @@ __all__ = [
     "filter_zpk",
     "filter_tf",
     "filter_parallel",
+    "filter_chains",
     "parallel_state_space",
     "same_sample_time",
     "is_stable",
@@ -458,6 +459,26 @@ def filter_parallel(direct: float, branches, u: np.ndarray) -> np.ndarray:
         _sosfilt(sos, x, np.zeros((1, m, 2)))
         y += gain * x[0]
     return y
+
+
+def filter_chains(poles: np.ndarray, zeros: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Zero-initial-condition responses of rows of section chains to samples u.
+
+    Row i of ``poles`` and ``zeros`` is one chain of ``filter_parallel``,
+    all chains equally long, and row i of the result is that chain's
+    output before its gain, with ``filter_parallel``'s bits: one compiled
+    kernel call per row, on that row's sections.
+    """
+    rows, m = poles.shape
+    sos = np.zeros((rows, m, 6))
+    sos[..., 0] = sos[..., 3] = 1.0
+    sos[..., 1] = -zeros
+    sos[..., 4] = -poles
+    x = np.repeat(np.asarray(u, dtype=float)[None], rows, axis=0)
+    state = np.zeros((rows, m, 2))
+    for i in range(rows if m else 0):
+        _sosfilt(sos[i], x[i : i + 1], state[i : i + 1])
+    return x
 
 
 def parallel_state_space(direct: float, branches) -> tuple:

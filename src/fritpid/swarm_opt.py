@@ -148,8 +148,11 @@ def minimize(
 
     ``evaluate_swarm`` maps an iteration's positions, one row per
     particle, to their objective values in the same order; it defaults to
-    calling ``objective`` on each row in turn. The finish always calls
-    ``objective`` itself.
+    calling ``objective`` on each row in turn. ``benchlab`` passes the
+    loss evaluator's ``evaluate_batch``, which scores all rows in one
+    call, or, when it splits the particles over processes, a function
+    that has each process score its share with ``evaluate_batch``. The
+    finish always calls ``objective`` itself, one point at a time.
     """
     if seed < 0 or int(seed) != seed:
         raise ValueError("seed must be a non-negative integer")

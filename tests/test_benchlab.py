@@ -409,14 +409,14 @@ class TestSeedWorkers:
 
     def test_a_child_scoring_particles_raises_in_the_caller(self, monkeypatch, process_starts):
         parent = os.getpid()
-        evaluate = benchlab.LossEvaluator.evaluate
+        evaluate_batch = benchlab.LossEvaluator.evaluate_batch
 
-        def failing(self, theta):
+        def failing(self, thetas):
             if os.getpid() != parent:
                 raise SeedFailure("a particle failed in a child")
-            return evaluate(self, theta)
+            return evaluate_batch(self, thetas)
 
-        monkeypatch.setattr(benchlab.LossEvaluator, "evaluate", failing)
+        monkeypatch.setattr(benchlab.LossEvaluator, "evaluate_batch", failing)
         use_cpus(monkeypatch, 2)
         with pytest.raises(SeedFailure, match="^a particle failed in a child$"):
             tune(*self.smoke_args((1,)))
@@ -431,15 +431,20 @@ class TestSeedWorkers:
         cpus = os.sched_getaffinity(0)
         parent = os.getpid()
         sets_here = set()
-        evaluate = benchlab.LossEvaluator.evaluate
 
-        def reporting(self, theta):
-            if os.getpid() != parent:
-                raise SeedFailure(f"a child on {sorted(os.sched_getaffinity(0))}")
-            sets_here.add(frozenset(os.sched_getaffinity(0)))
-            return evaluate(self, theta)
+        def reporting(method):
+            def scored(self, theta):
+                if os.getpid() != parent:
+                    raise SeedFailure(f"a child on {sorted(os.sched_getaffinity(0))}")
+                sets_here.add(frozenset(os.sched_getaffinity(0)))
+                return method(self, theta)
 
-        monkeypatch.setattr(benchlab.LossEvaluator, "evaluate", reporting)
+            return scored
+
+        # J(theta0) goes through evaluate, every swarm share through evaluate_batch
+        for name in ("evaluate", "evaluate_batch"):
+            method = getattr(benchlab.LossEvaluator, name)
+            monkeypatch.setattr(benchlab.LossEvaluator, name, reporting(method))
         with pytest.raises(SeedFailure, match=rf"^a child on \[{sorted(cpus)[1]}\]$"):
             tune(*self.smoke_args((1,)))
         # J(theta0) is scored before the fork, the swarm's share after
@@ -449,14 +454,14 @@ class TestSeedWorkers:
 
     def test_a_child_that_dies_scoring_particles_is_reported_and_joined(self, monkeypatch):
         parent = os.getpid()
-        evaluate = benchlab.LossEvaluator.evaluate
+        evaluate_batch = benchlab.LossEvaluator.evaluate_batch
 
-        def dying(self, theta):
+        def dying(self, thetas):
             if os.getpid() != parent:
                 os._exit(3)
-            return evaluate(self, theta)
+            return evaluate_batch(self, thetas)
 
-        monkeypatch.setattr(benchlab.LossEvaluator, "evaluate", dying)
+        monkeypatch.setattr(benchlab.LossEvaluator, "evaluate_batch", dying)
         use_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=r"scoring particles 1::2 exited with code 3"):
             tune(*self.smoke_args((1,)))
@@ -464,12 +469,12 @@ class TestSeedWorkers:
 
     def test_a_childs_exception_reaches_the_caller(self, monkeypatch, process_starts):
         parent = os.getpid()
-        swarm = benchlab.minimize
+        run_swarm = benchlab.minimize
 
-        def minimize(objective, bounds, cfg, seed, x0=None):
+        def minimize(objective, bounds, cfg, seed, x0=None, **swarm):
             if seed == 2:
                 raise SeedFailure(f"seed 2 failed in a child: {os.getpid() != parent}")
-            return swarm(objective, bounds, cfg, seed, x0=x0)
+            return run_swarm(objective, bounds, cfg, seed, x0=x0, **swarm)
 
         monkeypatch.setattr(benchlab, "minimize", minimize)
         use_cpus(monkeypatch, 2)
@@ -480,12 +485,12 @@ class TestSeedWorkers:
         assert multiprocessing.active_children() == []
 
     def test_a_child_that_dies_is_reported_and_joined(self, monkeypatch):
-        swarm = benchlab.minimize
+        run_swarm = benchlab.minimize
 
-        def minimize(objective, bounds, cfg, seed, x0=None):
+        def minimize(objective, bounds, cfg, seed, x0=None, **swarm):
             if seed == 2:
                 os._exit(3)
-            return swarm(objective, bounds, cfg, seed, x0=x0)
+            return run_swarm(objective, bounds, cfg, seed, x0=x0, **swarm)
 
         monkeypatch.setattr(benchlab, "minimize", minimize)
         use_cpus(monkeypatch, 2)
@@ -494,7 +499,7 @@ class TestSeedWorkers:
         assert multiprocessing.active_children() == []
 
     def test_an_exception_here_stops_the_children(self, monkeypatch):
-        def minimize(objective, bounds, cfg, seed, x0=None):
+        def minimize(objective, bounds, cfg, seed, x0=None, **swarm):
             if seed == 1:
                 raise SeedFailure("seed 1 failed here")
             time.sleep(60)

@@ -76,10 +76,11 @@ class TestSeedParsing:
     def test_default_seed_set(self, tmp_path):
         assert load_run_config(write_config(tmp_path / "c.json")).seeds == DEFAULT_SEEDS
 
-    @pytest.mark.parametrize("flag", ["-1..2", ""])
+    @pytest.mark.parametrize("flag", ["-1..2", "", "1,,2", "1,", ",1", "1..0"])
     def test_invalid_seed_flag_is_a_usage_error(self, tmp_path, flag):
         # a negative seed used to reach the swarm and exit as a numeric
-        # failure; an empty flag used to fall back to the config's seeds
+        # failure; an empty flag used to fall back to the config's seeds,
+        # and an empty list item used to be dropped
         cfg = load_run_config(write_config(tmp_path / "c.json"))
         flags = argparse.Namespace(seeds=flag, swarm_size=None, iterations=None)
         with pytest.raises(CliError) as err:

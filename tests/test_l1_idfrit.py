@@ -1,17 +1,18 @@
 """Tests for the fictitious-reference l1 matching pipeline."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import linalg as sla
 from scipy.linalg import blas
 
-from fritpid import folib, lti_core
+from fritpid import benchlab, folib, lti_core
 from fritpid.folib import ControllerKind, ControllerTemplate, iopid_coeffs, realize
 from fritpid.l1_idfrit import (
     PENALTY,
@@ -580,6 +581,179 @@ class TestArrayPath:
             assert _bits(got) == _bits(reference_breakdown(ev, theta)), theta
             reasons.add(got.penalty_reason)
         assert reasons == set(PenaltyReason)
+
+
+def _counters(ev: LossEvaluator):
+    return ev.evaluations, dict(ev.penalty_counts), ev.bound_violations
+
+
+def _batch(ev: LossEvaluator, thetas) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return ev.evaluate_batch(thetas)
+
+
+def _batch_reasons(ev: LossEvaluator, thetas) -> list:
+    """Each row's penalty reason, read off the counters of its own
+    one-row batch."""
+    reasons = []
+    for theta in thetas:
+        before = dict(ev.penalty_counts)
+        _batch(ev, theta[None])
+        moved = [r for r, count in ev.penalty_counts.items() if count != before[r]]
+        reasons.append(moved[0] if moved else PenaltyReason.NONE)
+    return reasons
+
+
+def _assert_batch_is_evaluate(make_evaluator, thetas) -> set:
+    """One batch of ``thetas`` gives every row's J of ``evaluate`` bit for
+    bit, and the same counters, without a warning; one-row batches give
+    every row's penalty reason. Returns the reasons seen."""
+    thetas = np.asarray(thetas, dtype=float)
+    one, batch = make_evaluator(), make_evaluator()
+    want = [one.evaluate(theta) for theta in thetas]
+    got = _batch(batch, thetas)
+    assert got.tobytes() == np.array([b.j for b in want]).tobytes()
+    assert _counters(batch) == _counters(one)
+    reasons = [b.penalty_reason for b in want]
+    assert _batch_reasons(make_evaluator(), thetas) == reasons
+    return set(reasons)
+
+
+@functools.lru_cache(maxsize=None)
+def _case_record(name: str):
+    case = benchlab.builtin_case(name)
+    return case, benchlab.collect_data(case)
+
+
+def _case_evaluator(name: str) -> LossEvaluator:
+    return benchlab.make_evaluator(*_case_record(name))
+
+
+@st.composite
+def _box_rows(draw, name: str, max_rows: int = 12):
+    """Rows inside a built-in case's search box, faces included."""
+    bounds = benchlab.builtin_case(name).bounds
+    coordinate = [
+        st.one_of(st.sampled_from([lo, hi]), bounded_floats(lo, hi))
+        for lo, hi in zip(bounds.lower.tolist(), bounds.upper.tolist())
+    ]
+    rows = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=max_rows))
+    return np.array(rows)
+
+
+# kfp cancels the feedthrough of 1.0 * s**-0.5 at the example3 sample time
+_EX3_CANCELLED = -realize(
+    [0.0, 1.0, 0.5, 0.0, 1.0], ControllerTemplate(ControllerKind.FOPID, 0.05)
+).gain
+
+# every FOPID chain shape of the box: kfi or kfd exactly zero, and orders
+# exactly 0, 1 or 2 next to fractional ones
+_FOPID_SHAPES = [
+    [1.0, 0.0, 0.7, 0.5, 1.2],
+    [1.0, 0.5, 0.7, 0.0, 1.2],
+    [1.0, 0.5, 0.0, 0.3, 0.0],
+    [1.0, 0.5, 1.0, 0.3, 1.0],
+    [1.0, 0.5, 2.0, 0.3, 2.0],
+    [0.0, 0.5, 1.0, 0.3, 0.4],
+    [1.0, 0.5, 0.4, 0.3, 2.0],
+    [1.0, 0.5, 1.5, 0.3, 0.0],
+]
+
+
+class TestBatch:
+    """``evaluate_batch`` scores rows as ``evaluate`` scores each one."""
+
+    @pytest.mark.parametrize("n", [81, N])
+    @pytest.mark.parametrize("template,thetas", [
+        (IOPID_T, _IOPID_ARRAY_THETAS), (FOPID_T, _FOPID_ARRAY_THETAS),
+    ], ids=["iopid", "fopid"])
+    def test_the_array_path_cases_score_as_evaluate(self, template, thetas, n):
+        rec = closed_loop_record(PLANT, THETA0, n=n)
+        rows = TestArrayPath._with_cancelled_feedthrough(template, thetas)
+        reasons = _assert_batch_is_evaluate(lambda: LossEvaluator(template, rec, MD), rows)
+        assert reasons == set(PenaltyReason)
+
+    @given(rows=_box_rows("example3_io"))
+    @example(rows=np.array([[0.3, 0.0, 0.2], [0.3, 0.4, 0.0], [0.0, 0.0, 0.2], [0.0, 5.0, 0.0]]))
+    # one row per penalty reason, then a clean one
+    @example(rows=np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 5.0], [1e12, 0.0, 0.0], [0.0, 5.0, 0.0]]))
+    @settings(max_examples=40, deadline=None)
+    def test_iopid_rows_in_the_box_score_as_evaluate(self, rows):
+        _assert_batch_is_evaluate(functools.partial(_case_evaluator, "example3_io"), rows)
+
+    @given(rows=_box_rows("example3_fo"))
+    @example(rows=np.array(_FOPID_SHAPES))
+    # one row per penalty reason (a cancelled feedthrough too), then a clean one
+    @example(rows=np.array([
+        [0.0, 0.0, 1.0, 0.0, 1.0],
+        [_EX3_CANCELLED, 1.0, 0.5, 0.0, 1.0],
+        [5.0, 0.0, 0.0, 5.0, 2.0],
+        [1e12, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 5.0, 2.0, 0.0, 0.0],
+    ]))
+    @settings(max_examples=40, deadline=None)
+    def test_fopid_rows_in_the_box_score_as_evaluate(self, rows):
+        _assert_batch_is_evaluate(functools.partial(_case_evaluator, "example3_fo"), rows)
+
+    @given(rows=_box_rows("example1", max_rows=6))
+    @example(rows=np.array(_FOPID_SHAPES + [[0.0, 0.0, 1.0, 0.0, 1.0]]))
+    @settings(max_examples=10, deadline=None)
+    def test_long_record_rows_in_the_box_score_as_evaluate(self, rows):
+        # N = 1001: the solve runs over several blocks
+        assert len(_case_record("example1")[1]) > _BLOCK
+        _assert_batch_is_evaluate(functools.partial(_case_evaluator, "example1"), rows)
+
+    @pytest.mark.parametrize("name", benchlab.CASE_NAMES)
+    def test_seeded_rows_in_the_box_score_as_evaluate(self, name):
+        # a swarm's kind of rows: uniform in the box and within 5 % of the
+        # published optimum, some coordinates on a face; about 1 in 20
+        # fractional orders gets a gain w_h**a that numpy's array power
+        # rounds differently from Python's
+        case = benchlab.builtin_case(name)
+        lo, hi = case.bounds.lower, case.bounds.upper
+        star = np.array(benchlab.reference_targets(name).theta_star)
+        rng = np.random.default_rng(5)
+        rows = np.vstack([
+            rng.uniform(lo, hi, (60, lo.size)),
+            np.clip(star * rng.uniform(0.95, 1.05, (60, lo.size)), lo, hi),
+        ])
+        faces = rng.random(rows.shape) < 0.1
+        rows[faces] = np.where(rng.random(rows.shape) < 0.5, lo, hi)[faces]
+        _assert_batch_is_evaluate(functools.partial(_case_evaluator, name), rows)
+
+    def test_orders_of_either_sign_score_as_evaluate(self):
+        # chains of one integer order and fractional part, one for a
+        # negative power and one for a positive, in one batch
+        rows = [[1.0, 0.5, lam, 0.3, mu] for lam in (0.5, -0.5, 1.5, -1.5) for mu in (1.2, -1.2)]
+        rec = closed_loop_record(PLANT, THETA0)
+        _assert_batch_is_evaluate(lambda: LossEvaluator(FOPID_T, rec, MD), rows)
+
+    def test_a_reference_with_several_increments_scores_as_evaluate(self):
+        # a reference that is no step: the reconstruction convolves each
+        # row with r0's increments instead of scaling one cumsum
+        c0 = realize(THETA0, IOPID_T)
+        r0 = Signal(np.where(np.arange(N) < 20, 1.0, 1.5) + 0.01 * np.arange(N), TS)
+        y0, u0 = co_simulate(closed_loop(PLANT, c0), r0)
+        rec = ExperimentRecord(r0, u0, y0)
+        for template, thetas in ((IOPID_T, _IOPID_ARRAY_THETAS), (FOPID_T, _FOPID_ARRAY_THETAS)):
+            ev = LossEvaluator(template, rec, MD)
+            assert ev._dr0.size > 1
+            _assert_batch_is_evaluate(lambda: LossEvaluator(template, rec, MD), thetas)
+
+    def test_an_empty_batch_counts_nothing(self):
+        ev = _case_evaluator("example3_fo")
+        got = _batch(ev, np.empty((0, 5)))
+        assert got.shape == (0,)
+        assert _counters(ev) == _counters(_case_evaluator("example3_fo"))
+        assert ev.evaluations == 0
+
+    @pytest.mark.parametrize("thetas", [np.ones((2, 2)), np.ones((2, 4)), np.ones(3), [[1.0, 2.0]]])
+    def test_rows_of_the_wrong_size_raise_and_count_nothing(self, thetas):
+        ev = _case_evaluator("example3_io")
+        with pytest.raises(ValueError, match="expected rows of 3 parameters"):
+            ev.evaluate_batch(thetas)
+        assert ev.evaluations == 0
 
 
 class TestEvaluatorInit:
