@@ -43,7 +43,9 @@ from .folib import (
 )
 
 # perfbench/tracer.py wraps these three by this module's name; the loss
-# path calls none of them, and fictitious_reference calls simulate
+# path calls none of them, fictitious_reference calls simulate, and
+# nothing here calls invert, which stays for the tracer until ROADMAP
+# item 6 renames its spans
 from .folib import realize  # noqa: F401
 from .lti_core import invert, simulate  # noqa: F401
 from .lti_core import (

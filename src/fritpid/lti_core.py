@@ -2,23 +2,21 @@
 
 Transfer functions come in two discrete flavours: plain polynomial ratios
 (coefficients highest power first) for low-order systems, and a factored
-zeros/poles/gain form for systems whose dynamics span too many decades for
-monomial coefficients to carry. A filter with poles spread over nine decades
-has a denominator whose value at z = 1 can sit thirty orders of magnitude
-below its coefficients, so the polynomial form cannot represent it in double
-precision; the factored form keeps every root exact and simulates through a
-cascade of second-order sections. It holds only biproper systems (as many
-zeros as poles), which is what the FOPID controller and its inverse are.
-A factored system built by a realizer also carries the section-parallel
-form it was built from, a direct gain plus chains of first-order sections
-in parallel; it simulates and closes loops through that form, and its
-zeros serve reports only.
+form for systems whose dynamics span too many decades for monomial
+coefficients to carry. A filter with poles spread over nine decades has a
+denominator whose value at z = 1 can sit thirty orders of magnitude below
+its coefficients, so the polynomial form cannot represent it in double
+precision. The factored form holds a biproper system (as many zeros as
+poles), which is what the FOPID controller is, as the section-parallel
+form it was built from: a direct gain plus chains of first-order sections
+in parallel. It simulates and closes loops through that form; its zeros,
+poles and gain serve reports only.
 Continuous TFs carry an optional dead time, discrete ones an integer
 sample delay. Only what the tuning pipeline needs is provided: bilinear
-discretization, difference-equation simulation, inversion, one stability
-rule (every pole below STABLE_RADIUS), and one state space of the
-unity-feedback loop, built by ``closed_loop``, that serves both its
-simulation and its poles. A loop is judged on its eigenvalues as
+discretization, difference-equation simulation, inversion of a polynomial
+TF, one stability rule (every pole below STABLE_RADIUS), and one state
+space of the unity-feedback loop, built by ``closed_loop``, that serves
+both its simulation and its poles. A loop is judged on its eigenvalues as
 computed; a polynomial such as the reference model's denominator is
 judged exactly, by a Schur-Cohn certificate on its float coefficients.
 """
@@ -26,10 +24,9 @@ judged exactly, by a Schur-Cohn certificate on its float coefficients.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy import signal as _sig
@@ -57,7 +54,6 @@ __all__ = [
     "impulse_response",
     "invert",
     "inverse_gain",
-    "filter_zpk",
     "filter_tf",
     "filter_parallel",
     "filter_chains",
@@ -210,98 +206,27 @@ def _sorted_roots(r: np.ndarray) -> np.ndarray:
     return r[order]
 
 
-_by_parts = operator.attrgetter("real", "imag")
-_first = operator.itemgetter(0)
-
-
-def _split_conjugates(roots: Sequence[complex]):
-    """Split roots into (reals desc, upper-half pair members).
-
-    Works on plain Python numbers. Raises ValueError unless every complex
-    root has its exact conjugate present, which is how they arrive from
-    real-matrix eigenvalues.
-    """
-    real, upper, mirrored = [], [], []
-    for r in roots:
-        if r.imag == 0.0:
-            real.append(r.real)
-        elif r.imag > 0.0:
-            upper.append(r)
-        else:
-            mirrored.append(r.conjugate())
-    upper.sort(key=_by_parts)
-    mirrored.sort(key=_by_parts)
-    if upper != mirrored:
-        raise ValueError("sections for a factored system need conjugate-paired roots")
-    real.sort(reverse=True)
-    return real, upper
-
-
-def _quadratic_groups(real: list, cplx: list):
-    """(key, coeffs) quadratic factors plus an optional linear tail.
-
-    Adjacent pairing of the sorted real roots keeps each factor local on
-    the real axis, so numerator and denominator groups with matching keys
-    nearly cancel and the resulting sections stay well conditioned.
-    """
-    groups = [
-        (abs(q), (1.0, -2.0 * q.real, q.real * q.real + q.imag * q.imag))
-        for q in cplx
-    ]
-    for r1, r2 in zip(real[::2], real[1::2]):
-        groups.append((max(abs(r1), abs(r2)), (1.0, -(r1 + r2), r1 * r2)))
-    tail = (1.0, -real[-1], 0.0) if len(real) % 2 else None
-    return groups, tail
-
-
-def _fast_sos(zeros: Sequence[complex], poles: Sequence[complex], gain: float):
-    """Second-order sections of a biproper system (gain folded in).
-
-    Equal root counts give both sides as many quadratic groups, and a
-    linear tail on both sides or on neither, so zero and pole groups pair
-    off in key order; a system without poles is the one constant section.
-    The sections depend on the roots' values, not on their order, apart
-    from the sign of a zero coefficient when both 0.0 and -0.0 are roots.
-    Raises ValueError for unequal counts, or when some complex root lacks
-    its exact conjugate.
-    """
-    if len(zeros) != len(poles):
-        raise ValueError("sections need a biproper system: as many zeros as poles")
-    if not poles:
-        return np.array([[gain, 0.0, 0.0, 1.0, 0.0, 0.0]])
-    z_groups, z_tail = _quadratic_groups(*_split_conjugates(zeros))
-    p_groups, p_tail = _quadratic_groups(*_split_conjugates(poles))
-    z_groups.sort(key=_first)
-    p_groups.sort(key=_first)
-    rows = [b + a for (_, b), (_, a) in zip(z_groups, p_groups)]
-    if p_tail is not None:
-        rows.append(z_tail + p_tail)
-    sos = np.asarray(rows, dtype=float)
-    sos[0, :3] *= gain
-    return sos
-
-
 @dataclass(frozen=True)
 class DiscreteZpk:
-    """Biproper discrete-time TF held as factored zeros, poles, and gain.
+    """Biproper discrete-time TF held as its section-parallel form, with
+    its factored zeros, poles and gain.
 
     Represents gain * prod(z - zeros_i) / prod(z - poles_j) with no extra
     delay and as many zeros as poles; any other count raises ValueError.
     Roots are stored exactly and sorted (largest magnitude first),
-    complex ones in conjugate pairs; all downstream numerics work on the
-    roots or on second-order sections built from them, never on expanded
-    high-order coefficient vectors. ``sections`` is the section-parallel
-    form (direct, branches) the roots were computed from, when the builder
-    had one (see ``filter_parallel``): the system then simulates and
-    closes loops through it, with read-only arrays. It takes no part in
-    equality, hashing or repr.
+    complex ones in conjugate pairs, for reports; no numerics work on
+    them or on expanded high-order coefficient vectors. ``sections`` is
+    the section-parallel form (direct, branches) the roots were computed
+    from (see ``filter_parallel``), with read-only arrays: the system
+    simulates and closes loops through it. It takes no part in equality,
+    hashing or repr.
     """
 
     zeros: tuple
     poles: tuple
     gain: float
     sample_time: float
-    sections: Optional[tuple] = field(default=None, compare=False, repr=False)
+    sections: tuple = field(compare=False, repr=False)
 
     def __post_init__(self):
         z = np.asarray(self.zeros, dtype=complex).reshape(-1)
@@ -319,10 +244,9 @@ class DiscreteZpk:
         object.__setattr__(self, "zeros", tuple(_sorted_roots(z).tolist()))
         object.__setattr__(self, "poles", tuple(_sorted_roots(p).tolist()))
         object.__setattr__(self, "gain", gain)
-        if self.sections is not None:
-            for poles, zeros, _ in self.sections[1]:
-                poles.setflags(write=False)
-                zeros.setflags(write=False)
+        for poles, zeros, _ in self.sections[1]:
+            poles.setflags(write=False)
+            zeros.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,19 +337,6 @@ def tustin(g: ContinuousTf, sample_time: float) -> DiscreteTf:
 # simulation
 
 
-def filter_zpk(zeros, poles, gain: float, u: np.ndarray) -> np.ndarray:
-    """Zero-initial-condition response of a factored system to samples u.
-
-    Runs the section cascade of the root data in place on one copy of u;
-    roots given as plain Python numbers build the sections fastest.
-    """
-    sos = _fast_sos(zeros, poles, gain)
-    x = np.array(u, dtype=float, ndmin=2)
-    # the kernel checks no bounds: its state needs one row per row of x
-    _sosfilt(sos, x, np.zeros((x.shape[0], sos.shape[0], 2)))
-    return x.reshape(np.shape(u))
-
-
 def filter_tf(num, den, u: np.ndarray) -> np.ndarray:
     """Zero-initial-condition response of delay-free num/den (den monic)
     to samples u; a shorter num is a delayed one."""
@@ -510,18 +421,14 @@ def parallel_state_space(direct: float, branches) -> tuple:
 def simulate(g, u: Signal) -> Signal:
     """Zero-initial-condition response of g to input u.
 
-    Polynomial systems run the direct-form difference equation; factored
-    systems run their section-parallel form when they carry one, and the
-    second-order-section cascade of their roots otherwise. Non-finite
-    output values are returned as-is; callers decide how to react to
-    divergence.
+    Polynomial systems run the direct-form difference equation, factored
+    systems their section-parallel form. Non-finite output values are
+    returned as-is; callers decide how to react to divergence.
     """
     if not same_sample_time(g.sample_time, u.sample_time):
         raise SampleTimeError("system and input sample times differ")
     if isinstance(g, DiscreteZpk):
-        if g.sections is not None:
-            return Signal(filter_parallel(*g.sections, u.samples), g.sample_time)
-        return Signal(filter_zpk(g.zeros, g.poles, g.gain, u.samples), g.sample_time)
+        return Signal(filter_parallel(*g.sections, u.samples), g.sample_time)
     y = filter_tf(g.num.coeffs, g.den.coeffs, u.samples)
     d = g.delay_samples
     if d > 0:
@@ -552,16 +459,15 @@ def inverse_gain(feedthrough: float) -> float:
     return 1.0 / feedthrough
 
 
-def invert(g):
-    """Exact inverse of a biproper, delay-free discrete TF.
+def invert(g: DiscreteTf) -> DiscreteTf:
+    """Exact inverse of a biproper, delay-free polynomial TF.
 
-    Factored systems invert by swapping zeros and poles, so the inverse
-    stays in factored form and never touches expanded coefficients. A
-    polynomial system needs a numerator as long as its denominator, with
-    a leading coefficient that ``inverse_gain`` accepts.
+    The numerator must be as long as the denominator, with a leading
+    coefficient that ``inverse_gain`` accepts. A factored system raises
+    TypeError: the inverse of a parallel sum has no section form.
     """
     if isinstance(g, DiscreteZpk):
-        return DiscreteZpk(g.poles, g.zeros, inverse_gain(g.gain), g.sample_time)
+        raise TypeError("a factored system's inverse has no section form")
     num, den = g.num.coeffs, g.den.coeffs
     if g.delay_samples != 0 or len(num) != len(den):
         raise NonInvertibleError("non-invertible controller")
@@ -611,18 +517,12 @@ def schur_stable(den) -> bool:
 def _block_state_space(g):
     """(A, B, C, D) of a plant or controller; an input delay adds shift states.
 
-    Factored systems use the state space of the section-parallel form they
-    were realized with, polynomial ones the controllable canonical form. With d delay samples
+    Factored systems use the state space of their section-parallel form,
+    polynomial ones the controllable canonical form. With d delay samples
     the input first runs through d shift states and the last of them feeds
-    the rational part. A factored system without poles stands for a
-    constant; one built from roots alone raises ValueError, because no
-    builder here recovers a state space from computed zeros.
+    the rational part.
     """
     if isinstance(g, DiscreteZpk):
-        if not g.poles:
-            return np.zeros((0, 0)), np.zeros(0), np.zeros(0), g.gain
-        if g.sections is None:
-            raise ValueError("a factored system built from roots alone has no state space")
         return parallel_state_space(*g.sections)
     b, a = g.num.as_array(), g.den.as_array()
     if a.size > 1:

@@ -22,6 +22,7 @@ from fritpid.lti_core import (
     NonInvertibleError,
     Signal,
     impulse_response,
+    inverse_gain,
     invert,
     simulate,
     tustin,
@@ -139,9 +140,9 @@ def closed_form_loop(p: DiscreteTf, c: DiscreteTf) -> DiscreteTf:
 
 
 # ---------------------------------------------------------------------------
-# factored-form references: the section builder, inverse and FOPID
-# realization as first written, on numpy arrays, kept to pin the lean
-# versions bit for bit
+# factored-form references on numpy arrays: the second-order section
+# builder of a system's roots, which the path through C^-1 below runs, and
+# the FOPID realization as first written
 
 
 def _reference_split_conjugates(roots: np.ndarray):
@@ -210,14 +211,16 @@ def _reference_fast_sos(zeros: np.ndarray, poles: np.ndarray, gain: float):
     return sos
 
 
-def reference_as_sos(g: DiscreteZpk) -> np.ndarray:
-    """Section matrix of a factored system, built on numpy root arrays.
+def reference_sos(zeros, poles, gain: float) -> np.ndarray:
+    """Section matrix of the biproper system gain * prod (z - zeros_i) /
+    prod (z - poles_i), its adjacent roots paired into quadratics; a
+    system without poles is the one constant section.
 
-    Raises ValueError for unpaired complex roots, as the builder does.
+    Raises ValueError for unpaired complex roots.
     """
-    if not g.poles:
-        return np.array([[g.gain, 0.0, 0.0, 1.0, 0.0, 0.0]])
-    sos = _reference_fast_sos(np.asarray(g.zeros), np.asarray(g.poles), g.gain)
+    if not poles:
+        return np.array([[gain, 0.0, 0.0, 1.0, 0.0, 0.0]])
+    sos = _reference_fast_sos(np.asarray(zeros), np.asarray(poles), gain)
     if sos is None:
         raise ValueError("unpaired complex roots")
     return sos
@@ -233,11 +236,6 @@ def zpk_response(g: DiscreteZpk, z):
     for p0 in g.poles:
         out = out / (z - p0)
     return out
-
-
-def reference_zpk_invert(g: DiscreteZpk) -> DiscreteZpk:
-    """Inverse through the public constructor, which sorts the roots again."""
-    return DiscreteZpk(g.poles, g.zeros, 1.0 / g.gain, g.sample_time)
 
 
 def _reference_staircase(a: float):
@@ -354,35 +352,6 @@ def reference_fictitious_reference(h: np.ndarray, u0: np.ndarray, y0: np.ndarray
     return toeplitz_solve(k * h, k * u0) + y0
 
 
-def _roots(draw, n_real, n_pairs):
-    # + 0.0 folds -0.0 into 0.0: sorting may order the two either way
-    real = [draw(bounded_floats(-2.0, 2.0)) + 0.0 for _ in range(n_real)]
-    pairs = [
-        complex(draw(bounded_floats(-2.0, 2.0)) + 0.0, draw(bounded_floats(1e-3, 2.0)))
-        for _ in range(n_pairs)
-    ]
-    return real + pairs + [q.conjugate() for q in pairs]
-
-
-@st.composite
-def conjugate_root_sets(draw, max_order=9):
-    """(zeros, poles, gain) for a biproper factored system.
-
-    Real roots and conjugate pairs in any mix on either side, odd and
-    even counts. One draw in eight with a complex zero drops its
-    conjugate, which the section builder must reject.
-    """
-    n = draw(st.integers(min_value=1, max_value=max_order))
-    p_pairs = draw(st.integers(min_value=0, max_value=n // 2))
-    z_pairs = draw(st.integers(min_value=0, max_value=n // 2))
-    zeros = _roots(draw, n - 2 * z_pairs, z_pairs)
-    poles = _roots(draw, n - 2 * p_pairs, p_pairs)
-    if z_pairs and draw(st.integers(0, 7)) == 0:
-        zeros[-1] = zeros[-1].real + 0.5
-    gain = draw(st.one_of(bounded_floats(0.1, 5.0), bounded_floats(-5.0, -0.1)))
-    return tuple(zeros), tuple(poles), gain
-
-
 # ---------------------------------------------------------------------------
 # the loss pipeline written out: the inversion-free formula the evaluator
 # computes, pinned bit for bit, and the fictitious-reference path through
@@ -455,11 +424,19 @@ def reference_breakdown(evaluator, theta) -> LossBreakdown:
 
 def inverse_path_breakdown(evaluator, theta) -> tuple:
     """(breakdown, r~ overflowed) of the path through C^-1: realize (with
-    its zeros), r~ = C^-1 u0 + y0 through the inverse's sections or
-    coefficients, and R~ t = y0, with the evaluator's penalty rules."""
+    its zeros), r~ = C^-1 u0 + y0, and R~ t = y0, with the evaluator's
+    penalty rules. A FOPID's inverse runs the sections of its swapped
+    roots, with gain 1/gain, through scipy's public sosfilt; an IOPID's
+    runs its inverted coefficients."""
     data = evaluator.data
     try:
-        rt = simulate(invert(realize(theta, evaluator.template)), data.u0).samples + data.y0.samples
+        c = realize(theta, evaluator.template)
+        if isinstance(c, DiscreteZpk):
+            sos = reference_sos(c.poles, c.zeros, inverse_gain(c.gain))
+            ci_u0 = _sig.sosfilt(sos, data.u0.samples)
+        else:
+            ci_u0 = simulate(invert(c), data.u0).samples
+        rt = ci_u0 + data.y0.samples
     except NonInvertibleError:
         return _penalized(PenaltyReason.NON_INVERTIBLE_CONTROLLER), False
     except ValueError:

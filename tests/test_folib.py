@@ -24,7 +24,6 @@ from fritpid.lti_core import (
     NonInvertibleError,
     Signal,
     closed_loop,
-    invert,
     loop_poles,
     simulate,
 )
@@ -335,8 +334,6 @@ class TestRealizeFopid:
         c = realize(theta, FOPID_T)
         assert len(c.zeros) == len(c.poles)
         assert abs(c.gain) > 0.0
-        ci = invert(c)
-        assert len(ci.poles) == len(c.poles)
 
     @given(theta=fopid_thetas())
     @settings(max_examples=50, deadline=None)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import linalg as sla
 from scipy.linalg import blas
 
-from fritpid import benchlab, folib, lti_core
+from fritpid import benchlab, folib
 from fritpid.folib import ControllerKind, ControllerTemplate, iopid_coeffs, realize
 from fritpid.l1_idfrit import (
     PENALTY,
@@ -33,7 +33,6 @@ from fritpid.lti_core import (
     closed_loop,
     co_simulate,
     impulse_response,
-    invert,
     simulate,
 )
 
@@ -544,8 +543,8 @@ class TestArrayPath:
 
     def test_no_candidate_solves_for_the_controllers_zeros(self, monkeypatch):
         # neither the evaluator nor fictitious_reference of a realized FOPID
-        # takes an eigenvalue solve, builds sections from roots or reads
-        # the zeros: a decoy with other zeros gives the same r~, bit for bit
+        # takes an eigenvalue solve or reads the zeros: a decoy with other
+        # zeros gives the same r~, bit for bit
         theta = [0.0, 1.0, 0.5, 1.0, 0.5]
         rec = closed_loop_record(PLANT, THETA0)
         ev = LossEvaluator(FOPID_T, rec, MD)
@@ -557,7 +556,6 @@ class TestArrayPath:
 
         monkeypatch.setattr(folib, "fopid_roots", refuse)
         monkeypatch.setattr(folib._lapack, "dgeev", refuse)
-        monkeypatch.setattr(lti_core, "_fast_sos", refuse)
         assert not ev.evaluate(theta).penalized
         got = fictitious_reference(decoy, rec).samples
         assert got.tobytes() == fictitious_reference(c, rec).samples.tobytes()

@@ -24,8 +24,9 @@ from fritpid.lti_core import (
     Signal,
     closed_loop,
     co_simulate,
+    filter_chains,
+    filter_parallel,
     filter_tf,
-    filter_zpk,
     impulse_response,
     invert,
     loop_poles,
@@ -33,16 +34,13 @@ from fritpid.lti_core import (
     simulate,
     tustin,
     _block_state_space,
-    _fast_sos,
 )
 
 from .strategies import (
     bounded_floats,
     closed_form_loop,
-    conjugate_root_sets,
     fopid_thetas,
-    reference_as_sos,
-    reference_zpk_invert,
+    reference_parallel_filter,
     signals,
     stable_discrete_tfs,
     zpk_response,
@@ -55,6 +53,12 @@ FOPID_T = ControllerTemplate(ControllerKind.FOPID, TS)
 def lag_d():
     """Tustin image of 1/(s+1) at ts = 0.1: (z+1)/21 over (z - 19/21)."""
     return tustin(ContinuousTf([1.0], [1.0, 1.0]), TS)
+
+
+def one_chain(zeros, poles, gain):
+    """gain * prod (z - zeros_i) / (z - poles_i) as one chain of sections."""
+    chain = (np.asarray(poles), np.asarray(zeros), gain)
+    return DiscreteZpk(zeros, poles, gain, TS, sections=(0.0, (chain,)))
 
 
 class TestPolynomial:
@@ -193,49 +197,54 @@ def monic_tf_coeffs(draw, max_order=4):
     return tuple(num), den
 
 
+@st.composite
+def section_parallel_systems(draw, max_chains=3, max_sections=6):
+    """(direct, branches) of ``filter_parallel``: up to ``max_chains``
+    chains of up to ``max_sections`` first-order sections each, poles on
+    [-1, 1] and zeros on [-2, 2]; a chain may have no sections, and the
+    direct gain may be exactly zero."""
+    direct = draw(st.one_of(st.just(0.0), bounded_floats(-5.0, 5.0)))
+    branches = []
+    for _ in range(draw(st.integers(0, max_chains))):
+        m = draw(st.integers(0, max_sections))
+        poles = draw(st.lists(bounded_floats(-1.0, 1.0), min_size=m, max_size=m))
+        zeros = draw(st.lists(bounded_floats(-2.0, 2.0), min_size=m, max_size=m))
+        gain = draw(bounded_floats(-5.0, 5.0))
+        branches.append((np.array(poles, dtype=float), np.array(zeros, dtype=float), gain))
+    return direct, tuple(branches)
+
+
 class TestCompiledKernels:
-    """filter_zpk and filter_tf call the compiled kernels behind scipy's
-    sosfilt and lfilter; both must give the public functions' bits, so a
-    scipy release that moves or changes a kernel fails here."""
+    """filter_parallel, filter_chains and filter_tf call the compiled
+    kernels behind scipy's sosfilt and lfilter; all must give the public
+    functions' bits, so a scipy release that moves or changes a kernel
+    fails here."""
 
-    @given(
-        st.one_of(
-            conjugate_root_sets(),
-            st.tuples(st.just(()), st.just(()), bounded_floats(-5.0, 5.0)),
-        ),
-        signals(sample_time=TS, max_len=48),
-    )
+    @given(section_parallel_systems(), signals(sample_time=TS, max_len=48))
     @settings(max_examples=200, derandomize=True)
-    @example(((), (), -2.5), Signal(np.array([0.0, 1.0, -0.0, 3.0]), TS))
-    @example(((0.5, 0.1, -0.2, 0.4), (0.3, -0.6, 0.55 + 0.3j, 0.55 - 0.3j), 0.7),
-             Signal(np.ones(6), TS))
-    @example(((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5), -1.5), Signal(np.ones(6), TS))
-    @example(((0.5, -0.1, 0.3), (0.9, 0.2 + 0.4j, 0.2 - 0.4j), 1.0), Signal(np.ones(6), TS))
-    def test_sections_match_sosfilt_bit_for_bit(self, roots, u):
-        try:
-            sos = _fast_sos(*roots)
-        except ValueError:
-            with pytest.raises(ValueError):
-                filter_zpk(*roots, u.samples)
-            return
-        want = _sig.sosfilt(sos, u.samples)
-        assert filter_zpk(*roots, u.samples).tobytes() == want.tobytes()
-
-    def test_each_row_of_a_2d_input_is_one_signal_as_in_sosfilt(self):
-        # the kernel trusts its state array to match the input's rows
-        u = np.arange(12.0).reshape(3, 4) - 5.0
-        roots = ((0.5, -0.1, 0.3), (0.9, 0.2 + 0.4j, 0.2 - 0.4j), 1.5)
-        want = _sig.sosfilt(_fast_sos(*roots), u)
-        assert filter_zpk(*roots, u).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize(
-        "zeros, poles",
-        [((0.5,), (0.9, 0.2 + 0.4j, 0.2 - 0.4j)), ((0.5, 0.1, -0.2), (0.9, 0.3))],
-        ids=["fewer_zeros", "more_zeros"],
+    # an empty chain and a zero direct gain, on a -0.0 input sample
+    @example(
+        (0.0, ((np.zeros(0), np.zeros(0), 1.5),
+               (np.array([0.9, -0.3, 1.0]), np.array([0.2, 0.0, -1.0]), -0.7))),
+        Signal(np.array([0.0, 1.0, -0.0, 3.0]), TS),
     )
-    def test_unequal_root_counts_have_no_sections(self, zeros, poles):
-        with pytest.raises(ValueError, match="biproper"):
-            filter_zpk(zeros, poles, 1.0, np.ones(4))
+    @example((-2.5, ()), Signal(np.array([0.0, 1.0, -0.0, 3.0]), TS))
+    def test_sections_match_sosfilt_bit_for_bit(self, system, u):
+        # filter_parallel on the whole system, and filter_chains on the
+        # chains of each length, each row's gain applied at its output
+        # as the evaluator applies it
+        direct, branches = system
+        want = reference_parallel_filter(system, u.samples)
+        assert filter_parallel(direct, branches, u.samples).tobytes() == want.tobytes()
+        for m in {b[0].size for b in branches}:
+            chains = [b for b in branches if b[0].size == m]
+            rows = filter_chains(
+                np.stack([b[0] for b in chains]), np.stack([b[1] for b in chains]), u.samples
+            )
+            for chain, x in zip(chains, rows):
+                want = reference_parallel_filter((direct, (chain,)), u.samples)
+                got = direct * u.samples + chain[2] * x
+                assert got.tobytes() == want.tobytes()
 
     @given(monic_tf_coeffs(), signals(sample_time=TS, max_len=48))
     @settings(max_examples=200, derandomize=True)
@@ -305,14 +314,12 @@ class TestFeedback:
         assert np.min(np.abs(got - 0.9)) < 1e-12
         assert got.size == 3
 
-    def test_roots_only_factored_controller_cannot_close_a_loop(self):
-        # no state space is ever rebuilt from computed zeros
+    def test_constant_factored_controller_adds_no_loop_pole(self):
+        # a constant's section-parallel form has no chains: its state
+        # space is empty, and the loop's poles are the plant's two
         p = DiscreteTf([0.2, 0.1], [1.0, -1.2, 0.35], TS)
-        c = DiscreteZpk((0.5,), (0.2,), 1.0, TS)
-        with pytest.raises(ValueError, match="roots alone"):
-            closed_loop(p, c)
-        # a constant needs no realization: its state space is empty
-        assert loop_poles(closed_loop(p, DiscreteZpk((), (), 0.5, TS))).size == 2
+        c = DiscreteZpk((), (), 0.5, TS, sections=(0.5, ()))
+        assert loop_poles(closed_loop(p, c)).size == 2
 
     def test_ill_posed_loop_is_rejected(self):
         p = DiscreteTf([1.0], [1.0], TS)
@@ -363,12 +370,9 @@ class TestInvert:
         with pytest.raises(NonInvertibleError):
             invert(DiscreteTf([1.0, 0.2], [1.0, -0.5], TS, delay_samples=1))
 
-    def test_factored_inverse_swaps_zeros_and_poles(self):
-        g = DiscreteZpk((0.5,), (0.2,), 2.0, TS)
-        gi = invert(g)
-        assert gi.zeros == (0.2,)
-        assert gi.poles == (0.5,)
-        assert gi.gain == 0.5
+    def test_factored_system_has_no_inverse(self):
+        with pytest.raises(TypeError, match="no section form"):
+            invert(realize([0.8, 1.2, 0.6, 0.4, 1.3], FOPID_T))
 
 
 #: relative offsets of a drawn root from its radius
@@ -463,7 +467,7 @@ class TestPolesAndStability:
 
 class TestDiscreteZpk:
     def test_response_matches_root_product(self):
-        g = DiscreteZpk((0.5, 0.1), (0.2, -0.3), 2.0, TS)
+        g = one_chain((0.5, 0.1), (0.2, -0.3), 2.0)
         z = 2.0
         expected = 2.0 * (z - 0.5) * (z - 0.1) / ((z - 0.2) * (z + 0.3))
         assert zpk_response(g, z) == pytest.approx(expected, rel=1e-14)
@@ -481,38 +485,6 @@ class TestDiscreteZpk:
         assert d == g.gain
         assert not any(arr.flags.writeable for chain in g.sections[1] for arr in chain[:2])
 
-    @pytest.mark.parametrize(
-        "zeros, poles",
-        [
-            # complex zero pair on a complex pole pair, real zeros on lags
-            ((0.5, -0.2, 0.05, 0.9j, -0.9j), (0.3, -0.6, 0.1, 0.55 + 0.3j, 0.55 - 0.3j)),
-            # complex zero pair riding on two real lags
-            ((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5)),
-            # real zeros riding on a complex pole pair, with and without
-            # a linear tail on both sides
-            ((0.1, 0.2, 0.3), (0.5 + 0.5j, 0.5 - 0.5j, 0.7)),
-            ((0.1, 0.3), (0.5 + 0.5j, 0.5 - 0.5j)),
-            # no roots: the one constant section
-            ((), ()),
-        ],
-    )
-    def test_state_space_realizes_the_transfer_function(self, zeros, poles):
-        # a system built from roots alone is realized by its section
-        # cascade, the one builder every pairing case above goes through;
-        # each section's state pair carries its denominator's two roots
-        g = DiscreteZpk(zeros, poles, 0.7, TS)
-        sos = _fast_sos(g.zeros, g.poles, g.gain)
-        section_poles = np.concatenate([np.roots(row[3:]) for row in sos])
-        section_poles = section_poles[section_poles != 0.0]
-        assert sorted(np.abs(section_poles)) == pytest.approx(
-            sorted(np.abs(poles)), abs=1e-14
-        )
-        for z in (1.0, -1.0, 0.3 + 0.8j, 2.0):
-            got = np.prod(
-                [np.polyval(row[:3], z) / np.polyval(row[3:], z) for row in sos]
-            )
-            assert got == pytest.approx(zpk_response(g, z), rel=1e-12)
-
     @pytest.mark.parametrize("order", [folib.OUSTALOUP_ORDER, 1], ids=["default", "order1"])
     @given(theta=fopid_thetas())
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -528,51 +500,13 @@ class TestDiscreteZpk:
             got = c @ np.linalg.solve(z * np.eye(a.shape[0]) - a, b) + d
             assert got == pytest.approx(zpk_response(g, z), rel=1e-12)
 
-    @given(signals(sample_time=TS, max_len=48))
-    @settings(max_examples=40)
-    def test_factored_and_expanded_simulation_agree(self, u):
-        g = DiscreteZpk(
-            (0.5, -0.2, 0.05, 0.9j, -0.9j),
-            (0.3, -0.6, 0.1, 0.55 + 0.3j, 0.55 - 0.3j),
-            0.7,
-            TS,
-        )
-        y_fac = simulate(g, u)
-        expanded = DiscreteTf(0.7 * np.real(np.poly(g.zeros)), np.real(np.poly(g.poles)), TS)
-        y_tf = simulate(expanded, u)
-        scale = 1.0 + np.max(np.abs(y_tf.samples))
-        np.testing.assert_allclose(y_fac.samples, y_tf.samples, atol=1e-9 * scale)
-
     def test_strictly_proper_factored_form_is_rejected(self):
         with pytest.raises(ValueError, match="biproper: 1 zeros, 2 poles"):
-            DiscreteZpk((0.3,), (0.5 + 0.2j, 0.5 - 0.2j), 1.0, TS)
+            one_chain((0.3,), (0.5 + 0.2j, 0.5 - 0.2j), 1.0)
 
     def test_improper_factored_form_is_rejected(self):
         with pytest.raises(ValueError, match="biproper: 2 zeros, 1 poles"):
-            DiscreteZpk((0.1, 0.2), (0.5,), 1.0, TS)
-
-    @given(conjugate_root_sets())
-    @settings(max_examples=300, derandomize=True)
-    @example(((0.5, 0.1, -0.2, 0.4), (0.3, -0.6, 0.55 + 0.3j, 0.55 - 0.3j), 0.7))
-    @example(((0.2 + 0.7j, 0.2 - 0.7j, 0.4), (0.9, 0.8, -0.5), -1.5))
-    @example(((0.2 + 0.7j, 0.4 - 0.7j, 0.4), (0.9, 0.8, -0.5), 2.0))
-    def test_sections_and_inverse_match_the_reference_bit_for_bit(self, roots):
-        # the builder groups plain Python numbers and the inverse sorts
-        # the swapped roots through the constructor; neither may move a
-        # bit. Unpaired complex roots (the last example) have no sections.
-        zeros, poles, gain = roots
-        g = DiscreteZpk(zeros, poles, gain, TS)
-        try:
-            want = reference_as_sos(g)
-        except ValueError:
-            with pytest.raises(ValueError):
-                _fast_sos(g.zeros, g.poles, g.gain)
-        else:
-            assert _fast_sos(g.zeros, g.poles, g.gain).tobytes() == want.tobytes()
-        gi, ref = invert(g), reference_zpk_invert(g)
-        assert np.asarray(gi.zeros).tobytes() == np.asarray(ref.zeros).tobytes()
-        assert np.asarray(gi.poles).tobytes() == np.asarray(ref.poles).tobytes()
-        assert gi.gain == ref.gain
+            one_chain((0.1, 0.2), (0.5,), 1.0)
 
 
 class TestValidation:
@@ -595,10 +529,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: DiscreteZpk((math.nan,), (0.5,), 1.0, TS), "zeros must be finite"),
-            (lambda: DiscreteZpk((0.1,), (0.5, math.inf), 1.0, TS), "poles must be finite"),
-            (lambda: DiscreteZpk((0.1,), (0.5,), math.inf, TS), "gain must be finite"),
-            (lambda: DiscreteZpk((0.1, 0.2), (0.5,), 1.0, TS), "biproper"),
+            (lambda: one_chain((math.nan,), (0.5,), 1.0), "zeros must be finite"),
+            (lambda: one_chain((0.1,), (0.5, math.inf), 1.0), "poles must be finite"),
+            (lambda: one_chain((0.1,), (0.5,), math.inf), "gain must be finite"),
+            (lambda: one_chain((0.1, 0.2), (0.5,), 1.0), "biproper"),
             (lambda: DiscreteTf([1.0, 0.0, 0.0], [2.0, -1.0], TS), "improper discrete"),
             (lambda: DiscreteTf([1.0], [0.0, 0.0], TS), "must not be identically zero"),
             (lambda: DiscreteTf([[1.0]], [1.0], TS), "non-empty 1-D sequence"),
@@ -612,8 +546,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "g",
         [
-            DiscreteZpk((0.5,), (0.2,), 0.0, TS),
-            DiscreteZpk((0.5,), (0.2,), 1e-13, TS),
             DiscreteTf([1e-13, 1.0], [1.0, -0.5], TS),
             DiscreteTf([0.0, 1.0], [1.0, -0.5], TS),
         ],

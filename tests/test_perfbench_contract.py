@@ -3,12 +3,13 @@
 ``perfbench/workloads.py`` grades each ``benchlab.validate`` report
 against its own dense oracles. To do so it reads the realized
 controller's zeros, poles and gain, the fictitious reference (through
-``invert``), the reference model's coefficients and the report's step
-traces. The name checks of ``test_perfbench_imports.py`` and
-``test_trace_targets.py`` miss a change to what those objects hold, which
-would otherwise first show up as a failed benchmark run. The harness
-modules import each other by plain name, so ``perfbench/`` goes on the
-path, as ``perfbench/tests/conftest.py`` puts it.
+``l1_idfrit.fictitious_reference``), the reference model's coefficients
+and the report's step traces. The name checks of
+``test_perfbench_imports.py`` and ``test_trace_targets.py`` miss a change
+to what those objects hold, which would otherwise first show up as a
+failed benchmark run. The harness modules import each other by plain
+name, so ``perfbench/`` goes on the path, as
+``perfbench/tests/conftest.py`` puts it.
 """
 
 import sys
