@@ -546,6 +546,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "g",
         [
+            DiscreteTf([1.0, 0.5], [1.0, -0.5], TS, delay_samples=1),
+            DiscreteTf([-1e-13, 1.0], [1.0, -0.5], TS),
             DiscreteTf([1e-13, 1.0], [1.0, -0.5], TS),
             DiscreteTf([0.0, 1.0], [1.0, -0.5], TS),
         ],
