@@ -26,13 +26,15 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .folib import ControllerKind, ControllerTemplate, realize
-from .l1_idfrit import ExperimentRecord, LossBreakdown, LossEvaluator
+from .l1_idfrit import ExperimentRecord, LossBreakdown, LossEvaluator, toeplitz_solve
 from .lti_core import (
     ContinuousTf,
     DiscreteTf,
+    SampleTimeError,
     Signal,
+    check_well_posed,
     closed_loop,
-    co_simulate,
+    impulse_response,
     is_stable,
     loop_poles,
     same_sample_time,
@@ -57,6 +59,7 @@ __all__ = [
     "discretized_plant",
     "discretized_reference_model",
     "unit_step",
+    "co_simulate",
     "collect_data",
     "make_evaluator",
     "validate",
@@ -366,18 +369,40 @@ def unit_step(n_samples: int, sample_time: float) -> Signal:
     return Signal(np.ones(n_samples), sample_time)
 
 
+def co_simulate(p, c, r: Signal) -> Tuple[Signal, Signal]:
+    """Response (y, u) of the unity-feedback loop of plant p and controller
+    c to the reference r, from rest.
+
+    With L = P C, the error e = r - y solves (1 + L) e = r: one
+    ``toeplitz_solve`` with L's impulse response, plus one at its head, as
+    first column, then y = r - e and u = C e. That impulse response runs
+    through the plant first: a controller's own can grow by orders of
+    magnitude that the plant averages away. Raises SampleTimeError unless
+    p, c and r share a sample time, and AlgebraicLoopError when 1 + Dc Dp
+    vanishes; a divergent loop returns its samples without a warning.
+    """
+    if not same_sample_time(p.sample_time, r.sample_time):
+        raise SampleTimeError("reference sample time differs from the loop")
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = simulate(c, impulse_response(p, len(r) - 1)).samples.copy()
+        h[0] += 1.0
+        check_well_posed(h[0])
+        e = toeplitz_solve(h, r.samples)
+        u = simulate(c, Signal(e, r.sample_time))
+    return Signal(r.samples - e, r.sample_time), u
+
+
 def collect_data(case: BenchmarkCase) -> ExperimentRecord:
     """Run the one-shot experiment: the theta0 loop under a unit step.
 
-    The closed loop of the discretized plant and the realized starting
-    controller is co-simulated sample by sample, which is how the record
-    would be captured on a live loop; the resulting (r0, u0, y0) triple
-    is all the tuner ever sees.
+    The unity-feedback loop of the discretized plant and the realized
+    starting controller answers a unit step (``co_simulate``); the
+    resulting (r0, u0, y0) triple is all the tuner ever sees.
     """
     pd = discretized_plant(case)
     c0 = realize(case.theta0, case.template)
     r0 = unit_step(case.n_samples, case.sample_time)
-    y0, u0 = co_simulate(closed_loop(pd, c0), r0)
+    y0, u0 = co_simulate(pd, c0, r0)
     return ExperimentRecord(r0=r0, u0=u0, y0=y0)
 
 
@@ -389,23 +414,26 @@ def make_evaluator(config: RunConfig, data: ExperimentRecord) -> LossEvaluator:
 def validate(config: RunConfig, theta) -> ValidationReport:
     """Grade a parameter vector against the config's true plant.
 
-    Builds the actual closed loop once, reports its poles and stability, the
-    l1 gap between its step response and the reference model's over
-    ``sim_time``, and the input effort. Instability shows up in the
-    report, never as an exception.
+    Reports the actual loop's poles (``closed_loop``) and stability, the l1
+    gap between its step response (``co_simulate``) and the reference
+    model's over ``sim_time``, and the input effort. Instability shows up
+    in the report, never as an exception; a config without a plant or a
+    ``sim_time`` raises ValueError.
     """
+    for name in ("plant", "sim_time"):
+        if getattr(config, name) is None:
+            raise ValueError(f"validate needs a config with a {name}")
     pd = discretized_plant(config)
     c = realize(theta, config.template)
     r = unit_step(config.n_samples, pd.sample_time)
-    loop = closed_loop(pd, c)
-    poles = tuple(complex(p) for p in loop_poles(loop))
-    y_cl, u = co_simulate(loop, r)
+    poles = tuple(complex(p) for p in loop_poles(closed_loop(pd, c)))
+    y_cl, u = co_simulate(pd, c, r)
     y_model = simulate(discretized_reference_model(config), r)
-    err = np.abs(y_cl.samples - y_model.samples)
-    tracking = float(np.sum(err)) if np.all(np.isfinite(err)) else math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        tracking = float(np.sum(np.abs(y_cl.samples - y_model.samples)))
     return ValidationReport(
         closed_loop_poles=poles,
-        tracking_error_l1=tracking,
+        tracking_error_l1=tracking if math.isfinite(tracking) else math.inf,
         max_abs_input=float(np.max(np.abs(u.samples))),
         step_traces=StepTraces(r=r, y_model=y_model, y_closed_loop=y_cl, u=u),
     )

@@ -14,9 +14,9 @@ poles and gain serve reports only.
 Continuous TFs carry an optional dead time, discrete ones an integer
 sample delay. Only what the tuning pipeline needs is provided: bilinear
 discretization, difference-equation simulation, inversion of a polynomial
-TF, one stability rule (every pole below STABLE_RADIUS), and one state
-space of the unity-feedback loop, built by ``closed_loop``, that serves
-both its simulation and its poles. A loop is judged on its eigenvalues as
+TF, one stability rule (every pole below STABLE_RADIUS), and the state
+matrix of the unity-feedback loop, built by ``closed_loop``, that its
+poles are read from. A loop is judged on its eigenvalues as
 computed; a polynomial such as the reference model's denominator is
 judged exactly, by a Schur-Cohn certificate on its float coefficients.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy import signal as _sig
@@ -61,10 +61,9 @@ __all__ = [
     "same_sample_time",
     "is_stable",
     "schur_stable",
-    "ClosedLoop",
+    "check_well_posed",
     "closed_loop",
     "loop_poles",
-    "co_simulate",
 ]
 
 #: relative threshold below which a leading coefficient counts as degenerate
@@ -549,70 +548,42 @@ def _block_state_space(g):
 # closed loop
 
 
-class ClosedLoop(NamedTuple):
-    """State space of the unity-feedback loop r -> (y, u)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C_y: np.ndarray
-    D_y: float
-    C_u: np.ndarray
-    D_u: float
-    sample_time: float
+def check_well_posed(head: float) -> None:
+    """The one loop rule: AlgebraicLoopError when 1 + Dc Dp, ``head``, vanishes."""
+    if abs(head) < _LEAD_TOL:
+        raise AlgebraicLoopError("feedback loop is not well posed")
 
 
-def closed_loop(p, c) -> ClosedLoop:
-    """The unity-feedback loop of plant p and controller c, built once for
-    both its poles and its simulation.
+def closed_loop(p, c) -> np.ndarray:
+    """State matrix of the unity-feedback loop of plant p and controller c.
 
-    The state stacks the plant's states over the controller's. With
-    e = r - y, u = C e and y = P u, the feedthrough algebra is solved once:
-    u = (Cc xc - Dc Cp xp + Dc r) / (1 + Dc Dp). A loop where 1 + Dc Dp
-    vanishes raises AlgebraicLoopError. The controller may be polynomial
-    or factored.
+    The state stacks the plant's states over the controller's, with the
+    feedthrough algebra solved once: u = (Cc xc - Dc Cp xp + Dc r) /
+    (1 + Dc Dp), where ``check_well_posed`` must accept 1 + Dc Dp. The
+    controller may be polynomial or factored.
     """
     if not same_sample_time(p.sample_time, c.sample_time):
         raise SampleTimeError("plant and controller sample times differ")
     Ap, Bp, Cp, Dp = _block_state_space(p)
     Ac, Bc, Cc, Dc = _block_state_space(c)
     well_posed = 1.0 + Dc * Dp
-    if abs(well_posed) < _LEAD_TOL:
-        raise AlgebraicLoopError("feedback loop is not well posed")
+    check_well_posed(well_posed)
     n_p = Ap.shape[0]
     C_u = np.concatenate([-Dc * Cp, Cc]) / well_posed
-    D_u = Dc / well_posed
     C_y = np.concatenate([Cp, np.zeros(Cc.size)]) + Dp * C_u
-    D_y = Dp * D_u
     A = np.zeros((n_p + Cc.size, n_p + Cc.size))
     A[:n_p, :n_p] = Ap
     A[n_p:, n_p:] = Ac
     A[:n_p] += np.outer(Bp, C_u)
     A[n_p:] -= np.outer(Bc, C_y)
-    B = np.concatenate([Bp * D_u, Bc * (1.0 - D_y)])
-    return ClosedLoop(A, B, C_y, D_y, C_u, D_u, p.sample_time)
+    return A
 
 
-def loop_poles(loop: ClosedLoop) -> np.ndarray:
+def loop_poles(A: np.ndarray) -> np.ndarray:
     """Closed-loop poles, largest magnitude first.
 
-    The eigenvalues of the loop's state matrix, reported as computed.
+    The eigenvalues of the loop's state matrix A, reported as computed.
     Every plant delay sample and every controller state is a mode, so
     hidden (cancelled) modes show up too.
     """
-    return _sorted_roots(np.linalg.eigvals(loop.A))
-
-
-def co_simulate(loop: ClosedLoop, r: Signal):
-    """Run the loop one sample at a time; returns (y, u)."""
-    if not same_sample_time(loop.sample_time, r.sample_time):
-        raise SampleTimeError("reference sample time differs from the loop")
-    A, B, C_y, D_y, C_u, D_u, ts = loop
-    rs = r.samples
-    states = np.zeros((len(r), B.size))
-    x = np.zeros(B.size)
-    for k in range(len(r)):
-        states[k] = x
-        x = A @ x + B * rs[k]
-    y = states @ C_y + D_y * rs
-    u = states @ C_u + D_u * rs
-    return Signal(y, ts), Signal(u, ts)
+    return _sorted_roots(np.linalg.eigvals(A))

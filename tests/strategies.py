@@ -26,6 +26,7 @@ from fritpid.lti_core import (
     invert,
     simulate,
     tustin,
+    _block_state_space,
 )
 
 SAMPLE_TIMES = (0.01, 0.05, 0.1, 0.5, 1.0)
@@ -137,6 +138,41 @@ def closed_form_loop(p: DiscreteTf, c: DiscreteTf) -> DiscreteTf:
     den = np.convolve(p.den.as_array(), c.den.as_array())
     den = np.polyadd(np.concatenate([den, np.zeros(p.delay_samples + c.delay_samples)]), num)
     return DiscreteTf(num, den, p.sample_time)
+
+
+def reference_co_simulate(p, c, r: np.ndarray, dtype=np.float64) -> tuple:
+    """(y, u) of the unity-feedback loop of plant p and controller c under
+    the samples r, stepped one sample at a time in ``dtype``.
+
+    Each block enters through the state space of
+    ``lti_core._block_state_space``, converted to ``dtype``; the state
+    stacks the plant's states over the controller's, the feedthrough
+    algebra u = (Cc xc - Dc Cp xp + Dc r) / (1 + Dc Dp) is solved once,
+    and every sample takes one step x+ = A x + B r. In ``np.longdouble``
+    this is the reference the loop response is graded against.
+    """
+    Ap, Bp, Cp, Dp = (np.asarray(m, dtype=dtype) for m in _block_state_space(p))
+    Ac, Bc, Cc, Dc = (np.asarray(m, dtype=dtype) for m in _block_state_space(c))
+    well_posed = 1 + Dc * Dp
+    n_p = Ap.shape[0]
+    C_u = np.concatenate([-Dc * Cp, Cc]) / well_posed
+    D_u = Dc / well_posed
+    C_y = np.concatenate([Cp, np.zeros(Cc.size, dtype)]) + Dp * C_u
+    D_y = Dp * D_u
+    A = np.zeros((n_p + Cc.size, n_p + Cc.size), dtype)
+    A[:n_p, :n_p] = Ap
+    A[n_p:, n_p:] = Ac
+    A[:n_p] += np.outer(Bp, C_u)
+    A[n_p:] -= np.outer(Bc, C_y)
+    B = np.concatenate([Bp * D_u, Bc * (1 - D_y)])
+    rs = np.asarray(r, dtype)
+    states = np.zeros((rs.size, B.size), dtype)
+    x = np.zeros(B.size, dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(rs.size):
+            states[k] = x
+            x = A @ x + B * rs[k]
+        return states @ C_y + D_y * rs, states @ C_u + D_u * rs
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from fritpid.benchlab import (
     TuningResult,
     ValidationReport,
     builtin_case,
+    co_simulate,
     collect_data,
     discretized_plant,
     discretized_reference_model,
@@ -27,11 +29,11 @@ from fritpid.benchlab import (
     unit_step,
     validate,
 )
-from fritpid.folib import ControllerKind
-from fritpid.lti_core import STABLE_RADIUS, DiscreteTf, closed_loop, simulate
+from fritpid.folib import ControllerKind, realize
+from fritpid.lti_core import STABLE_RADIUS, DiscreteTf, Signal, closed_loop, simulate
 from fritpid.swarm_opt import PsoConfig
 
-from .strategies import closed_form_loop
+from .strategies import closed_form_loop, reference_co_simulate
 
 SMOKE_PSO = PsoConfig(swarm_size=8, max_iterations=10)
 
@@ -249,12 +251,86 @@ class TestValidate:
         validate(builtin_case("example3_fo"), reference_targets("example3_fo").theta_star)
         assert len(calls) == 1
 
+    def test_a_config_without_a_plant_is_rejected(self, monkeypatch):
+        case = builtin_case("example3_io")
+        config = RunConfig(
+            template=case.template,
+            bounds=case.bounds,
+            reference_model=case.reference_model,
+            sim_time=case.sim_time,
+        )
+        monkeypatch.setattr(benchlab, "realize", None)  # no work before the check
+        with pytest.raises(ValueError, match="validate needs a config with a plant"):
+            validate(config, case.theta0)
+
+    def test_a_config_without_a_horizon_is_rejected(self, monkeypatch):
+        case = builtin_case("example3_io")
+        config = RunConfig(
+            template=case.template,
+            bounds=case.bounds,
+            reference_model=case.reference_model,
+            plant=case.plant,
+        )
+        monkeypatch.setattr(benchlab, "realize", None)
+        with pytest.raises(ValueError, match="validate needs a config with a sim_time"):
+            validate(config, case.theta0)
+
+    def test_an_overflowing_loop_reports_infinite_tracking_error(self):
+        # a plant pole at z = 1e6 with C = 1: the step response passes
+        # 1e308 within the 81 samples, and nothing warns on the way
+        case = builtin_case("example3_io")
+        plant = DiscreteTf([1.0], [1.0, -1e6], case.sample_time)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate(replace(case, plant=plant), [1.0, 0.0, 0.0])
+        assert not np.isfinite(rep.step_traces.y_closed_loop.samples).all()
+        assert rep.tracking_error_l1 == np.inf
+        assert rep.stable is False
+
+    def test_an_l1_gap_that_overflows_reports_infinity_without_a_warning(self, monkeypatch):
+        # every sample below the float64 limit, their sum above it
+        case = builtin_case("example3_io")
+
+        def huge(p, c, r):
+            return Signal(np.full(len(r), 1e307), r.sample_time), r
+
+        monkeypatch.setattr(benchlab, "co_simulate", huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate(case, case.theta0)
+        assert rep.tracking_error_l1 == np.inf
+
     def test_model_trace_is_the_reference_model_response(self):
         case = builtin_case("example3_io")
         rep = validate(case, case.theta0)
         md = discretized_reference_model(case)
         want = simulate(md, rep.step_traces.r)
         np.testing.assert_allclose(rep.step_traces.y_model.samples, want.samples, atol=1e-12)
+
+
+def _theta(case, which):
+    if which == "theta0":
+        return case.theta0
+    if which == "theta_star":
+        return np.asarray(reference_targets(case.name).theta_star)
+    return case.bounds.upper
+
+
+class TestCoSimulate:
+    @pytest.mark.parametrize("which", ["theta0", "theta_star", "upper_corner"])
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_loop_response_matches_the_long_double_recursion(self, name, which):
+        # the upper corners diverge (up to 1e89 on example3_fo); the
+        # tolerance is relative to each signal's peak all the same
+        case = builtin_case(name)
+        p = discretized_plant(case)
+        c = realize(_theta(case, which), case.template)
+        r = unit_step(case.n_samples, case.sample_time)
+        y, u = co_simulate(p, c, r)
+        y_ref, u_ref = reference_co_simulate(p, c, r.samples, np.longdouble)
+        for got, want in ((y, y_ref), (u, u_ref)):
+            peak = float(np.max(np.abs(want)))
+            assert float(np.max(np.abs(got.samples - want))) <= 1e-10 * peak
 
 
 class TestTuneCase:

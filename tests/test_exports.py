@@ -25,3 +25,12 @@ def test_exported_names_exist(module):
     owner = importlib.import_module(module)
     missing = [name for name in owner.__all__ if not hasattr(owner, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+def test_the_loop_response_is_exported_by_benchlab():
+    # the loop response needs l1_idfrit's Toeplitz solver, which lti_core
+    # cannot import without an import cycle
+    from fritpid import benchlab, lti_core
+
+    assert "co_simulate" in benchlab.__all__
+    assert "co_simulate" not in lti_core.__all__ and not hasattr(lti_core, "co_simulate")

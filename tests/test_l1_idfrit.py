@@ -13,6 +13,7 @@ from scipy import linalg as sla
 from scipy.linalg import blas
 
 from fritpid import benchlab, folib
+from fritpid.benchlab import co_simulate
 from fritpid.folib import ControllerKind, ControllerTemplate, iopid_coeffs, realize
 from fritpid.l1_idfrit import (
     PENALTY,
@@ -30,8 +31,6 @@ from fritpid.lti_core import (
     DiscreteTf,
     SampleTimeError,
     Signal,
-    closed_loop,
-    co_simulate,
     impulse_response,
     simulate,
 )
@@ -60,7 +59,7 @@ def closed_loop_record(plant: DiscreteTf, theta0, template=IOPID_T, n=N) -> Expe
     """Collect (r0, u0, y0) from the unity loop of plant and C(theta0)."""
     c0 = realize(theta0, template)
     r0 = step(n, plant.sample_time)
-    y0, u0 = co_simulate(closed_loop(plant, c0), r0)
+    y0, u0 = co_simulate(plant, c0, r0)
     return ExperimentRecord(r0, u0, y0)
 
 
@@ -732,7 +731,7 @@ class TestBatch:
         # row with r0's increments instead of scaling one cumsum
         c0 = realize(THETA0, IOPID_T)
         r0 = Signal(np.where(np.arange(N) < 20, 1.0, 1.5) + 0.01 * np.arange(N), TS)
-        y0, u0 = co_simulate(closed_loop(PLANT, c0), r0)
+        y0, u0 = co_simulate(PLANT, c0, r0)
         rec = ExperimentRecord(r0, u0, y0)
         for template, thetas in ((IOPID_T, _IOPID_ARRAY_THETAS), (FOPID_T, _FOPID_ARRAY_THETAS)):
             ev = LossEvaluator(template, rec, MD)

@@ -1,6 +1,7 @@
 """Discrete-time core: polynomials, transfer functions, simulation, feedback."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import signal as _sig
 
 from fritpid import folib
+from fritpid.benchlab import co_simulate
 from fritpid.folib import ControllerKind, ControllerTemplate, realize
 from fritpid.lti_core import (
     STABLE_RADIUS,
@@ -23,7 +25,6 @@ from fritpid.lti_core import (
     SampleTimeError,
     Signal,
     closed_loop,
-    co_simulate,
     filter_chains,
     filter_parallel,
     filter_tf,
@@ -40,6 +41,7 @@ from .strategies import (
     bounded_floats,
     closed_form_loop,
     fopid_thetas,
+    reference_co_simulate,
     reference_parallel_filter,
     signals,
     stable_discrete_tfs,
@@ -264,10 +266,10 @@ class TestFeedback:
         stable_discrete_tfs(sample_time=TS, max_order=3),
     )
     @settings(max_examples=60)
-    def test_closed_form_matches_sample_by_sample_loop(self, p, c):
+    def test_closed_form_matches_the_loop_response(self, p, c):
         r = Signal(np.ones(40), TS)
         try:
-            y_loop, _ = co_simulate(closed_loop(p, c), r)
+            y_loop, _ = co_simulate(p, c, r)
         except AlgebraicLoopError:
             assume(False)
         y_tf = simulate(closed_form_loop(p, c), r)
@@ -288,10 +290,47 @@ class TestFeedback:
         expanded = DiscreteTf(
             c.gain * np.real(np.poly(c.zeros)), np.real(np.poly(c.poles)), TS
         )
-        y_loop, _ = co_simulate(closed_loop(p, c), r)
+        y_loop, _ = co_simulate(p, c, r)
         y_tf = simulate(closed_form_loop(p, expanded), r)
         scale = 1.0 + np.max(np.abs(y_tf.samples))
         np.testing.assert_allclose(y_loop.samples, y_tf.samples, atol=1e-9 * scale)
+
+    @given(
+        # poles up to 1.3 in magnitude: stable and unstable plants alike
+        stable_discrete_tfs(sample_time=TS, max_order=3, margin=-0.3),
+        st.integers(min_value=0, max_value=3),
+        st.one_of(
+            stable_discrete_tfs(sample_time=TS, max_order=3),
+            fopid_thetas().map(lambda theta: realize(theta, FOPID_T)),
+        ),
+        signals(sample_time=TS, max_len=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_loop_response_matches_the_long_double_recursion(self, p, delay, c, r):
+        # the per-sample recursion of the loop's state space, stepped in
+        # long double, within 1e-10 of each signal's peak
+        p = DiscreteTf(p.num, p.den, TS, delay_samples=delay)
+        try:
+            y, u = co_simulate(p, c, r)
+        except AlgebraicLoopError:
+            assume(False)
+        y_ref, u_ref = reference_co_simulate(p, c, r.samples, np.longdouble)
+        for got, want in ((y, y_ref), (u, u_ref)):
+            peak = float(np.max(np.abs(want)))
+            assume(peak < 1e300)
+            assert float(np.max(np.abs(got.samples - want))) <= 1e-10 * peak
+
+    def test_float64_reference_is_the_long_double_one_rounded(self):
+        # the reference in both precisions on one loop: they differ by
+        # round-off only, so the long-double run grades the float64 one
+        p = DiscreteTf([0.2, 0.1], [1.0, -1.2, 0.35], TS, delay_samples=2)
+        c = realize([0.8, 1.2, 0.6, 0.4, 1.3], FOPID_T)
+        r = np.ones(200)
+        for got, want in zip(
+            reference_co_simulate(p, c, r), reference_co_simulate(p, c, r, np.longdouble)
+        ):
+            assert got.dtype == np.float64 and want.dtype == np.longdouble
+            assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
 
     def test_static_gain_moves_the_single_pole(self):
         # y = k/(z - 0.5 + k) r, so the loop pole sits at 0.5 - k
@@ -325,24 +364,48 @@ class TestFeedback:
         p = DiscreteTf([1.0], [1.0], TS)
         c = DiscreteTf([-1.0], [1.0], TS)
         with pytest.raises(AlgebraicLoopError):
-            co_simulate(closed_loop(p, c), Signal(np.ones(4), TS))
+            co_simulate(p, c, Signal(np.ones(4), TS))
+        with pytest.raises(AlgebraicLoopError):
+            closed_loop(p, c)
 
     def test_plant_delay_breaks_the_algebraic_loop(self):
         p = DiscreteTf([1.0], [1.0], TS, delay_samples=1)
         c = DiscreteTf([-1.0], [1.0], TS)
-        y, u = co_simulate(closed_loop(p, c), Signal(np.ones(4), TS))
+        y, u = co_simulate(p, c, Signal(np.ones(4), TS))
         assert np.all(np.isfinite(y.samples))
 
     def test_unity_gain_loop_halves_dc(self):
         p = DiscreteTf([1.0], [1.0], TS)
         c = DiscreteTf([1.0], [1.0], TS)
-        y, _ = co_simulate(closed_loop(p, c), Signal(np.ones(8), TS))
+        y, _ = co_simulate(p, c, Signal(np.ones(8), TS))
         np.testing.assert_allclose(y.samples, 0.5, atol=1e-14)
 
     def test_reference_at_another_sample_time_is_rejected(self):
-        loop = closed_loop(DiscreteTf([1.0], [1.0, -0.5], TS), DiscreteTf([1.0], [1.0], TS))
+        p, c = DiscreteTf([1.0], [1.0, -0.5], TS), DiscreteTf([1.0], [1.0], TS)
         with pytest.raises(SampleTimeError, match="reference sample time"):
-            co_simulate(loop, Signal(np.ones(4), 2 * TS))
+            co_simulate(p, c, Signal(np.ones(4), 2 * TS))
+
+    def test_controller_at_another_sample_time_is_rejected(self):
+        p, c = DiscreteTf([1.0], [1.0, -0.5], TS), DiscreteTf([1.0], [1.0], 2 * TS)
+        with pytest.raises(SampleTimeError, match="sample times differ"):
+            co_simulate(p, c, Signal(np.ones(4), TS))
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_an_overflowing_loop_returns_its_samples_without_a_warning(self, factored):
+        # C = 1e100 puts the loop pole near z = -1e100: the error passes
+        # 1e300 three samples in, C's output overflows in the next, and
+        # the samples after that are inf or nan
+        p = DiscreteTf([1.0], [1.0, -2.0], TS)
+        if factored:
+            c = DiscreteZpk((), (), 1e100, TS, sections=(1e100, ()))
+        else:
+            c = DiscreteTf([1e100], [1.0], TS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, u = co_simulate(p, c, Signal(np.ones(8), TS))
+        assert np.isfinite(y.samples[:3]).all()
+        assert not np.isfinite(y.samples).all()
+        assert not np.isfinite(u.samples).all()
 
 
 class TestInvert:
