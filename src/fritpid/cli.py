@@ -662,15 +662,18 @@ def cmd_validate(config: RunConfig, theta: np.ndarray, out_dir: Path) -> int:
             "warning: theta lies outside the configured bounds; validating anyway",
             file=sys.stderr,
         )
+    # the controller's zeros are computed when the payload reads them, so
+    # a failed eigensolve surfaces here too
     try:
         report = validate(config, theta)
+        controller = _controller_payload(realize(theta, config.template))
     except ValueError as exc:
         raise CliError(f"cannot realize theta: {exc}", EXIT_NUMERIC) from exc
 
     payload = {
         "theta": theta,
         "validation": _validation_payload(report),
-        "controller": _controller_payload(realize(theta, config.template)),
+        "controller": controller,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "validation.json", payload)
@@ -760,7 +763,8 @@ def _run_tune(args: argparse.Namespace) -> int:
 def _run_validate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     try:
-        theta = np.asarray([float(p) for p in args.theta.split(",") if p.strip()])
+        # an empty item, as in "1,,0" or "1,0,", is malformed
+        theta = np.asarray([float(p) for p in args.theta.split(",")])
     except ValueError:
         raise CliError(f"invalid theta {args.theta!r}", EXIT_USAGE) from None
     return cmd_validate(config, theta, Path(args.out_dir))

@@ -13,12 +13,11 @@ coefficients of a common-denominator sum lose the slow dynamics entirely
 in double precision. It is therefore kept in section-parallel form: every
 zero and pole maps through the bilinear substitution individually, each
 term becomes a chain of first-order sections, and the chains and the
-proportional gain run in parallel. That form is what the loss filters
-(``fopid_sections``, which computes no zeros) and what every closed loop
-uses as the controller block. The zeros of the parallel sum, for reports
-and grading, are recovered from its structured state-space assembly
-(``fopid_roots``), the same rational function the common-denominator
-route defines, computed without ever expanding it.
+proportional gain run in parallel. That form (``fopid_sections``) is
+the realized controller: what the loss filters and what every closed
+loop uses as the controller block. The zeros of the parallel sum, which
+only reports read, are computed from it by ``lti_core.parallel_zeros``
+without ever expanding it.
 """
 
 from __future__ import annotations
@@ -29,14 +28,12 @@ from enum import Enum
 
 import numpy as np
 from scipy import signal as _sig
-from scipy.linalg import lapack as _lapack
 
 from .lti_core import (
     ContinuousTf,
     DiscreteTf,
     DiscreteZpk,
     NonInvertibleError,
-    parallel_state_space,
 )
 
 __all__ = [
@@ -49,17 +46,16 @@ __all__ = [
     "oustaloup",
     "fopid_sections",
     "fopid_chains",
-    "fopid_roots",
     "iopid_coeffs",
     "iopid_forms",
     "realize",
 ]
 
 
-# Largest FOPID order |lam|, |mu|: each unit of order adds a state, and the
-# realizer's zeros take a dense eigenvalue solve over all of them (under the
-# cap at most 70 states and about 1 ms; an order of 1e5 would ask for a
-# 1e5 x 1e5 matrix).
+# Largest FOPID order |lam|, |mu|: each unit of order adds a state, and a
+# controller's zeros and every closed loop's poles take a dense eigenvalue
+# solve over all of them (under the cap at most 70 states and about 1 ms;
+# an order of 1e5 would ask for a 1e5 x 1e5 matrix).
 MAX_ORDER = 25.0
 
 
@@ -218,8 +214,7 @@ def _parameters(theta, t: ControllerTemplate, kind: ControllerKind) -> list:
 
 
 def fopid_sections(theta, t: ControllerTemplate) -> tuple:
-    """(feedthrough, sections) of kfp + kfi*s**(-lam) + kfd*s**mu, without
-    its zeros.
+    """(feedthrough, sections) of kfp + kfi*s**(-lam) + kfd*s**mu.
 
     ``sections`` is the section-parallel form (kfp, branches) that
     ``lti_core.filter_parallel`` runs, one (poles, zeros, gain) chain of
@@ -280,32 +275,6 @@ def fopid_chains(params: np.ndarray, ts: float) -> tuple:
     return feedthrough, cancelled, finite & np.isfinite(feedthrough), chains
 
 
-def fopid_roots(theta, t: ControllerTemplate) -> tuple:
-    """(zeros, poles, gain, sections) of kfp + kfi*s**(-lam) + kfd*s**mu.
-
-    The parts ``realize`` wraps, for callers that need no DiscreteZpk:
-    ``fopid_sections`` with the zeros and poles of the parallel sum as
-    lists of plain numbers in no particular order. The zeros are the
-    eigenvalues of the inverse system A - B C / D of the sections' state
-    space (``lti_core.parallel_state_space``). Raises NonInvertibleError
-    for a realization without a usable feedthrough and ValueError for one
-    that is not finite.
-    """
-    feedthrough, sections = fopid_sections(theta, t)
-    A, _, C, _ = parallel_state_space(*sections)
-    zeros = np.zeros(0)
-    if A.size:
-        # LAPACK directly: numpy's eigvals wrapper costs a fifth of the call
-        # on a matrix built finite here, and returns the same bits
-        wr, wi, _, _, info = _lapack.dgeev(A - C / feedthrough, compute_vl=0, compute_vr=0)
-        if info != 0:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        zeros = wr + 1j * wi if wi.any() else wr
-        if not np.isfinite(zeros).all():
-            raise ValueError("realization must be finite")
-    return zeros.tolist(), np.diag(A).tolist(), feedthrough, sections
-
-
 def iopid_coeffs(theta, t: ControllerTemplate) -> tuple:
     """(num, den) of the Tustin image of kp + ki/s + kd*s, in closed form.
 
@@ -356,14 +325,12 @@ def realize(theta, t: ControllerTemplate):
     before anything is built, so their orders are only held to MAX_ORDER
     and a theta of [1, 0, 1, 0, 1] realizes the constant controller 1.
     Active fractional terms become chains of bilinearly mapped
-    first-order sections; the parallel sum is assembled as a
-    block-diagonal state space whose transmission zeros (eigenvalues of
-    the inverse system) complete the factored form. The result is
-    biproper whenever any term is active, because the bilinear image of
-    each band-limited term is itself biproper, and it carries its
-    section-parallel form, through which it simulates and closes loops.
+    first-order sections (``fopid_sections``), and the factored form is
+    that section-parallel form: it simulates and closes loops through it,
+    and computes its zeros, poles and gain from it when they are read.
+    The result is biproper whenever any term is active, because the
+    bilinear image of each band-limited term is itself biproper.
     """
     if t.kind is ControllerKind.FOPID:
-        zeros, poles, gain, sections = fopid_roots(theta, t)
-        return DiscreteZpk(zeros, poles, gain, t.sample_time, sections=sections)
+        return DiscreteZpk(fopid_sections(theta, t)[1], t.sample_time)
     return DiscreteTf(*iopid_coeffs(theta, t), t.sample_time)

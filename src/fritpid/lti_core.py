@@ -9,8 +9,9 @@ its coefficients, so the polynomial form cannot represent it in double
 precision. The factored form holds a biproper system (as many zeros as
 poles), which is what the FOPID controller is, as the section-parallel
 form it was built from: a direct gain plus chains of first-order sections
-in parallel. It simulates and closes loops through that form; its zeros,
-poles and gain serve reports only.
+in parallel. It is that form: it simulates and closes loops through it,
+and its zeros, poles and gain, which only reports read, are computed
+from it when read.
 Continuous TFs carry an optional dead time, discrete ones an integer
 sample delay. Only what the tuning pipeline needs is provided: bilinear
 discretization, difference-equation simulation, inversion of a polynomial
@@ -24,12 +25,13 @@ judged exactly, by a Schur-Cohn certificate on its float coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
 from scipy import signal as _sig
+from scipy.linalg import lapack as _lapack
 
 # the compiled kernels behind scipy.signal.sosfilt and lfilter: on arrays
 # built here the wrappers' argument handling costs several times the
@@ -58,6 +60,7 @@ __all__ = [
     "filter_parallel",
     "filter_chains",
     "parallel_state_space",
+    "parallel_zeros",
     "same_sample_time",
     "is_stable",
     "schur_stable",
@@ -205,47 +208,50 @@ def _sorted_roots(r: np.ndarray) -> np.ndarray:
     return r[order]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteZpk:
-    """Biproper discrete-time TF held as its section-parallel form, with
-    its factored zeros, poles and gain.
+    """Biproper discrete-time TF held as its section-parallel form.
 
-    Represents gain * prod(z - zeros_i) / prod(z - poles_j) with no extra
-    delay and as many zeros as poles; any other count raises ValueError.
-    Roots are stored exactly and sorted (largest magnitude first),
-    complex ones in conjugate pairs, for reports; no numerics work on
-    them or on expanded high-order coefficient vectors. ``sections`` is
-    the section-parallel form (direct, branches) the roots were computed
-    from (see ``filter_parallel``), with read-only arrays: the system
-    simulates and closes loops through it. It takes no part in equality,
-    hashing or repr.
+    ``sections`` is (direct, branches) as ``filter_parallel`` runs it: the
+    direct gain plus chains of first-order sections in parallel, each
+    chain (poles, zeros, gain) with as many zeros as poles; any other
+    count raises ValueError. Its arrays are made read-only. The system
+    has no extra delay, and it simulates and closes loops through this
+    form. Its zeros, poles and gain, which reports read, are computed
+    from the sections on each access: roots sorted largest magnitude
+    first, as complex numbers, complex ones in conjugate pairs.
     """
 
-    zeros: tuple
-    poles: tuple
-    gain: float
+    sections: tuple
     sample_time: float
-    sections: tuple = field(compare=False, repr=False)
 
     def __post_init__(self):
-        z = np.asarray(self.zeros, dtype=complex).reshape(-1)
-        p = np.asarray(self.poles, dtype=complex).reshape(-1)
-        finite = np.isfinite(np.concatenate((z, p)))
-        if not finite.all():
-            raise ValueError(("poles" if finite[: z.size].all() else "zeros") + " must be finite")
-        if z.size != p.size:
-            raise ValueError(f"factored systems are biproper: {z.size} zeros, {p.size} poles")
-        gain = float(self.gain)
-        if not math.isfinite(gain):
-            raise ValueError("gain must be finite")
         if not (self.sample_time > 0.0):
             raise ValueError("sample time must be > 0")
-        object.__setattr__(self, "zeros", tuple(_sorted_roots(z).tolist()))
-        object.__setattr__(self, "poles", tuple(_sorted_roots(p).tolist()))
-        object.__setattr__(self, "gain", gain)
         for poles, zeros, _ in self.sections[1]:
+            if zeros.size != poles.size:
+                raise ValueError(
+                    f"factored systems are biproper: {zeros.size} zeros, {poles.size} poles"
+                )
             poles.setflags(write=False)
             zeros.setflags(write=False)
+
+    @property
+    def gain(self) -> float:
+        """The feedthrough: the direct gain plus the chain gains."""
+        direct, branches = self.sections
+        return float(direct + sum(b[2] for b in branches))
+
+    @property
+    def poles(self) -> tuple:
+        """The chains' poles, sorted."""
+        poles = np.concatenate([np.zeros(0), *(b[0] for b in self.sections[1])])
+        return tuple(_sorted_roots(poles.astype(complex)).tolist())
+
+    @property
+    def zeros(self) -> tuple:
+        """The zeros of the parallel sum, sorted (``parallel_zeros``)."""
+        return tuple(_sorted_roots(parallel_zeros(*self.sections)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,15 +273,6 @@ class Signal:
 
     def l1(self) -> float:
         return float(np.abs(self.samples).sum())
-
-    def __add__(self, other: "Signal") -> "Signal":
-        if not isinstance(other, Signal):
-            return NotImplemented
-        if len(self) != len(other):
-            raise ValueError("signal lengths differ")
-        if not same_sample_time(self.sample_time, other.sample_time):
-            raise SampleTimeError("signal sample times differ")
-        return Signal(self.samples + other.samples, self.sample_time)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +412,30 @@ def parallel_state_space(direct: float, branches) -> tuple:
         A[start:, :start] = 0.0
     C = np.concatenate([empty, *(b[2] * c for b, c in zip(branches, chains))])
     return A, np.ones(n), C, direct + sum(b[2] for b in branches)
+
+
+def parallel_zeros(direct: float, branches) -> np.ndarray:
+    """Zeros of a section-parallel system (see ``filter_parallel``), as
+    complex numbers in no particular order.
+
+    They are the eigenvalues of the inverse system A - B C / D of its
+    state space (``parallel_state_space``), found without expanding the
+    parallel sum over a common denominator. Raises ValueError for a zero
+    that is not finite, and LinAlgError when the eigenvalue iteration
+    does not converge.
+    """
+    A, _, C, D = parallel_state_space(direct, branches)
+    if not A.size:
+        return np.zeros(0, dtype=complex)
+    # LAPACK directly: numpy's eigvals wrapper costs a fifth of the call
+    # on a matrix built finite here, and returns the same bits
+    wr, wi, _, _, info = _lapack.dgeev(A - C / D, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    zeros = np.asarray(wr + 1j * wi if wi.any() else wr, dtype=complex)
+    if not np.isfinite(zeros).all():
+        raise ValueError("zeros must be finite")
+    return zeros
 
 
 def simulate(g, u: Signal) -> Signal:

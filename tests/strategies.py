@@ -329,11 +329,18 @@ def _reference_chain_arrays(zd, pd, gain):
     return A, B, gain * C, gain
 
 
-def reference_realize_fopid(theta, t) -> DiscreteZpk:
+def _reference_sorted(r: np.ndarray) -> np.ndarray:
+    # largest magnitude first, ties by angle
+    return r[np.lexsort((np.angle(r), -np.abs(r)))]
+
+
+def reference_realize_fopid(theta, t) -> tuple:
     """FOPID realization with per-row chain blocks, assembled block by block.
 
-    It carries its own section-parallel form, (kfp, ((poles, zeros,
-    gain), ...)) with one entry per active term, as ``sections``."""
+    Returns (zeros, poles, gain, sections): the zeros and poles as
+    complex arrays sorted as ``DiscreteZpk`` sorts them, the zeros
+    through numpy's own eigenvalue solve, and the section-parallel form
+    (kfp, ((poles, zeros, gain), ...)) with one entry per active term."""
     kfp, kfi, lam, kfd, mu = (float(x) for x in theta)
     ts = t.sample_time
     branches = []
@@ -342,13 +349,14 @@ def reference_realize_fopid(theta, t) -> DiscreteZpk:
             z, q, k = _reference_power_roots(power)
             branches.append(_reference_bilinear_roots(z, q, gain * k, ts))
     sections = (kfp, tuple((pd, zd, k) for zd, pd, k in branches))
+    none = np.zeros(0, dtype=complex)
     if not branches and kfp == 0.0:
-        return DiscreteZpk((), (), 0.0, ts, sections=sections)
+        return none, none, 0.0, sections
     blocks = [_reference_chain_arrays(zd, pd, k) for zd, pd, k in branches]
     feedthrough = kfp + sum(b[3] for b in blocks)
     n = sum(b[0].shape[0] for b in blocks)
     if n == 0:
-        return DiscreteZpk((), (), feedthrough, ts, sections=sections)
+        return none, none, feedthrough, sections
     scale = abs(kfp) + sum(abs(b[3]) for b in blocks)
     if abs(feedthrough) <= 1e-12 * scale:
         raise NonInvertibleError("realization has no usable feedthrough")
@@ -362,9 +370,9 @@ def reference_realize_fopid(theta, t) -> DiscreteZpk:
         B[i:i + m] = Bb
         C[i:i + m] = Cb
         i += m
-    pole_list = np.concatenate([np.diag(b[0]) for b in blocks])
-    zero_list = np.linalg.eigvals(A - np.outer(B, C / feedthrough))
-    return DiscreteZpk(tuple(zero_list), tuple(pole_list), feedthrough, ts, sections=sections)
+    poles = np.concatenate([np.diag(b[0]) for b in blocks]).astype(complex)
+    zeros = np.linalg.eigvals(A - np.outer(B, C / feedthrough)).astype(complex)
+    return _reference_sorted(zeros), _reference_sorted(poles), feedthrough, sections
 
 
 def reference_parallel_filter(sections, u: np.ndarray) -> np.ndarray:

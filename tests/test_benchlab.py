@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from fritpid import benchlab
 from fritpid.benchlab import (
@@ -239,6 +240,17 @@ class TestValidate:
         assert not rep.stable
         assert rep.max_pole_magnitude > 1.0
         assert np.isfinite(rep.tracking_error_l1)
+
+    def test_no_eigensolve_finds_the_controllers_zeros(self, monkeypatch):
+        # the experiment and the grade run on the FOPID controller's
+        # sections: neither takes the eigensolve that finds its zeros
+        def refuse(*args, **kwargs):
+            raise AssertionError("asked for the controller's zeros")
+
+        monkeypatch.setattr(lapack, "dgeev", refuse)
+        case = builtin_case("example1")
+        assert len(collect_data(case)) == case.n_samples
+        assert validate(case, reference_targets("example1").theta_star).stable
 
     def test_the_loop_is_built_once_per_validation(self, monkeypatch):
         calls = []

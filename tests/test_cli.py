@@ -29,6 +29,7 @@ from fritpid.cli import (
     load_run_config,
     main,
 )
+from fritpid.lti_core import DiscreteZpk
 from fritpid.swarm_opt import PsoConfig
 
 SMOKE = ["--swarm-size", "8", "--iterations", "12"]
@@ -604,10 +605,15 @@ class TestValidate:
             main(["validate", "-h"])
         assert "-- -0.16,1,0.5,0,1" in capsys.readouterr().out
 
-    def test_malformed_theta(self, tmp_path):
+    def test_malformed_theta(self, tmp_path, capsys):
+        # an empty item is malformed too, not dropped: "1,,0,0" once
+        # validated the three-parameter theta [1, 0, 0]
         cfg = write_validate_config(tmp_path / "c.json")
-        assert main(["validate", "1,a,0", "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "v")]) == EXIT_USAGE
+        for theta in ("1,a,0", "1,,0,0", "1,0,0,", ",1,0,0"):
+            assert main(["validate", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "v"), "--", theta]) == EXIT_USAGE
+            assert "invalid theta" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def test_plant_sample_time_mismatch_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(
@@ -662,6 +668,26 @@ class TestValidate:
                      "--", theta]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "cannot realize theta: realization has no usable feedthrough" in err
+
+    def test_a_failed_zeros_solve_is_a_numeric_error(self, tmp_path, capsys, monkeypatch):
+        # a factored controller's zeros are computed when the payload
+        # reads them, after the loop is graded
+        def unconverged(c):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(DiscreteZpk, "zeros", property(unconverged))
+        cfg = write_config(
+            tmp_path / "c.json",
+            controller={"kind": "fopid"},
+            bounds={"lower": [0.0] * 5, "upper": [2.0] * 5},
+            plant={"num": [1.0], "den": [1.0], "sample_time": 0.05},
+            sim_time=1.0,
+        )
+        assert main(["validate", "1,1,0.5,0,1", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "v")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "cannot realize theta: Eigenvalues did not converge" in err
+        assert not (tmp_path / "v" / "validation.json").exists()
 
     def test_out_of_bounds_theta_warns_but_runs(self, tmp_path, capsys):
         cfg = write_validate_config(tmp_path / "c.json")

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from fritpid import folib
+from fritpid import folib, lti_core
 from fritpid.benchlab import builtin_case, collect_data, discretized_plant
 from fritpid.folib import (
     MAX_ORDER,
     ControllerKind,
     ControllerTemplate,
-    fopid_roots,
+    fopid_sections,
     iopid_coeffs,
     oustaloup,
     realize,
@@ -99,7 +99,7 @@ class TestParams:
 
     def test_wrong_dimension_rejected(self):
         for t, size in ((FOPID_T, 3), (FOPID_T, 6), (IOPID_T, 2), (IOPID_T, 5)):
-            for realizer in (realize, fopid_roots if t is FOPID_T else iopid_coeffs):
+            for realizer in (realize, fopid_sections if t is FOPID_T else iopid_coeffs):
                 with pytest.raises(ValueError, match=f"expected {t.theta_dim} parameters"):
                     realizer(np.ones(size), t)
 
@@ -317,16 +317,17 @@ class TestRealizeFopid:
 
     def test_wrong_template_kind_rejected(self):
         with pytest.raises(ValueError, match="template kind"):
-            fopid_roots([1.0, 0.0, 1.0, 0.0, 1.0], IOPID_T)
+            fopid_sections([1.0, 0.0, 1.0, 0.0, 1.0], IOPID_T)
 
     def test_unconverged_zeros_raise_like_numpy(self, monkeypatch):
         # LAPACK reports a failed QR iteration through info > 0
         def unconverged(a, compute_vl, compute_vr):
             n = len(a)
             return np.zeros(n), np.zeros(n), None, None, n
-        monkeypatch.setattr(folib._lapack, "dgeev", unconverged)
+        c = realize([0.8, 1.2, 0.6, 0.4, 1.3], FOPID_T)
+        monkeypatch.setattr(lti_core._lapack, "dgeev", unconverged)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            realize([0.8, 1.2, 0.6, 0.4, 1.3], FOPID_T)
+            c.zeros
 
     @given(theta=fopid_thetas())
     @settings(max_examples=50, deadline=None)
@@ -364,24 +365,24 @@ class TestRealizeFopid:
         checked = 0
         for theta in thetas:
             try:
-                ref = reference_realize_fopid(theta, case.template)
+                zeros, poles, gain, sections = reference_realize_fopid(theta, case.template)
             except NonInvertibleError:
                 with pytest.raises(NonInvertibleError):
                     realize(theta, case.template)
                 continue
             c = realize(theta, case.template)
-            for got, want in ((c.zeros, ref.zeros), (c.poles, ref.poles)):
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-            assert c.gain == ref.gain
-            assert c.sections[0] == ref.sections[0]
-            assert len(c.sections[1]) == len(ref.sections[1])
-            for got, want in zip(c.sections[1], ref.sections[1]):
+            for got, want in ((c.zeros, zeros), (c.poles, poles)):
+                assert np.asarray(got).tobytes() == want.tobytes()
+            assert c.gain == gain
+            assert c.sections[0] == sections[0]
+            assert len(c.sections[1]) == len(sections[1])
+            for got, want in zip(c.sections[1], sections[1]):
                 assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
-            if abs(ref.gain) < 1e-12:
+            if abs(gain) < 1e-12:
                 continue
             pulse = np.zeros(len(data))
             pulse[0] = 1.0
-            h = reference_parallel_filter(ref.sections, pulse)
+            h = reference_parallel_filter(sections, pulse)
             want = reference_fictitious_reference(h, data.u0.samples, data.y0.samples)
             assert fictitious_reference(c, data).samples.tobytes() == want.tobytes()
             checked += 1

@@ -59,8 +59,7 @@ def lag_d():
 
 def one_chain(zeros, poles, gain):
     """gain * prod (z - zeros_i) / (z - poles_i) as one chain of sections."""
-    chain = (np.asarray(poles), np.asarray(zeros), gain)
-    return DiscreteZpk(zeros, poles, gain, TS, sections=(0.0, (chain,)))
+    return DiscreteZpk((0.0, ((np.asarray(poles), np.asarray(zeros), gain),)), TS)
 
 
 class TestPolynomial:
@@ -80,16 +79,6 @@ class TestSignal:
         assert len(s) == 3
         assert s.l1() == 6.0
 
-    def test_add_requires_matching_sample_times(self):
-        a = Signal(np.ones(3), 0.1)
-        b = Signal(np.ones(3), 0.2)
-        with pytest.raises(SampleTimeError):
-            a + b
-
-    def test_add_requires_matching_lengths(self):
-        with pytest.raises(ValueError):
-            Signal(np.ones(3), TS) + Signal(np.ones(4), TS)
-
     def test_samples_are_read_only(self):
         s = Signal(np.ones(3), TS)
         with pytest.raises(ValueError):
@@ -105,7 +94,7 @@ class TestSignal:
     def test_l1_triangle_inequality(self, pairs):
         a = Signal(np.array([p[0] for p in pairs]), TS)
         b = Signal(np.array([p[1] for p in pairs]), TS)
-        assert (a + b).l1() <= a.l1() + b.l1() + 1e-9
+        assert Signal(a.samples + b.samples, TS).l1() <= a.l1() + b.l1() + 1e-9
 
 
 class TestTustin:
@@ -357,7 +346,7 @@ class TestFeedback:
         # a constant's section-parallel form has no chains: its state
         # space is empty, and the loop's poles are the plant's two
         p = DiscreteTf([0.2, 0.1], [1.0, -1.2, 0.35], TS)
-        c = DiscreteZpk((), (), 0.5, TS, sections=(0.5, ()))
+        c = DiscreteZpk((0.5, ()), TS)
         assert loop_poles(closed_loop(p, c)).size == 2
 
     def test_ill_posed_loop_is_rejected(self):
@@ -397,7 +386,7 @@ class TestFeedback:
         # the samples after that are inf or nan
         p = DiscreteTf([1.0], [1.0, -2.0], TS)
         if factored:
-            c = DiscreteZpk((), (), 1e100, TS, sections=(1e100, ()))
+            c = DiscreteZpk((1e100, ()), TS)
         else:
             c = DiscreteTf([1e100], [1.0], TS)
         with warnings.catch_warnings():
@@ -592,9 +581,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: one_chain((math.nan,), (0.5,), 1.0), "zeros must be finite"),
-            (lambda: one_chain((0.1,), (0.5, math.inf), 1.0), "poles must be finite"),
-            (lambda: one_chain((0.1,), (0.5,), math.inf), "gain must be finite"),
             (lambda: one_chain((0.1, 0.2), (0.5,), 1.0), "biproper"),
             (lambda: DiscreteTf([1.0, 0.0, 0.0], [2.0, -1.0], TS), "improper discrete"),
             (lambda: DiscreteTf([1.0], [0.0, 0.0], TS), "must not be identically zero"),
