@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import signal as _sig
 
 from .lti_core import (
     ContinuousTf,
@@ -129,8 +128,8 @@ def oustaloup(alpha: float) -> ContinuousTf:
     if a == 0.0:
         return ContinuousTf(mono, [1.0])
     wz, wp, gain = _staircase(a)
-    num, den = _sig.zpk2tf(-wz, -wp, gain)
-    return ContinuousTf(np.convolve(mono, np.atleast_1d(num)), den)
+    num, den = gain * np.poly(-wz), np.poly(-wp)
+    return ContinuousTf(np.convolve(mono, num), den)
 
 
 def _branch(gain: float, power: float, ts: float):

@@ -24,21 +24,49 @@ judged exactly, by a Schur-Cohn certificate on its float coefficients.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import signal as _sig
+import scipy
 from scipy.linalg import lapack as _lapack
+
+
+def _signal_extension(name: str):
+    """scipy.signal's compiled module ``name``, without the package.
+
+    Importing ``scipy.signal`` loads scipy.stats, scipy.interpolate and
+    the window library, most of a process's start-up time. The module
+    already imported under its real name is reused; otherwise it is
+    loaded from scipy's ``signal`` directory and registered under that
+    name, so a later ``import scipy.signal`` shares this module object.
+    """
+    full = f"scipy.signal.{name}"
+    module = sys.modules.get(full)
+    if module is not None:
+        return module
+    directory = str(Path(scipy.__file__).parent / "signal")
+    spec = importlib.machinery.PathFinder.find_spec(full, [directory])
+    if spec is None:
+        raise ImportError(f"{full} not found in scipy {scipy.__version__}", name=full)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
 
 # the compiled kernels behind scipy.signal.sosfilt and lfilter: on arrays
 # built here the wrappers' argument handling costs several times the
 # filtering itself; tests/test_lti_core.py pins both to the public
 # functions bit for bit
-from scipy.signal._sigtools import _linear_filter
-from scipy.signal._sosfilt import _sosfilt
+_linear_filter = _signal_extension("_sigtools")._linear_filter
+_sosfilt = _signal_extension("_sosfilt")._sosfilt
 
 __all__ = [
     "Polynomial",
@@ -538,18 +566,21 @@ def _block_state_space(g):
     """(A, B, C, D) of a plant or controller; an input delay adds shift states.
 
     Factored systems use the state space of their section-parallel form,
-    polynomial ones the controllable canonical form. With d delay samples
+    polynomial ones the controllable canonical form, which for a monic
+    denominator is scipy.signal.tf2ss's, bit for bit. With d delay samples
     the input first runs through d shift states and the last of them feeds
     the rational part.
     """
     if isinstance(g, DiscreteZpk):
         return parallel_state_space(*g.sections)
-    b, a = g.num.as_array(), g.den.as_array()
-    if a.size > 1:
-        A, B, C, D = _sig.tf2ss(b, a)
-        B, C, D = B[:, 0], C[0], float(D[0, 0])
-    else:
-        A, B, C, D = np.zeros((0, 0)), np.zeros(0), np.zeros(0), float(b[0])
+    a = g.den.as_array()
+    n = a.size - 1
+    b = np.concatenate([np.zeros(n + 1 - len(g.num.coeffs)), g.num.as_array()])
+    A = np.eye(n, k=-1)
+    A[:1] = -a[1:]
+    B = np.zeros(n)
+    B[:1] = 1.0
+    C, D = b[1:] - b[0] * a[1:], float(b[0])
     d = g.delay_samples
     if d == 0:
         return A, B, C, D

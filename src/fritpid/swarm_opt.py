@@ -3,6 +3,9 @@
 Global-best PSO with adaptive inertia, clamp-and-zero boundary handling,
 and seeded determinism, handing over to a bounded Nelder-Mead search
 once the swarm stalls (the hybrid of Fan and Zahara, EJOR 181(2), 2007).
+The finish is scipy's bounded, adaptive Nelder-Mead, ported here so that
+the program never imports scipy.optimize; it evaluates scipy's points bit
+for bit, which tests/test_swarm_opt.py checks against scipy itself.
 The objective is treated as a total function on the box: bad candidates
 are expected to return large finite penalties rather than raise.
 
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.optimize
 
 __all__ = ["PsoConfig", "Bounds", "OptimResult", "minimize"]
 
@@ -142,9 +144,11 @@ def minimize(
     The swarm stops on the switch rule of ``PsoConfig`` or at
     ``max_iterations``. The finish is scipy's Nelder-Mead with bounds and
     dimension-adapted coefficients (Gao and Han, Comput. Optim. Appl.
-    51(1), 2012), stopped when the simplex spans 1e-8 per coordinate and
-    1e-10 of the swarm's best value, or after ``finish_max_evaluations``
-    calls. The better of the two points is returned.
+    51(1), 2012), in a port that takes scipy's steps bit for bit without
+    scipy's per-step result object, stopped when the simplex spans 1e-8
+    per coordinate and 1e-10 of the swarm's best value, or after
+    ``finish_max_evaluations`` calls. The better of the swarm's best and
+    the best point the finish evaluated is returned.
 
     ``evaluate_swarm`` maps an iteration's positions, one row per
     particle, to their objective values in the same order; it defaults to
@@ -227,28 +231,11 @@ def minimize(
                 stop_reason = "stall"
                 break
 
-    def finish_objective(x):
-        # The best point is tracked here rather than read from scipy's
-        # result: when the call cap cuts off an expansion, the result
-        # drops the better reflected point evaluated just before it.
-        nonlocal gbest, gbest_value
-        value = float(objective(x))
-        if value < gbest_value:
-            gbest, gbest_value = x.copy(), value
-        return value
-
-    finish = scipy.optimize.minimize(
-        finish_objective,
-        gbest,
-        method="Nelder-Mead",
-        bounds=scipy.optimize.Bounds(lo, hi),
-        options={
-            "adaptive": True,
-            "xatol": 1e-8,
-            "fatol": 1e-10 * abs(gbest_value),
-            "maxfev": cfg.finish_max_evaluations,
-        },
+    x, value, finish_evaluations = _nelder_mead(
+        objective, gbest, lo, hi, 1e-8, 1e-10 * abs(gbest_value), cfg.finish_max_evaluations
     )
+    if value < gbest_value:
+        gbest, gbest_value = x, value
     trace.append((iteration + 1, gbest_value))
 
     return OptimResult(
@@ -256,9 +243,105 @@ def minimize(
         best_theta=gbest,
         best_value=gbest_value,
         trace=tuple(trace),
-        evaluations=evaluations + finish.nfev,
-        finish_evaluations=finish.nfev,
+        evaluations=evaluations + finish_evaluations,
+        finish_evaluations=finish_evaluations,
         iterations=iteration,
         stop_reason=stop_reason,
         inertia=float(w),
     )
+
+
+class _CapReached(Exception):
+    """The finish's call cap stopped an evaluation."""
+
+
+def _nelder_mead(func, x0, lo, hi, xatol, fatol, maxfev):
+    """scipy 1.17's bounded, adaptive Nelder-Mead, cut to the settings used
+    here; returns the best point evaluated, its value and the call count.
+
+    Coefficients follow Gao and Han (Comput. Optim. Appl. 51(1), 2012):
+    expansion 1 + 2/n, contraction 3/4 - 1/(2n) and shrink 1 - 1/n in n
+    dimensions. The operation order is scipy's, so every evaluated point
+    is scipy's bit for bit: the initial simplex steps 5 % along each axis
+    (0.00025 from zero), is reflected back over the upper bound and
+    clipped; every trial point is clipped; the simplex is sorted with
+    ``argsort`` and ``take`` after every step; and the call that would
+    exceed ``maxfev`` is not made, even inside a shrink. The search stops
+    when the simplex spans at most ``xatol`` per coordinate and
+    ``fatol`` in value, or at the cap. The best point is tracked over
+    every call rather than read from the final simplex: when the cap cuts
+    off an expansion, the simplex drops the better reflected point
+    evaluated just before it.
+    """
+    n = x0.size
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    nfev = 0
+    best_x, best_f = None, np.inf
+
+    def f(x):
+        nonlocal nfev, best_x, best_f
+        if nfev >= maxfev:
+            raise _CapReached
+        nfev += 1
+        x = np.copy(x)
+        value = float(func(x))
+        if value < best_f:
+            best_x, best_f = x, value
+        return value
+
+    x0 = np.clip(x0, lo, hi)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _CapReached:
+        pass
+    # scipy sorts twice here; numpy's default argsort is not stable, so
+    # the second sort may still reorder tied values
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    while nfev < maxfev:
+        try:
+            if (
+                np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip((1 + chi) * xbar - chi * sim[-1], lo, hi)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = np.clip((1 + psi) * xbar - psi * sim[-1], lo, hi)
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
+                        fsim[j] = f(sim[j])
+        except _CapReached:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return best_x, best_f, nfev

@@ -1,11 +1,16 @@
 """Shared hypothesis strategies and reference helpers for the test suite."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy import signal as _sig
 
+import fritpid
 from fritpid.folib import ControllerKind, fopid_sections, iopid_coeffs, realize
 from fritpid.l1_idfrit import (
     PENALTY,
@@ -34,6 +39,21 @@ SAMPLE_TIMES = (0.01, 0.05, 0.1, 0.5, 1.0)
 
 def sample_times():
     return st.sampled_from(SAMPLE_TIMES)
+
+
+def run_fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports
+    fritpid from the same source tree as this one."""
+    src = str(Path(fritpid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def bounded_floats(lo, hi):

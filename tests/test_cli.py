@@ -32,6 +32,8 @@ from fritpid.cli import (
 from fritpid.lti_core import DiscreteZpk
 from fritpid.swarm_opt import PsoConfig
 
+from .strategies import run_fresh_python
+
 SMOKE = ["--swarm-size", "8", "--iterations", "12"]
 
 
@@ -330,6 +332,26 @@ class TestLoadDataRecord:
 
 # ---------------------------------------------------------------------------
 # reproduce artifacts
+
+
+class TestImportGraph:
+    def test_reproduce_loads_neither_scipy_signal_nor_optimize(self, tmp_path):
+        # those packages (and scipy.stats, which scipy.signal pulls in)
+        # take most of a process's start-up; the program needs two
+        # compiled filter kernels and one Nelder-Mead, and takes them
+        # without the packages
+        code = (
+            "import sys\n"
+            "import fritpid.cli\n"
+            "code = fritpid.cli.main(['reproduce', 'example3_io', '--seeds', '1',"
+            f" '--swarm-size', '10', '--iterations', '5', '--out-dir', {str(tmp_path)!r}])\n"
+            "print(code)\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats')"
+            " if m in sys.modules))\n"
+        )
+        lines = run_fresh_python(code).splitlines()
+        assert lines[-2:] == [str(EXIT_OK), "[]"]
+        assert (tmp_path / "example3_io" / "summary.json").exists()
 
 
 class TestReproduce:

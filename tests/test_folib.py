@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import zpk2tf
 
 from fritpid import folib, lti_core
 from fritpid.benchlab import builtin_case, collect_data, discretized_plant
@@ -187,6 +189,24 @@ class TestOustaloup:
     def test_nonfinite_exponent_rejected(self):
         with pytest.raises(ValueError):
             oustaloup(float("nan"))
+
+    @given(alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=100, derandomize=True)
+    @example(alpha=0.5)
+    @example(alpha=1.0)
+    @example(alpha=1.9448)
+    def test_polynomials_match_zpk2tf_bit_for_bit(self, alpha):
+        n = int(np.floor(alpha))
+        mono = np.zeros(n + 1)
+        mono[0] = 1.0
+        num, den = mono, [1.0]
+        if alpha > n:
+            wz, wp, gain = folib._staircase(alpha - n)
+            b, den = zpk2tf(-wz, -wp, gain)
+            num = np.convolve(mono, b)
+        g = oustaloup(alpha)
+        assert g.num.as_array().tobytes() == np.asarray(num, dtype=float).tobytes()
+        assert g.den.as_array().tobytes() == np.asarray(den, dtype=float).tobytes()
 
 
 class TestRealizeIopid:

@@ -7,11 +7,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as _sig
 
-from fritpid import folib
+from fritpid import folib, lti_core
 from fritpid.benchlab import co_simulate
 from fritpid.folib import ControllerKind, ControllerTemplate, realize
 from fritpid.lti_core import (
@@ -43,6 +44,7 @@ from .strategies import (
     fopid_thetas,
     reference_co_simulate,
     reference_parallel_filter,
+    run_fresh_python,
     signals,
     stable_discrete_tfs,
     zpk_response,
@@ -247,6 +249,67 @@ class TestCompiledKernels:
         b = (0.0,) * (len(den) - len(num)) + num
         want = _sig.lfilter(b, den, u.samples)
         assert filter_tf(num, den, u.samples).tobytes() == want.tobytes()
+
+    @given(monic_tf_coeffs(max_order=6))
+    @settings(max_examples=200, derandomize=True)
+    @example(((0.0,), (1.0, 0.5)))
+    @example(((-0.0, 2.0), (1.0, -0.0, -1.0)))
+    @example(((3.0, 1.0), (1.0, -0.5, 0.25, 0.1)))
+    def test_controllable_form_matches_tf2ss_bit_for_bit(self, coeffs):
+        # tf2ss drops a numerator's leading coefficients of at most 1e-14
+        # (see the next test); every other numerator, shorter ones
+        # included, gives tf2ss's matrices bit for bit
+        num, den = coeffs
+        g = DiscreteTf(num, den, TS)
+        lead = g.num.coeffs[0]
+        assume(lead == 0.0 or abs(lead) > 1e-14)
+        a, b, c, d = _block_state_space(g)
+        if len(den) == 1:
+            want = np.zeros((0, 0)), np.zeros(0), np.zeros(0), lead
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", _sig.BadCoefficients)
+                A, B, C, D = _sig.tf2ss(num, den)
+            want = A, B[:, 0], C[0], D[0, 0]
+        for got, ref in zip((a, b, c, np.float64(d)), want):
+            assert got.shape == np.shape(ref)
+            assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()
+
+    def test_controllable_form_keeps_a_tiny_leading_coefficient(self):
+        # tf2ss's normalize trims it, with a warning, and loses the
+        # feedthrough that simulate, which filters with the full
+        # numerator, still applies
+        g = DiscreteTf([1e-15, 1.0, 0.5], [1.0, -0.5, 0.1], TS)
+        a, b, c, d = _block_state_space(g)
+        assert d == 1e-15
+        assert c.tolist() == [1.0 - 1e-15 * -0.5, 0.5 - 1e-15 * 0.1]
+        with pytest.warns(_sig.BadCoefficients):
+            assert _sig.tf2ss(g.num.coeffs, g.den.coeffs)[3][0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [("fritpid.lti_core as lti", "scipy.signal"), ("scipy.signal", "fritpid.lti_core as lti")],
+        ids=["fritpid_first", "scipy_first"],
+    )
+    def test_kernels_are_scipy_signals_own_module_objects(self, first, second):
+        # lti_core loads the two extension modules without the
+        # scipy.signal package and registers them under their real names;
+        # whichever side imports first, the other reuses those module
+        # objects, so neither is loaded twice
+        code = (
+            f"import sys, {first}\n"
+            "early = sys.modules['scipy.signal._sigtools'], sys.modules['scipy.signal._sosfilt']\n"
+            f"import {second}\n"
+            "print(scipy.signal._signaltools._sigtools is early[0],"
+            " scipy.signal._signaltools._sosfilt is early[1]._sosfilt is lti._sosfilt,"
+            " early[0]._linear_filter is lti._linear_filter)"
+        )
+        assert run_fresh_python(code).split() == ["True", "True", "True"]
+
+    def test_a_missing_kernel_names_itself_and_the_scipy_release(self):
+        message = rf"scipy\.signal\._no_such_kernel .*{scipy.__version__}"
+        with pytest.raises(ImportError, match=message):
+            lti_core._signal_extension("_no_such_kernel")
 
 
 class TestFeedback:

@@ -4,9 +4,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from fritpid.swarm_opt import Bounds, OptimResult, PsoConfig, minimize
+from fritpid.benchlab import builtin_case, collect_data, make_evaluator, reference_targets
+from fritpid.swarm_opt import Bounds, OptimResult, PsoConfig, _nelder_mead, minimize
 
 BOX3 = Bounds(np.full(3, -5.0), np.full(3, 5.0))
 
@@ -257,3 +259,90 @@ class TestMinimize:
             tracking, BOX3, PsoConfig(swarm_size=5, max_iterations=8), seed
         )
         assert res.best_value == best_seen[0]
+
+
+def _recorded(objective):
+    """objective, and a wrapper that logs a copy of each point it is called on."""
+    points = []
+
+    def logged(x):
+        points.append(np.array(x, copy=True))
+        return float(objective(x))
+
+    return logged, points
+
+
+def _scipy_finish(objective, x0, lo, hi, fatol, maxfev):
+    """The points scipy's own bounded, adaptive Nelder-Mead evaluates, in
+    order, and its call count."""
+    logged, points = _recorded(objective)
+    res = scipy.optimize.minimize(
+        logged,
+        x0,
+        method="Nelder-Mead",
+        bounds=scipy.optimize.Bounds(lo, hi),
+        options={"adaptive": True, "xatol": 1e-8, "fatol": fatol, "maxfev": maxfev},
+    )
+    return points, res.nfev
+
+
+def _first_best(objective, points):
+    # the first point of least value, as the finish keeps it
+    values = [float(objective(x)) for x in points]
+    i = int(np.argmin(values))
+    return points[i], values[i]
+
+
+class TestSimplexFinish:
+    """The in-repo finish evaluates scipy's Nelder-Mead points bit for
+    bit, in scipy's order, and stops after as many calls."""
+
+    def check(self, objective, x0, lo, hi, maxfev, fatol=0.0):
+        x0, lo, hi = (np.asarray(v, dtype=float) for v in (x0, lo, hi))
+        want, want_nfev = _scipy_finish(objective, x0, lo, hi, fatol, maxfev)
+        logged, got = _recorded(objective)
+        x, value, nfev = _nelder_mead(logged, x0, lo, hi, 1e-8, fatol, maxfev)
+        assert nfev == want_nfev == len(got) == len(want)
+        assert np.stack(got).tobytes() == np.stack(want).tobytes()
+        best_x, best_value = _first_best(objective, want)
+        assert (x.tobytes(), value) == (best_x.tobytes(), best_value)
+        return nfev
+
+    @pytest.mark.parametrize(
+        "relative_fatol,calls", [(1e-10, 770), (0.0, 1000)], ids=["converges", "cap"]
+    )
+    def test_example1_from_its_published_optimum(self, relative_fatol, calls):
+        # with the finish's own value tolerance the simplex converges in
+        # 770 calls; with none, the 1,000-call cap binds first
+        case = builtin_case("example1")
+        evaluator = make_evaluator(case, collect_data(case))
+        theta = reference_targets("example1").theta_star
+        fatol = relative_fatol * evaluator(theta)
+        lo, hi, cap = case.bounds.lower, case.bounds.upper, PsoConfig.finish_max_evaluations
+        assert self.check(evaluator, theta, lo, hi, cap, fatol) == calls
+
+    def test_example3_io_from_a_box_face(self):
+        # kp on its lower face and ki on its upper one: the initial
+        # simplex steps past the upper bound and is reflected back
+        case = builtin_case("example3_io")
+        evaluator = make_evaluator(case, collect_data(case))
+        lo, hi = case.bounds.lower, case.bounds.upper
+        theta = np.array([lo[0], hi[1], 0.0209])
+        fatol = 1e-10 * evaluator(theta)
+        assert self.check(evaluator, theta, lo, hi, PsoConfig.finish_max_evaluations, fatol) > 4
+
+    @pytest.mark.parametrize("cap", [3, 15, 16, 17, 23, 40])
+    def test_tied_values_and_a_cap_inside_a_shrink(self, cap):
+        # on a flat objective every value ties: the reflection and the
+        # inside contraction fail and the simplex shrinks, so after the
+        # 4 starting calls each step is 2 trial calls and 3 shrink calls.
+        # Caps 16, 17 and 23 refuse the first, second and third call of a
+        # shrink, 15 the contraction and 3 the last starting call.
+        assert self.check(lambda x: 1.0, [0.5, 5.0, 0.0], BOX3.lower, BOX3.upper, cap) == cap
+
+    @pytest.mark.parametrize("cap", [10, 37, 200])
+    def test_quantized_values_tie_and_shrink(self, cap):
+        def terraces(x):
+            return float(np.floor(4.0 * np.sum((x - 0.3) ** 2)))
+
+        self.check(terraces, [5.0, -1.0, 2.0], BOX3.lower, BOX3.upper, cap)
