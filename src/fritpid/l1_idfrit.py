@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.blas import dtrsv as _dtrsv
 
 from .folib import (
     MAX_ORDER,
@@ -48,8 +47,11 @@ from .folib import (
 # item 6 renames its spans
 from .folib import realize  # noqa: F401
 from .lti_core import invert, simulate  # noqa: F401
+# _dtrsv is scipy.linalg.blas.dtrsv, taken from scipy's compiled BLAS
+# module by lti_core, the one place that reaches into scipy
 from .lti_core import (
     _FEEDTHROUGH_TOL,
+    _dtrsv,
     DiscreteTf,
     NonInvertibleError,
     SampleTimeError,

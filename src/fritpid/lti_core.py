@@ -35,23 +35,25 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy
-from scipy.linalg import lapack as _lapack
 
 
-def _signal_extension(name: str):
-    """scipy.signal's compiled module ``name``, without the package.
+def _scipy_extension(package: str, name: str):
+    """The compiled module ``name`` of scipy's subpackage ``package``,
+    without importing that subpackage.
 
     Importing ``scipy.signal`` loads scipy.stats, scipy.interpolate and
-    the window library, most of a process's start-up time. The module
-    already imported under its real name is reused; otherwise it is
-    loaded from scipy's ``signal`` directory and registered under that
-    name, so a later ``import scipy.signal`` shares this module object.
+    the window library, and ``scipy.linalg`` loads numpy.f2py and
+    numpy.testing: most of a process's start-up time, for a program that
+    calls four compiled kernels. The module already imported under its
+    real name is reused; otherwise it is loaded from scipy's ``package``
+    directory and registered under that name, so a later import of the
+    subpackage shares this module object.
     """
-    full = f"scipy.signal.{name}"
+    full = f"scipy.{package}.{name}"
     module = sys.modules.get(full)
     if module is not None:
         return module
-    directory = str(Path(scipy.__file__).parent / "signal")
+    directory = str(Path(scipy.__file__).parent / package)
     spec = importlib.machinery.PathFinder.find_spec(full, [directory])
     if spec is None:
         raise ImportError(f"{full} not found in scipy {scipy.__version__}", name=full)
@@ -65,8 +67,12 @@ def _signal_extension(name: str):
 # built here the wrappers' argument handling costs several times the
 # filtering itself; tests/test_lti_core.py pins both to the public
 # functions bit for bit
-_linear_filter = _signal_extension("_sigtools")._linear_filter
-_sosfilt = _signal_extension("_sosfilt")._sosfilt
+_linear_filter = _scipy_extension("signal", "_sigtools")._linear_filter
+_sosfilt = _scipy_extension("signal", "_sosfilt")._sosfilt
+# scipy.linalg's BLAS and LAPACK wrappers: scipy.linalg.blas.dtrsv and
+# scipy.linalg.lapack.dgeev are these very function objects
+_dtrsv = _scipy_extension("linalg", "_fblas").dtrsv
+_lapack = _scipy_extension("linalg", "_flapack")
 
 __all__ = [
     "Polynomial",

@@ -8,9 +8,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
-from fritpid import benchlab
+from fritpid import benchlab, lti_core
 from fritpid.benchlab import (
     CASE_NAMES,
     J_THETA0_RTOL,
@@ -247,7 +246,7 @@ class TestValidate:
         def refuse(*args, **kwargs):
             raise AssertionError("asked for the controller's zeros")
 
-        monkeypatch.setattr(lapack, "dgeev", refuse)
+        monkeypatch.setattr(lti_core._lapack, "dgeev", refuse)
         case = builtin_case("example1")
         assert len(collect_data(case)) == case.n_samples
         assert validate(case, reference_targets("example1").theta_star).stable

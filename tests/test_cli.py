@@ -353,6 +353,42 @@ class TestImportGraph:
         assert lines[-2:] == [str(EXIT_OK), "[]"]
         assert (tmp_path / "example3_io" / "summary.json").exists()
 
+    def test_reproduce_and_validate_load_only_scipys_four_kernels(self, tmp_path):
+        # the scipy.linalg package pulls in numpy.f2py and numpy.testing,
+        # most of what was left of a process's start-up; the program
+        # calls dtrsv and dgeev from its compiled BLAS and LAPACK modules
+        # and two filters from scipy.signal's, and loads those alone. The
+        # FOPID validate reads the controller's zeros, so it calls dgeev
+        cfg = write_config(
+            tmp_path / "c.json",
+            controller={"kind": "fopid"},
+            bounds={"lower": [0.0] * 5, "upper": [2.0] * 5},
+            plant={"num": [1.0], "den": [1.0], "sample_time": 0.05},
+            sim_time=1.0,
+        )
+        code = (
+            "import sys\n"
+            "import fritpid.cli\n"
+            "codes = [fritpid.cli.main(['reproduce', 'example3_fo', '--seeds', '1',"
+            " '--swarm-size', '10', '--iterations', '5',"
+            f" '--out-dir', {str(tmp_path / 'r')!r}]),"
+            f" fritpid.cli.main(['validate', '1,1,0.5,0,1', '--config', {str(cfg)!r},"
+            f" '--out-dir', {str(tmp_path / 'v')!r}])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[:2] in"
+            " (['scipy', 'linalg'], ['scipy', 'signal'], ['scipy', 'optimize'],"
+            " ['numpy', 'f2py'], ['numpy', 'testing'])))\n"
+        )
+        codes = [EXIT_OK, EXIT_OK]
+        kernels = [
+            "scipy.linalg._fblas",
+            "scipy.linalg._flapack",
+            "scipy.signal._sigtools",
+            "scipy.signal._sosfilt",
+        ]
+        assert run_fresh_python(code).splitlines()[-1] == f"{codes} {kernels}"
+        assert (tmp_path / "r" / "example3_fo" / "summary.json").exists()
+        assert (tmp_path / "v" / "validation.json").exists()
+
 
 class TestReproduce:
     def test_unknown_example_exits_with_usage(self, capsys):

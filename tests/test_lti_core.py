@@ -306,10 +306,39 @@ class TestCompiledKernels:
         )
         assert run_fresh_python(code).split() == ["True", "True", "True"]
 
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("fritpid.l1_idfrit as l1, fritpid.lti_core as lti", "scipy.linalg"),
+            ("scipy.linalg", "fritpid.l1_idfrit as l1, fritpid.lti_core as lti"),
+        ],
+        ids=["fritpid_first", "scipy_first"],
+    )
+    def test_blas_and_lapack_are_scipy_linalgs_own_module_objects(self, first, second):
+        # the same for scipy.linalg's _fblas and _flapack: the program
+        # calls the very functions scipy.linalg.blas and .lapack export,
+        # which is what keeps every artifact bit for bit, and the package
+        # still works when fritpid loaded its kernels first
+        code = (
+            f"import sys, {first}\n"
+            "early = sys.modules['scipy.linalg._fblas'], sys.modules['scipy.linalg._flapack']\n"
+            f"import {second}\n"
+            "import numpy as np\n"
+            "from scipy.linalg import blas, lapack\n"
+            "print(blas._fblas is early[0], lapack._flapack is early[1] is lti._lapack,"
+            " l1._dtrsv is blas.dtrsv, lti._lapack.dgeev is lapack.dgeev)\n"
+            "a = np.array([[4.0, 1.0], [2.0, 3.0]])\n"
+            "print(np.allclose(scipy.linalg.solve(a, [5.0, 5.0]), [1.0, 1.0]),"
+            " np.allclose(np.sort(scipy.linalg.eigvals(a)), [2.0, 5.0]),"
+            " scipy.linalg.get_blas_funcs('gemm', (a,)) is blas.dgemm)"
+        )
+        assert run_fresh_python(code).split() == ["True"] * 7
+
     def test_a_missing_kernel_names_itself_and_the_scipy_release(self):
-        message = rf"scipy\.signal\._no_such_kernel .*{scipy.__version__}"
-        with pytest.raises(ImportError, match=message):
-            lti_core._signal_extension("_no_such_kernel")
+        for package in ("signal", "linalg"):
+            message = rf"scipy\.{package}\._no_such_kernel .*{scipy.__version__}"
+            with pytest.raises(ImportError, match=message):
+                lti_core._scipy_extension(package, "_no_such_kernel")
 
 
 class TestFeedback:
