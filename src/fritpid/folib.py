@@ -18,6 +18,12 @@ the realized controller: what the loss filters and what every closed
 loop uses as the controller block. The zeros of the parallel sum, which
 only reports read, are computed from it by ``lti_core.parallel_zeros``
 without ever expanding it.
+
+One term builder, ``_branch_rows``, computes the ladder's corners and
+each term's bilinear section chain, on one row of parameters
+(``fopid_sections``, and so ``realize`` and ``LossEvaluator.evaluate``)
+or on many (``fopid_chains``); ``oustaloup`` takes the continuous roots
+from it.
 """
 
 from __future__ import annotations
@@ -88,32 +94,14 @@ class ControllerTemplate:
         return 5 if self.kind is ControllerKind.FOPID else 3
 
 
-def _staircase(a: float):
-    """Corner frequencies and gain of the fractional-part filter.
-
-    For a in (0, 1) the M = 2*OUSTALOUP_ORDER + 1 zero/pole corner pairs are
-
-        w'_k = w_b * (w_h/w_b)**((k - 1 + (1 - a)/2) / M)   (zeros)
-        w_k  = w_b * (w_h/w_b)**((k - 1 + (1 + a)/2) / M)   (poles)
-
-    with gain w_h**a, which pins the magnitude at the band's geometric
-    midpoint sqrt(w_b*w_h) to the ideal value exactly.
-    """
-    m = 2 * OUSTALOUP_ORDER + 1
-    w_b, w_h = OUSTALOUP_W_B, OUSTALOUP_W_H
-    half = np.array([[(1.0 - a) / 2.0], [(1.0 + a) / 2.0]])
-    wz, wp = w_b * (w_h / w_b) ** ((np.arange(m, dtype=float) + half) / m)
-    return wz, wp, w_h ** a
-
-
 def oustaloup(alpha: float) -> ContinuousTf:
     """Band-limited rational approximation of s**alpha.
 
     The exponent is split as alpha = n + a with integer n and fractional
     a in [0, 1); the integer part is the exact monomial s**n and only the
-    fractional part is approximated by the recursive zero/pole staircase.
-    alpha = 0 returns unity and negative alpha returns the reciprocal of
-    the positive case.
+    fractional part is approximated, by the continuous roots and gain of
+    ``_branch_rows``' ladder. alpha = 0 returns unity and negative alpha
+    returns the reciprocal of the positive case.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -127,79 +115,82 @@ def oustaloup(alpha: float) -> ContinuousTf:
     mono[0] = 1.0
     if a == 0.0:
         return ContinuousTf(mono, [1.0])
-    wz, wp, gain = _staircase(a)
-    num, den = gain * np.poly(-wz), np.poly(-wp)
+    poles, zeros, gain = _branch_rows(np.ones(1), np.array([a]), 0, None)
+    num, den = gain[0] * np.poly(zeros[0]), np.poly(poles[0])
     return ContinuousTf(np.convolve(mono, num), den)
 
 
-def _branch(gain: float, power: float, ts: float):
-    """Discrete section chain of gain * s**power: (poles, zeros, gain).
+def _branch_rows(gain: np.ndarray, power: np.ndarray, n: int, ts: float | None):
+    """The terms gain * s**power, one per row of (gain, power), all of one
+    chain shape: integer order n, a fractional part or none, and the sign
+    of the power, read from the first row. Returns (poles, zeros, gains),
+    one row per term: one row for ``fopid_sections``, many for
+    ``fopid_chains``.
 
-    The continuous roots are the integer part's n zeros at s = 0 and the
-    fractional part's staircase, zeros and poles swapped for a negative
-    power. Each maps on its own through s -> (c + s)/(c - s), c = 2/ts,
-    and the side with fewer roots picks up images of the roots at
-    infinity, which land on z = -1. This accepts improper terms, unlike
-    the polynomial route. Section i of the chain is the first-order
-    (z - zd_i)/(z - pd_i), with the sections fed in series and the gain
-    applied at the output (``lti_core.filter_parallel``).
+    The continuous roots are the integer part's n zeros at s = 0 and, for
+    a fractional part a in (0, 1), Oustaloup's M = 2*OUSTALOUP_ORDER + 1
+    zero/pole corner pairs at s = -w'_k and s = -w_k,
+
+        w'_k = w_b * (w_h/w_b)**((k - 1 + (1 - a)/2) / M)   (zeros)
+        w_k  = w_b * (w_h/w_b)**((k - 1 + (1 + a)/2) / M)   (poles)
+
+    with gain w_h**a, which pins the magnitude at the band's geometric
+    midpoint sqrt(w_b*w_h) to the ideal value exactly. A negative power
+    swaps zeros and poles and inverts the gain. Without a sample time
+    these continuous roots are the result (``oustaloup``).
+
+    With one, each root maps on its own through s -> (c + s)/(c - s),
+    c = 2/ts, and the side with fewer roots picks up images of the roots
+    at infinity, which land on z = -1, so improper terms are accepted.
+    Section i of a chain is the first-order (z - zeros_i)/(z - poles_i),
+    the sections fed in series and the gain applied at the output
+    (``lti_core.filter_parallel``). The per-row scalars (a, the corner
+    offsets, the gains) are Python floats, w_h**a a Python float power
+    (numpy's rounds differently in the last bit), so a gain that
+    overflows is inf without a warning; each product of roots runs in
+    order along its own row, so a row's bits do not depend on the number
+    of rows.
     """
-    mag = abs(power)
-    n = int(math.floor(mag))
-    a = mag - n
-    zeros, poles, k = np.zeros(n), np.zeros(0), 1.0
-    if a > 0.0:
-        wz, wp, k = _staircase(a)
-        zeros, poles = np.concatenate([zeros, -wz]), -wp
-    if power < 0.0:
-        zeros, poles, k = poles, zeros, 1.0 / k
-    c = 2.0 / ts
-    dz, dp = c - zeros, c - poles
-    zd, pd = (c + zeros) / dz, (c + poles) / dp
-    k = gain * k * float(dz.prod() / dp.prod())
-    deficit = poles.size - zeros.size
-    if deficit > 0:
-        zd = np.concatenate([zd, -np.ones(deficit)])
-    elif deficit < 0:
-        pd = np.concatenate([pd, -np.ones(-deficit)])
-    return pd, zd, k
-
-
-def _branch_rows(gain: np.ndarray, power: np.ndarray, n: int, ts: float):
-    """``_branch`` on rows of (gain, power) of one chain shape: integer
-    order n, a fractional part or none, and the sign of the power, all
-    read from the first row. Returns (poles, zeros, gains), one row per
-    chain, from ``_branch``'s operations on arrays, so each row has
-    ``_branch``'s bits: the gain w_h**a stays a Python float power, and
-    the products run along C-contiguous rows."""
     rows = gain.size
-    a = np.abs(power) - n
-    zeros, poles, k = np.zeros((rows, n)), np.zeros((rows, 0)), np.ones(rows)
+    a = [abs(x) - n for x in power.tolist()]
     if a[0] > 0.0:
         m = 2 * OUSTALOUP_ORDER + 1
         w_b, w_h = OUSTALOUP_W_B, OUSTALOUP_W_H
-        half = np.stack([(1.0 - a) / 2.0, (1.0 + a) / 2.0], axis=1)[:, :, None]
-        corners = w_b * (w_h / w_b) ** ((np.arange(m, dtype=float) + half) / m)
-        zeros = np.concatenate([zeros, -corners[:, 0]], axis=1)
-        poles = -corners[:, 1]
-        k = np.array([w_h ** x for x in a.tolist()])
-    if power[0] < 0.0:
-        zeros, poles, k = poles, zeros, 1.0 / k
+        half = np.array([(1.0 - x) / 2.0 for x in a] + [(1.0 + x) / 2.0 for x in a])
+        # the fractional part's zeros and poles, at s = -w'_k and s = -w_k:
+        # roots[0] and roots[1], one row per term
+        roots = -w_b * (w_h / w_b) ** ((np.arange(m, dtype=float) + half.reshape(2, -1, 1)) / m)
+        k = [w_h ** x for x in a]
+    else:
+        roots, k = np.zeros((2, rows, 0)), [1.0] * rows
+    negative = power[0] < 0.0
+    if negative:
+        k = [1.0 / x for x in k]
+    if ts is None:
+        zeros = np.concatenate([np.zeros((rows, n)), roots[0]], axis=1)
+        k = np.array([g * x for g, x in zip(gain.tolist(), k)])
+        return (zeros, roots[1], k) if negative else (roots[1], zeros, k)
     c = 2.0 / ts
-    dz, dp = c - zeros, c - poles
-    zd, pd = (c + zeros) / dz, (c + poles) / dp
-    k = gain * k * (dz.prod(axis=1) / dp.prod(axis=1))
-    deficit = poles.shape[1] - zeros.shape[1]
-    if deficit > 0:
-        zd = np.concatenate([zd, -np.ones((rows, deficit))], axis=1)
-    elif deficit < 0:
-        pd = np.concatenate([pd, -np.ones((rows, -deficit))], axis=1)
+    d = c - roots
+    zd, pd = (c + roots) / d
+    # each side's product of c - s over its roots, the zero side's n
+    # factors c of the roots at s = 0 first
+    pz, pp = d[0].prod(axis=1, initial=math.prod([c] * n)), d[1].prod(axis=1)
+    if n:
+        # the roots at s = 0 map to z = 1, and as many images of roots at
+        # infinity, z = -1, pad the pole side
+        zd = np.concatenate([np.ones((rows, n)), zd], axis=1)
+        pd = np.concatenate([pd, np.full((rows, n), -1.0)], axis=1)
+    if negative:
+        zd, pd, pz, pp = pd, zd, pp, pz
+    ratio = (pz / pp).tolist()
+    k = np.array([g * x * r for g, x, r in zip(gain.tolist(), k, ratio)])
     return pd, zd, k
 
 
 def _parameters(theta, t: ControllerTemplate, kind: ControllerKind) -> list:
-    """theta as Python floats: with a numpy scalar, ``w_h ** a`` in
-    ``_staircase`` rounds differently in the last bit, and J moves."""
+    """theta as Python floats, so that the one-row arithmetic on them
+    (the feedthrough sum, ``iopid_coeffs``' closed form) never warns."""
     if t.kind is not kind:
         raise ValueError(f"template kind must be {kind.name}")
     values = np.asarray(theta, dtype=float).reshape(-1).tolist()
@@ -217,18 +208,20 @@ def fopid_sections(theta, t: ControllerTemplate) -> tuple:
 
     ``sections`` is the section-parallel form (kfp, branches) that
     ``lti_core.filter_parallel`` runs, one (poles, zeros, gain) chain of
-    first-order sections per active term (``_branch``); the feedthrough
-    is kfp plus the chain gains. Raises NonInvertibleError for a
+    first-order sections per active term (``_branch_rows`` on one row); the
+    feedthrough is kfp plus the chain gains. Raises NonInvertibleError for a
     realization with states whose feedthrough cancels to within 1e-12 of
     the gains' scale, and ValueError for one that is not finite.
     """
     kfp, kfi, lam, kfd, mu = _parameters(theta, t, ControllerKind.FOPID)
-    ts = t.sample_time
-    branches = tuple(
-        _branch(gain, power, ts)
-        for gain, power in ((kfi, -lam), (kfd, mu))
-        if gain != 0.0
-    )
+    branches = []
+    for gain, power in ((kfi, -lam), (kfd, mu)):
+        if gain != 0.0:
+            pd, zd, k = _branch_rows(
+                np.array([gain]), np.array([power]), int(abs(power)), t.sample_time
+            )
+            branches.append((pd[0], zd[0], k.item()))
+    branches = tuple(branches)
     feedthrough = kfp + sum(b[2] for b in branches)
     if any(b[0].size for b in branches):
         scale = abs(kfp) + sum(abs(b[2]) for b in branches)

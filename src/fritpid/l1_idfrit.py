@@ -44,7 +44,7 @@ from .folib import (
 # perfbench/tracer.py wraps these three by this module's name; the loss
 # path calls none of them, fictitious_reference calls simulate, and
 # nothing here calls invert, which stays for the tracer until ROADMAP
-# item 6 renames its spans
+# item 15 times the program without them
 from .folib import realize  # noqa: F401
 from .lti_core import invert, simulate  # noqa: F401
 # _dtrsv is scipy.linalg.blas.dtrsv, taken from scipy's compiled BLAS

@@ -77,6 +77,27 @@ class TestCaseCatalog:
             "example3_fo"
         ).j_theta0
 
+    # J at each published theta*, as today's realization gives it (the
+    # Oustaloup ladder, order 5 over [1e-6, 1e3] rad/s, each term mapped by
+    # Tustin), beside the paper's J*. A report, not a criterion: the FOPID
+    # cases lie off the paper's, and a change of realization moves the pin
+    # in the open (ROADMAP item 1).
+    J_AT_PUBLISHED_THETA_STAR = {
+        "example1": (0.3784116423079962, 0.3805),
+        "example2": (53.399633331052094, 53.3317),
+        "example3_io": (1.114005647062911, 1.1129),
+        "example3_fo": (0.9260326209117743, 0.8087),
+    }
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_j_at_the_published_theta_star_is_pinned(self, name):
+        pinned, paper = self.J_AT_PUBLISHED_THETA_STAR[name]
+        targets = reference_targets(name)
+        assert targets.j_star == paper
+        case = builtin_case(name)
+        j = make_evaluator(case, collect_data(case))(targets.theta_star)
+        assert j == pytest.approx(pinned, rel=1e-10)
+
     def test_dead_time_is_the_only_example2_difference(self):
         p1 = discretized_plant(builtin_case("example1"))
         p2 = discretized_plant(builtin_case("example2"))

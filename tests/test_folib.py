@@ -201,8 +201,9 @@ class TestOustaloup:
         mono[0] = 1.0
         num, den = mono, [1.0]
         if alpha > n:
-            wz, wp, gain = folib._staircase(alpha - n)
-            b, den = zpk2tf(-wz, -wp, gain)
+            # the ladder's continuous roots and gain, from the term builder
+            poles, zeros, gain = folib._branch_rows(np.ones(1), np.array([alpha - n]), 0, None)
+            b, den = zpk2tf(zeros[0], poles[0], gain[0])
             num = np.convolve(mono, b)
         g = oustaloup(alpha)
         assert g.num.as_array().tobytes() == np.asarray(num, dtype=float).tobytes()

@@ -598,11 +598,13 @@ def _batch_reasons(ev: LossEvaluator, thetas) -> list:
 
 def _assert_batch_is_evaluate(make_evaluator, thetas) -> set:
     """One batch of ``thetas`` gives every row's J of ``evaluate`` bit for
-    bit, and the same counters, without a warning; one-row batches give
-    every row's penalty reason. Returns the reasons seen."""
+    bit, and the same counters, neither of them with a warning; one-row
+    batches give every row's penalty reason. Returns the reasons seen."""
     thetas = np.asarray(thetas, dtype=float)
     one, batch = make_evaluator(), make_evaluator()
-    want = [one.evaluate(theta) for theta in thetas]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [one.evaluate(theta) for theta in thetas]
     got = _batch(batch, thetas)
     assert got.tobytes() == np.array([b.j for b in want]).tobytes()
     assert _counters(batch) == _counters(one)
